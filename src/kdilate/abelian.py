@@ -185,11 +185,15 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SNFResult:
-    """U @ M @ V = S with U, V unimodular and S in Smith normal form."""
+    """U @ M @ V = S with U, V unimodular and S in Smith normal form.
+
+    U_inv is the inverse of U when it was asked for, else None.
+    """
 
     U: IntMatrix
     S: IntMatrix
     V: IntMatrix
+    U_inv: IntMatrix | None = None
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.S[i, i] for i in range(min(self.S.rows, self.S.cols)))
@@ -198,22 +202,31 @@ class SNFResult:
         return sum(1 for d in self.diagonal() if d != 0)
 
 
-def smith_normal_form(m: IntMatrix) -> SNFResult:
+def smith_normal_form(m: IntMatrix, with_inverse: bool = False) -> SNFResult:
     """Diagonalize an integer matrix by unimodular row and column operations.
 
     The diagonal of S is nonnegative and each entry divides the next, which
     makes S unique for a given input.  Works for any rectangular shape,
     including matrices with zero rows or columns.
+
+    With `with_inverse`, U^{-1} is kept up to date alongside U: each row
+    operation applied to U is undone by the matching column operation on
+    U^{-1} (Cohen, GTM 138, section 2.4), so no second elimination is needed.
     """
     nrows, ncols = m.rows, m.cols
     a = [list(r) for r in m.entries]
     u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
     v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    # columns of U^{-1}, stored as rows so column operations are row operations
+    u_inv_cols = [[int(i == j) for j in range(nrows)] for i in range(nrows)] \
+        if with_inverse else None
 
     def swap_rows(i, j):
         if i != j:
             a[i], a[j] = a[j], a[i]
             u[i], u[j] = u[j], u[i]
+            if u_inv_cols is not None:
+                u_inv_cols[i], u_inv_cols[j] = u_inv_cols[j], u_inv_cols[i]
 
     def swap_cols(i, j):
         if i != j:
@@ -229,6 +242,10 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
         udst, usrc = u[dst], u[src]
         for k in range(nrows):
             udst[k] += q * usrc[k]
+        if u_inv_cols is not None:  # column src of U^{-1} -= q * column dst
+            isrc, idst = u_inv_cols[src], u_inv_cols[dst]
+            for k in range(nrows):
+                isrc[k] -= q * idst[k]
 
     def add_col(dst, src, q):
         for r in a:
@@ -239,6 +256,8 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
+        if u_inv_cols is not None:
+            u_inv_cols[i] = [-x for x in u_inv_cols[i]]
 
     t = 0
     limit = min(nrows, ncols)
@@ -285,9 +304,13 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
             add_row(t, offender[0], 1)
         t += 1
 
+    u_inv = None
+    if u_inv_cols is not None:
+        u_inv = IntMatrix.from_rows(u_inv_cols, nrows).transpose()
     return SNFResult(U=IntMatrix.from_rows(u, nrows),
                      S=IntMatrix.from_rows(a, ncols),
-                     V=IntMatrix.from_rows(v, ncols))
+                     V=IntMatrix.from_rows(v, ncols),
+                     U_inv=u_inv)
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
@@ -345,13 +368,12 @@ class _Lattice:
             IntMatrix.zeros(dimension, 0)
         if generators and gens.rows != dimension:
             raise IncompatibleShapesError("generator length does not match dimension")
-        snf = smith_normal_form(gens)
+        snf = smith_normal_form(gens, with_inverse=True)
         self._u = snf.U
         self._diag = [d for d in snf.diagonal() if d != 0]
-        u_inv = unimodular_inverse(snf.U)
         self.rank = len(self._diag)
         # basis columns: U^{-1} (s_i e_i) for the nonzero diagonal entries
-        self.basis = u_inv.select_columns(range(self.rank)) @ \
+        self.basis = snf.U_inv.select_columns(range(self.rank)) @ \
             IntMatrix.diagonal(self._diag)
 
     def coordinates(self, vector) -> tuple[int, ...] | None:
@@ -499,7 +521,7 @@ def _quotient_with_maps(num_generators: int,
     """
     if relation_rows.cols != num_generators:
         raise IncompatibleShapesError("relations must have one column per generator")
-    snf = smith_normal_form(relation_rows.transpose())
+    snf = smith_normal_form(relation_rows.transpose(), with_inverse=True)
     diag = snf.diagonal()
     rank = sum(1 for d in diag if d != 0)
     torsion_idx = [i for i in range(rank) if diag[i] > 1]
@@ -507,7 +529,7 @@ def _quotient_with_maps(num_generators: int,
     group = FGAbelianGroup(free_rank=num_generators - rank,
                            invariant_factors=tuple(diag[i] for i in torsion_idx))
     projection = snf.U.select_rows(kept)
-    lift = unimodular_inverse(snf.U).select_columns(kept)
+    lift = snf.U_inv.select_columns(kept)
     return group, projection, lift
 
 
@@ -641,16 +663,6 @@ def cokernel(f: GroupHom) -> tuple[FGAbelianGroup, GroupHom]:
     """Cokernel in canonical form, with the quotient projection."""
     group, projection, _ = _cokernel_with_maps(f)
     return group, projection
-
-
-def preimage(f: GroupHom, coords) -> tuple[int, ...] | None:
-    """Some x with f(x) equal to the given codomain element, or None."""
-    target = f.codomain.reduce(coords)
-    combined = f.matrix.hstack(f.codomain.relation_rows().transpose())
-    solution = solve_integer_system(combined, target)
-    if solution is None:
-        return None
-    return f.domain.reduce(solution[:f.domain.num_generators])
 
 
 def _direct_sum_with_maps(g: FGAbelianGroup, h: FGAbelianGroup):

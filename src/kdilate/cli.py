@@ -24,7 +24,7 @@ from .abelian import (
     GroupHom,
     IntMatrix,
     _quotient_with_maps,
-    lattice_contains,
+    element_is_zero,
     smith_normal_form,
 )
 from .colimit import (
@@ -138,11 +138,14 @@ def _load_presentation(doc: dict, where: str) -> tuple[int, IntMatrix]:
 
 def _endo_on_presentation(generators: int, relations: IntMatrix, endo: IntMatrix,
                           where: str) -> DilationProblem:
-    for row in relations.entries:
-        if not lattice_contains(relations, endo.apply(row)):
-            raise InputError(f"{where}: endomorphism does not preserve the relation lattice")
     group, projection, lift = _quotient_with_maps(generators, relations)
-    return DilationProblem(group, GroupHom(group, group, projection @ endo @ lift))
+    induced = projection @ endo
+    # endo preserves the relation lattice exactly when it sends every
+    # relation to zero in the quotient group
+    images = induced @ relations.transpose()
+    if not all(element_is_zero(group, images.column(j)) for j in range(images.cols)):
+        raise InputError(f"{where}: endomorphism does not preserve the relation lattice")
+    return DilationProblem(group, GroupHom(group, group, induced @ lift))
 
 
 def _load_group_endo(path: str, need_endo: bool):
@@ -458,6 +461,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Smith transforms can have entries of any size, and every result is
+    # printed in full; the caller's limit on int/str conversion comes back
+    # on return.
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -30,7 +30,6 @@ from .abelian import (
     element_is_zero,
     integer_kernel_basis,
     kernel,
-    preimage,
     solve_integer_system,
 )
 
@@ -156,10 +155,15 @@ class ColimitDescription:
 
     def localized_diagonal(self) -> tuple[int, ...] | None:
         """Multipliers (m1, ..., mr) when the tower matrix is similar over Z
-        to a diagonal matrix, else None."""
+        to a diagonal matrix, else None.
+
+        The eigen-search runs once per description; its result is kept on
+        the instance (the fields stay frozen)."""
         if self.tag != TAG_LOCALIZED:
             return None
-        return _similarity_diagonal(self.loc_matrix)
+        if "_diagonal" not in self.__dict__:
+            object.__setattr__(self, "_diagonal", _similarity_diagonal(self.loc_matrix))
+        return self.__dict__["_diagonal"]
 
     def signature(self):
         """(torsion group, multiset of rank-one prime supports), or None when
@@ -468,38 +472,21 @@ def classify_colimit(problem: DilationProblem,
     return _classify_injective(quotient, induced)
 
 
-def _restrict_to_subgroup(f: GroupHom, subgroup: FGAbelianGroup,
-                          inclusion: GroupHom) -> GroupHom:
-    """The endomorphism induced by f on an f-invariant subgroup."""
-    columns = []
-    for j in range(subgroup.num_generators):
-        image = f.codomain.reduce(f.matrix.apply(inclusion.matrix.column(j)))
-        coords = preimage(inclusion, image)
-        if coords is None:
-            raise ValueError("subgroup is not invariant under the endomorphism")
-        columns.append(coords)
-    matrix = IntMatrix.from_rows(
-        [[col[i] for col in columns] for i in range(subgroup.num_generators)],
-        cols=len(columns))
-    return GroupHom(subgroup, subgroup, matrix)
-
-
 def ker_coker_one_minus(problem: DilationProblem,
                         cap: int = DEFAULT_STABILIZATION_CAP
                         ) -> tuple[ColimitDescription, ColimitDescription]:
     """Kernel and cokernel of (1 - fbar) on the colimit.
 
     Filtered colimits are exact, so ker(1 - fbar) = colim(ker(1 - f), f) and
-    coker(1 - fbar) = colim(coker(1 - f), induced f); f maps ker(1 - f) into
-    itself because it commutes with 1 - f.
+    coker(1 - fbar) = colim(coker(1 - f), induced f); f fixes ker(1 - f)
+    pointwise, so the kernel tower is constant.
     """
     from .abelian import _cokernel_with_maps
 
     base, f = problem.base, problem.endo
     one_minus = GroupHom.identity(base) - f
-    ker_group, inclusion = kernel(one_minus)
-    ker_endo = _restrict_to_subgroup(f, ker_group, inclusion)
-    ker_desc = classify_colimit(DilationProblem(ker_group, ker_endo), cap)
+    ker_group, _ = kernel(one_minus)
+    ker_desc = classify_colimit(DilationProblem(ker_group, GroupHom.identity(ker_group)), cap)
 
     cok_group, projection, lift = _cokernel_with_maps(one_minus)
     cok_endo = GroupHom(cok_group, cok_group, projection.matrix @ f.matrix @ lift)

@@ -106,6 +106,18 @@ class TestSmithNormalForm:
             noisy[i] = [a + q * b for a, b in zip(noisy[i], noisy[j])]
             assert smith_normal_form(IntMatrix.from_rows(noisy)).S == reference
 
+    def test_tracked_inverse_leaves_the_transforms_unchanged(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            rows, cols = rng.randint(0, 6), rng.randint(1, 6)
+            m = IntMatrix.from_rows([[rng.randint(-20, 20) for _ in range(cols)]
+                                     for _ in range(rows)], cols=cols)
+            plain = smith_normal_form(m)
+            tracked = smith_normal_form(m, with_inverse=True)
+            assert plain.U_inv is None
+            assert (tracked.U, tracked.S, tracked.V) == (plain.U, plain.S, plain.V)
+            assert tracked.U_inv == unimodular_inverse(plain.U)
+
     def test_arbitrary_precision(self):
         huge = 10**40
         result = assert_snf_contract(IntMatrix.from_rows([[huge, 1], [0, huge]]))

@@ -188,8 +188,9 @@ def test_criterion_8a_snf_contract_on_500_random_matrices():
     rng = random.Random(20_08)
     for _ in range(500):
         m = random_matrix(rng, max_dim=8, max_entry=50)
-        result = smith_normal_form(m)
+        result = smith_normal_form(m, with_inverse=True)
         assert result.U @ m @ result.V == result.S
+        assert result.U @ result.U_inv == IntMatrix.identity(m.rows)
         assert abs(result.U.determinant()) == 1
         assert abs(result.V.determinant()) == 1
         diagonal = [d for d in result.diagonal() if d != 0]

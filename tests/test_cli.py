@@ -1,7 +1,11 @@
 import json
+import random
+import sys
 
 import pytest
 
+from kdilate import colimit
+from kdilate.abelian import GroupHom, IntMatrix, _quotient_with_maps
 from kdilate.cli import main
 
 E_LATTICE_DOT = """digraph {
@@ -89,6 +93,33 @@ class TestSnfCommand:
         assert set(doc) == {"S", "U", "V", "status"}
         assert doc["U"] == [[1, 0], [0, 1]]
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int/str digit limit before Python 3.10.7")
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_transforms_past_the_int_str_digit_limit(self, capsys, tmp_path, fmt):
+        rng = random.Random("snf-digit-limit-0")
+        rows = [[rng.randint(-9, 9) for _ in range(10)] for _ in range(10)]
+        doc = tmp_path / "digits.json"
+        doc.write_text(json.dumps({"kind": "group_endo", "generators": 10,
+                                   "relations": rows}))
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run(capsys, "snf", "--format", fmt, "--input", str(doc))
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit  # the caller's limit is back
+        sys.set_int_max_str_digits(0)
+        try:
+            if fmt == "json":
+                parsed = json.loads(out)
+            else:
+                parsed = dict(line.split(" = ", 1) for line in out.splitlines())
+                parsed = {k: json.loads(v) for k, v in parsed.items()}
+            u, s, v = (IntMatrix.from_rows([[int(x) for x in r] for r in parsed[k]])
+                       for k in ("U", "S", "V"))
+            assert max(len(str(abs(x))) for r in u.entries + v.entries for x in r) > 4300
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert u @ IntMatrix.from_rows(rows) @ v == s
+
 
 class TestColimKercokerCommands:
     def test_localized_colimit(self, capsys, fixtures_dir):
@@ -116,6 +147,19 @@ class TestColimKercokerCommands:
                            str(fixtures_dir / "mixed_unresolved.json"))
         assert code == 3
         assert json.loads(out)["status"] == "unresolved"
+
+    def test_one_eigen_search_per_tower(self, capsys, tmp_path, monkeypatch):
+        searched = []
+        search = colimit._similarity_diagonal
+        monkeypatch.setattr(colimit, "_similarity_diagonal",
+                            lambda m: searched.append(m) or search(m))
+        doc = tmp_path / "tower.json"  # diag(2, 3) conjugated by [[1, 1], [0, 1]]
+        doc.write_text(json.dumps({"kind": "group_endo", "generators": 2,
+                                   "relations": [], "endo": [[2, -1], [0, 3]]}))
+        code, out, _ = run(capsys, "colim", "--format", "json", "--input", str(doc))
+        assert code == 0
+        assert json.loads(out)["colimit"]["localizers"] == [2, 3]
+        assert len(searched) == 1
 
     def test_endo_required(self, capsys, fixtures_dir):
         code, _, err = run(capsys, "kercoker", "--input",
@@ -245,6 +289,25 @@ class TestInputHandling:
                                    "relations": [[2, 0]], "endo": [[0, 0], [1, 1]]}))
         code, _, err = run(capsys, "colim", "--input", str(doc))
         assert code == 2 and "preserve the relation lattice" in err
+
+    def test_endo_off_the_lattice_rejected_although_well_defined(self, capsys, tmp_path):
+        # e1 is a relation but its image e2 is not, while the induced map
+        # [[0]] on Z = Z^2/<e1> passes GroupHom's own check
+        relations, endo = [[1, 0]], [[0, 0], [1, 0]]
+        group, projection, lift = _quotient_with_maps(2, IntMatrix.from_rows(relations))
+        GroupHom(group, group, projection @ IntMatrix.from_rows(endo) @ lift)
+        colim_doc = tmp_path / "colim.json"
+        colim_doc.write_text(json.dumps({"kind": "group_endo", "generators": 2,
+                                         "relations": relations, "endo": endo}))
+        kdata_doc = tmp_path / "kdata.json"
+        kdata_doc.write_text(json.dumps({
+            "kind": "k_data", "k0": {"generators": 2, "relations": relations},
+            "k1": {"generators": 1, "relations": []}, "map0": endo, "map1": [[1]]}))
+        for argv in (("colim", "--input", str(colim_doc)),
+                     ("pv", "--input", str(kdata_doc))):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert "preserve the relation lattice" in err
 
     def test_graph_with_sink_rejected(self, capsys, tmp_path):
         doc = tmp_path / "sink.json"
