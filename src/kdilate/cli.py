@@ -129,10 +129,11 @@ def _check_fields(doc: dict, where: str, required: set, optional: set = frozense
             raise InputError(f"{where}: missing field {key!r}")
 
 
-def _load_presentation(doc: dict, where: str) -> tuple[int, IntMatrix]:
-    _check_fields(doc, where, {"generators", "relations"})
-    generators = _as_count(doc["generators"], f"{where}.generators")
-    relations = _as_matrix(doc["relations"], f"{where}.relations", cols=generators)
+def _load_presentation(doc: dict, where: str,
+                       optional: set = frozenset()) -> tuple[int, IntMatrix]:
+    _check_fields(doc, where, {"generators", "relations"}, optional)
+    generators = _as_count(doc["generators"], f"{where}: generators")
+    relations = _as_matrix(doc["relations"], f"{where}: relations", cols=generators)
     return generators, relations
 
 
@@ -150,9 +151,7 @@ def _endo_on_presentation(generators: int, relations: IntMatrix, endo: IntMatrix
 
 def _load_group_endo(path: str, need_endo: bool):
     doc = _load_document(path, "group_endo")
-    _check_fields(doc, path, {"generators", "relations"}, {"endo"})
-    generators = _as_count(doc["generators"], f"{path}: generators")
-    relations = _as_matrix(doc["relations"], f"{path}: relations", cols=generators)
+    generators, relations = _load_presentation(doc, path, {"endo"})
     endo = None
     if "endo" in doc:
         endo = _as_matrix(doc["endo"], f"{path}: endo", cols=generators, rows=generators)
@@ -377,7 +376,7 @@ def _cmd_graph_prim(args):
     return _poset_payload(poset)
 
 
-def _graph_k_sets(args, graph: Graph):
+def _graph_k_sets(args):
     zset = _parse_vertex_set(args.zset, "Z")
     yset = _parse_vertex_set(args.yset, "Y")
     return zset, yset
@@ -385,7 +384,7 @@ def _graph_k_sets(args, graph: Graph):
 
 def _cmd_graph_k(args):
     graph = _load_graph(args.input)
-    zset, yset = _graph_k_sets(args, graph)
+    zset, yset = _graph_k_sets(args)
     try:
         k0, k1 = subquotient_k(graph, zset, yset)
     except ValueError as exc:
@@ -396,7 +395,7 @@ def _cmd_graph_k(args):
 
 def _cmd_graph_crossed_k(args):
     graph = _load_graph(args.input)
-    zset, yset = _graph_k_sets(args, graph)
+    zset, yset = _graph_k_sets(args)
     try:
         d0, d1 = crossed_subquotient_k(graph, zset, yset)
     except ValueError as exc:

@@ -17,6 +17,7 @@ system is classified.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .abelian import (
     FGAbelianGroup,
@@ -166,31 +167,41 @@ class ColimitDescription:
         return self.__dict__["_diagonal"]
 
     def signature(self):
-        """(torsion group, multiset of rank-one prime supports), or None when
-        the isomorphism class is undetermined."""
+        """(torsion group, rank-one multipliers), or None when the
+        isomorphism class is undetermined; a copy of Z has multiplier 1."""
         if self.tag == TAG_FINITE:
-            return (self.fg_part.torsion_part(),
-                    tuple(sorted([()] * self.fg_part.free_rank)))
+            return (self.fg_part.torsion_part(), (1,) * self.fg_part.free_rank)
         if self.tag == TAG_LOCALIZED:
             diag = self.localized_diagonal()
             if diag is None:
                 return None
-            supports = sorted(tuple(sorted(_prime_support(m))) for m in diag)
-            return (FGAbelianGroup.trivial(), tuple(supports))
+            return (FGAbelianGroup.trivial(), diag)
         if self.tag == TAG_EXTENSION and self.resolved:
             a, b = self.sub.signature(), self.quot.signature()
             if a is None or b is None:
                 return None
             from .abelian import direct_sum
-            return (direct_sum(a[0], b[0]), tuple(sorted(a[1] + b[1])))
+            return (direct_sum(a[0], b[0]), a[1] + b[1])
         return None
 
     def isomorphic(self, other: "ColimitDescription") -> bool | None:
-        """True/False when both sides are determined, None otherwise."""
+        """True/False when both sides are determined, None otherwise.
+
+        Z[1/a] and Z[1/b] are isomorphic when a and b have the same prime
+        support, i.e. bracket(a, b) == bracket(b, a) == 1; that is an
+        equivalence relation, so greedy matching of multipliers is exact."""
         a, b = self.signature(), other.signature()
         if a is None or b is None:
             return None
-        return a == b
+        if a[0] != b[0] or len(a[1]) != len(b[1]):
+            return False
+        unmatched = list(b[1])
+        for m in a[1]:
+            match = next((k for k in unmatched if bracket(m, k) == bracket(k, m) == 1), None)
+            if match is None:
+                return False
+            unmatched.remove(match)
+        return True
 
     def isomorphic_to_group(self, group: FGAbelianGroup) -> bool | None:
         return self.isomorphic(ColimitDescription.finite(group))
@@ -231,19 +242,21 @@ def _format_localized_terms(diag: tuple[int, ...]) -> str:
     return " + ".join(out)
 
 
-def _prime_support(m: int) -> set[int]:
-    m = abs(m)
-    support = set()
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            support.add(p)
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        support.add(m)
-    return support
+def bracket(a: int, b: int) -> int:
+    """Largest divisor of b coprime to a: b with every prime factor of a
+    stripped out.
+
+    >>> bracket(2, 6)
+    3
+    >>> bracket(6, 360)
+    5
+    """
+    if a <= 0 or b <= 0:
+        raise ValueError("undefined bracket argument")
+    c = b
+    while (g := gcd(c, a)) > 1:
+        c //= g
+    return c
 
 
 _DIAGONALIZE_DET_BOUND = 10**9  # divisor enumeration stays cheap below this
@@ -301,10 +314,8 @@ def _divisors(n: int) -> list[int]:
 # Description algebra
 # ---------------------------------------------------------------------------
 
-def _split_parts(d: ColimitDescription, depth: int = 0):
+def _split_parts(d: ColimitDescription):
     """(finite torsion description, localized matrix or None), or None."""
-    if depth > 8:  # defensive; the structures built here are shallow
-        return None
     if d.tag == TAG_FINITE:
         group = d.fg_part
         t, r = group.torsion_count, group.free_rank
@@ -318,8 +329,8 @@ def _split_parts(d: ColimitDescription, depth: int = 0):
     if d.tag == TAG_LOCALIZED:
         return ColimitDescription.finite(FGAbelianGroup.trivial()), d.loc_matrix
     if d.tag == TAG_EXTENSION and d.resolved:
-        sp = _split_parts(d.sub, depth + 1)
-        qp = _split_parts(d.quot, depth + 1)
+        sp = _split_parts(d.sub)
+        qp = _split_parts(d.quot)
         if sp is None or qp is None:
             return None
         fin = _sum_finite(sp[0], qp[0])

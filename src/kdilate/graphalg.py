@@ -10,6 +10,14 @@ vertices X of the subquotient.  Graphs must be sink-free (every vertex
 emits at least one edge) and the poset computation additionally requires
 every vertex to lie on a cycle; both are the regime in which these
 formulas hold.
+
+The primitive-ideal poset comes from one reachability closure: Warshall's
+algorithm on the out-neighbour bitmasks gives every vertex the set it
+reaches, a vertex lies on a cycle when it reaches itself, its strongly
+connected component is what it reaches and is reached by, and one
+component lies below another when the other reaches it.  Both posets take
+their covering pairs from the same routine, which reads a cover off each
+element's transitively closed down-set.
 """
 
 from __future__ import annotations
@@ -22,7 +30,6 @@ from .abelian import (
     FGAbelianGroup,
     IntMatrix,
     group_from_presentation,
-    smith_normal_form,
 )
 from .colimit import ColimitDescription
 from .kcrossed import KTheoryData, pv_crossed_product
@@ -114,8 +121,16 @@ def _is_hereditary_saturated(graph: Graph, mask: int) -> bool:
     return _closure_mask(graph, mask) == mask
 
 
+def _bits(mask: int):
+    """Indices of the set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _family_sort_key(mask: int):
-    indices = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    indices = tuple(_bits(mask))
     return (len(indices), indices)
 
 
@@ -218,71 +233,25 @@ class PosetDiagram:
         return "\n".join(lines) + "\n"
 
 
+def _hasse(labels: list[str], below: list[int]) -> PosetDiagram:
+    """Hasse diagram of a finite poset given by below[j], the bitmask of the
+    elements strictly under element j (transitively closed): i is covered
+    by j when i is under j and under no element that is under j."""
+    covers = []
+    for j, under in enumerate(below):
+        deeper = 0
+        for i in _bits(under):
+            deeper |= below[i]
+        covers.extend((labels[i], labels[j]) for i in _bits(under & ~deeper))
+    return PosetDiagram(tuple(labels), tuple(sorted(covers)))
+
+
 def ideal_lattice_hasse(graph: Graph) -> PosetDiagram:
     """Hasse diagram of the inclusion order on hereditary&saturated sets."""
     family = [graph.mask_of(s) for s in enumerate_hereditary_saturated(graph)]
-    labels = {m: graph.format_set(graph.set_of(m)) for m in family}
-    covers = []
-    for a in family:
-        for b in family:
-            if a != b and a & ~b == 0:  # a proper subset of b
-                if not any(c != a and c != b and a & ~c == 0 and c & ~b == 0
-                           for c in family):
-                    covers.append((labels[a], labels[b]))
-    return PosetDiagram(tuple(labels[m] for m in family), tuple(sorted(covers)))
-
-
-def _strongly_connected_components(n: int, edges: list[list[int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative; components come out sorted by their
-    smallest vertex for determinism."""
-    index = [0] * n
-    low = [0] * n
-    on_stack = [False] * n
-    visited = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = [1]
-
-    for root in range(n):
-        if visited[root]:
-            continue
-        work = [(root, iter(edges[root]))]
-        visited[root] = True
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if not visited[nxt]:
-                    visited[nxt] = True
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack[nxt] = True
-                    work.append((nxt, iter(edges[nxt])))
-                    advanced = True
-                    break
-                if on_stack[nxt]:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(sorted(component))
-    return sorted(components)
+    below = [sum(1 << i for i, a in enumerate(family) if a != b and a & ~b == 0)
+             for b in family]
+    return _hasse([graph.format_set(graph.set_of(m)) for m in family], below)
 
 
 def prim_poset(graph: Graph) -> PosetDiagram:
@@ -293,44 +262,24 @@ def prim_poset(graph: Graph) -> PosetDiagram:
     are the orientation-independent content.
     """
     n = len(graph.vertices)
-    edges = [[j for j in range(n) if graph.adjacency[i, j] > 0 and j != i]
-             for i in range(n)]
-    components = _strongly_connected_components(n, edges)
-    comp_of = {}
-    for ci, comp in enumerate(components):
-        for v in comp:
-            comp_of[v] = ci
-    for ci, comp in enumerate(components):
-        if len(comp) == 1 and graph.adjacency[comp[0], comp[0]] == 0:
-            raise ValueError("prim computation requires every vertex on a cycle")
-
-    def label(comp: list[int]) -> str:
-        names = [graph.vertices[v] for v in comp]
-        return names[0] if len(names) == 1 else "{" + ",".join(names) + "}"
-
-    k = len(components)
-    succ = [set() for _ in range(k)]
+    reach = list(graph._out_masks)  # Warshall: reach[i] = ends of paths from i
+    for k in range(n):
+        for i in range(n):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    if any(not reach[v] >> v & 1 for v in range(n)):
+        raise ValueError("prim computation requires every vertex on a cycle")
+    firsts, labels, placed = [], [], 0  # components in order of first vertex
     for v in range(n):
-        for w in edges[v]:
-            if comp_of[v] != comp_of[w]:
-                succ[comp_of[v]].add(comp_of[w])
-    reaches = [set() for _ in range(k)]
-    for start in range(k):
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for nxt in succ[node]:
-                if nxt not in reaches[start]:
-                    reaches[start].add(nxt)
-                    stack.append(nxt)
-    covers = []
-    for upper in range(k):
-        for lower in reaches[upper]:
-            if not any(mid != upper and mid != lower
-                       and mid in reaches[upper] and lower in reaches[mid]
-                       for mid in range(k)):
-                covers.append((label(components[lower]), label(components[upper])))
-    return PosetDiagram(tuple(label(c) for c in components), tuple(sorted(covers)))
+        if not placed >> v & 1:
+            members = [w for w in range(v, n) if reach[v] >> w & 1 and reach[w] >> v & 1]
+            placed |= sum(1 << w for w in members)
+            names = [graph.vertices[w] for w in members]
+            firsts.append(v)
+            labels.append(names[0] if len(names) == 1 else "{" + ",".join(names) + "}")
+    below = [sum(1 << a for a, low in enumerate(firsts) if a != b and reach[high] >> low & 1)
+             for b, high in enumerate(firsts)]
+    return _hasse(labels, below)
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +316,8 @@ def subquotient_k(graph: Graph, zset: Iterable[str],
     restricted = graph.adjacency.select_rows(indices).select_columns(indices)
     relations = restricted - IntMatrix.identity(size)  # rows of (A_X^T - I)^T
     k0 = group_from_presentation(size, relations)
-    k1 = FGAbelianGroup.free(size - smith_normal_form(relations).rank())
-    return k0, k1
+    # the kernel and cokernel of one square matrix have the same rank
+    return k0, FGAbelianGroup.free(k0.free_rank)
 
 
 def crossed_subquotient_k(graph: Graph, zset: Iterable[str], yset: Iterable[str]

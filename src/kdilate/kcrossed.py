@@ -28,28 +28,12 @@ from .colimit import (
     ColimitDescription,
     DilationProblem,
     TAG_FINITE,
+    bracket,
     direct_sum_descriptions,
     ker_coker_one_minus,
 )
 
 INFINITY = None  # the Cuntz parameter n = infinity is a distinguished symbol
-
-
-def bracket(a: int, b: int) -> int:
-    """Largest divisor of b coprime to a: b with every prime factor of a
-    stripped out.
-
-    >>> bracket(2, 6)
-    3
-    >>> bracket(6, 360)
-    5
-    """
-    if a <= 0 or b <= 0:
-        raise ValueError("undefined bracket argument")
-    c = b
-    while (g := gcd(c, a)) > 1:
-        c //= g
-    return c
 
 
 @dataclass(frozen=True)
@@ -153,14 +137,13 @@ def pv_crossed_product(data: KTheoryData,
         resolution_reason=f"K0: {reason0}; K1: {reason1}")
 
 
-def pv_verify_exactness(data: KTheoryData, result: CrossedProductK) -> bool:
+def pv_verify_exactness(result: CrossedProductK) -> bool:
     """Order/rank consistency of the two extensions in a computed result.
 
     For each resolved graded piece, the rank must be the sum of the end
     ranks and, when both ends are finite, the order must be the product of
     the end orders (an infinite end forces an infinite resolved value).
     """
-    del data  # the result already carries everything the check needs
     pieces = ((result.k0_sub, result.k0_quot, result.k0_resolved),
               (result.k1_sub, result.k1_quot, result.k1_resolved))
     for sub, quot, resolved in pieces:

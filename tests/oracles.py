@@ -2,10 +2,11 @@
 
 Nothing here goes through the package's Smith normal form: group structure
 is recovered from torsion-element counts, Smith diagonals from gcds of
-minors, and vertex-set families from exhaustive subset scans.  That keeps
-the dual-route checks honest.
+minors, vertex-set families from exhaustive subset scans, and poset covers
+from their definition.  That keeps the dual-route checks honest.
 """
 
+from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, prod
 
@@ -59,6 +60,23 @@ def smith_diagonal_by_divisors(rows: list[list[int]], ncols: int) -> list[int]:
             diag.append(dk // prev)
             prev = dk
     return diag
+
+
+def rank_over_q(rows: list[list[int]]) -> int:
+    """Rank by Gaussian elimination over the rationals."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                factor = m[r][col] / m[rank][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
 
 
 def _invariants_from_counts(total: int, count_p_torsion) -> tuple[int, ...]:
@@ -157,6 +175,31 @@ def brute_hereditary_saturated(graph: Graph) -> list[frozenset]:
         if hereditary and saturated:
             family.append(frozenset(graph.vertices[v] for v in range(n) if mask >> v & 1))
     return family
+
+
+def reachable_sets(graph: Graph) -> list[set[int]]:
+    """For each vertex, the vertices at the end of a path of length >= 1,
+    by depth-first search over the adjacency matrix."""
+    n = len(graph.vertices)
+    out = []
+    for start in range(n):
+        seen: set[int] = set()
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in range(n):
+                if graph.adjacency[v, w] > 0 and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        out.append(seen)
+    return out
+
+
+def covers_by_definition(elements, less) -> set:
+    """Covering pairs (a, b) of a finite order: a < b with nothing strictly
+    between them."""
+    return {(a, b) for a in elements for b in elements
+            if less(a, b) and not any(less(a, c) and less(c, b) for c in elements)}
 
 
 # ---------------------------------------------------------------------------

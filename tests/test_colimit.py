@@ -1,4 +1,5 @@
 import random
+import time
 from math import gcd
 
 import pytest
@@ -263,6 +264,25 @@ class TestDescriptionAlgebra:
         d6 = classify_colimit(times_m_on_z(6))
         assert d2.isomorphic(d4) is True
         assert d2.isomorphic(d6) is False
+
+    def test_large_prime_multiplier_compares_without_factoring(self):
+        mersenne = ColimitDescription.localized(IntMatrix.diagonal([2**61 - 1]))
+        halves = ColimitDescription.localized(IntMatrix.diagonal([2]))
+        start = time.perf_counter()
+        same = mersenne.isomorphic(mersenne)
+        different = mersenne.isomorphic(halves)
+        elapsed = time.perf_counter() - start
+        assert same is True and different is False
+        assert elapsed < 0.01
+
+    def test_multipliers_match_by_prime_support_as_multisets(self):
+        left = ColimitDescription.localized(IntMatrix.diagonal([6, 2, 1]))
+        assert left.isomorphic(ColimitDescription.localized(IntMatrix.diagonal([4, 1, 12]))) is True
+        assert left.isomorphic(ColimitDescription.localized(IntMatrix.diagonal([3, 2, 1]))) is False
+        assert left.isomorphic(ColimitDescription.localized(IntMatrix.diagonal([6, 2]))) is False
+        free = ColimitDescription.finite(FGAbelianGroup.free(1))
+        ext = ColimitDescription.extension(free, classify_colimit(times_m_on_z(2)), resolved=True)
+        assert ext.isomorphic(ColimitDescription.localized(IntMatrix.diagonal([1, 8]))) is True
 
     def test_non_diagonalizable_tower_is_undetermined(self):
         jordan = ColimitDescription.localized(IntMatrix.from_rows([[2, 1], [0, 2]]))

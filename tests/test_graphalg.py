@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,7 +14,13 @@ from kdilate.graphalg import (
     prim_poset,
     subquotient_k,
 )
-from oracles import brute_hereditary_saturated, random_graph
+from oracles import (
+    brute_hereditary_saturated,
+    covers_by_definition,
+    random_graph,
+    rank_over_q,
+    reachable_sets,
+)
 
 FULL = frozenset({"v1", "v2", "v3", "v4"})
 SIX_SETS = [frozenset(), frozenset({"v4"}), frozenset({"v2", "v4"}),
@@ -126,6 +133,17 @@ class TestIdealLattice:
         assert set(poset.covers) == {("{}", "{a}"), ("{}", "{b}"),
                                      ("{a}", "{a,b}"), ("{b}", "{a,b}")}
 
+    def test_covers_match_the_definition_on_random_graphs(self):
+        rng = random.Random(37)
+        for _ in range(40):
+            graph = random_graph(rng, max_vertices=8)
+            family = brute_hereditary_saturated(graph)
+            expected = {(graph.format_set(a), graph.format_set(b))
+                        for a, b in covers_by_definition(family, lambda a, b: a < b)}
+            poset = ideal_lattice_hasse(graph)
+            assert set(poset.elements) == {graph.format_set(s) for s in family}
+            assert set(poset.covers) == expected
+
 
 class TestPosetDiagram:
     def test_rejects_transitive_edges(self):
@@ -196,6 +214,52 @@ class TestPrimPoset:
             classes = {frozenset(j for j in reach[i] if i in reach[j]) for i in range(n)}
             assert len(poset.elements) == len(classes)
 
+    def test_covers_match_the_definition_on_random_graphs(self):
+        rng = random.Random(41)
+        for _ in range(40):
+            graph = random_graph(rng, max_vertices=8, loops_everywhere=True)
+            reach = reachable_sets(graph)
+            components = _components(reach)
+
+            def less(a, b):  # a < b when b reaches a
+                return a != b and min(a) in reach[min(b)]
+
+            expected = {(_label(graph, a), _label(graph, b))
+                        for a, b in covers_by_definition(components, less)}
+            poset = prim_poset(graph)
+            assert set(poset.elements) == {_label(graph, c) for c in components}
+            assert set(poset.covers) == expected
+
+    def test_hereditary_sets_are_the_down_sets_of_prim(self):
+        """Birkhoff: with every vertex on a cycle, the hereditary saturated
+        sets are the unions of components over the down-sets of prim."""
+        rng = random.Random(43)
+        for _ in range(40):
+            graph = random_graph(rng, max_vertices=8, loops_everywhere=True)
+            poset = prim_poset(graph)
+            members = {e: _label_members(e) for e in poset.elements}
+            unions = set()
+            for r in range(len(poset.elements) + 1):
+                for chosen in itertools.combinations(poset.elements, r):
+                    if all(lower in chosen for lower, upper in poset.covers if upper in chosen):
+                        unions.add(frozenset().union(*(members[e] for e in chosen)))
+            assert set(enumerate_hereditary_saturated(graph)) == unions
+
+
+def _components(reach):
+    """Strongly connected components as sorted index tuples."""
+    return {tuple(sorted({i} | {j for j in reach[i] if i in reach[j]}))
+            for i in range(len(reach))}
+
+
+def _label(graph, component):
+    names = [graph.vertices[v] for v in component]
+    return names[0] if len(names) == 1 else "{" + ",".join(names) + "}"
+
+
+def _label_members(label):
+    return frozenset(label.strip("{}").split(","))
+
 
 class TestSubquotientK:
     @pytest.mark.parametrize("zset, parts", [
@@ -227,6 +291,22 @@ class TestSubquotientK:
             assert abs(matrix.determinant()) == det
             k0, k1 = subquotient_k(graph_e, zset, set())
             assert k0.order() == det and k1.is_trivial
+
+    def test_k1_rank_is_the_nullity_on_graphs_with_lone_loops(self):
+        rng = random.Random(47)
+        for _ in range(40):
+            graph = random_graph(rng, max_vertices=7)
+            n = len(graph.vertices)
+            rows = graph.adjacency.to_lists()
+            for v in rng.sample(range(n), rng.randint(1, n)):
+                rows[v] = [int(w == v) for w in range(n)]  # a single loop
+            graph = Graph.from_adjacency(graph.vertices, rows)
+            k0, k1 = subquotient_k(graph, graph.vertices, set())
+            nullity = n - rank_over_q([[rows[j][i] - (i == j) for j in range(n)]
+                                       for i in range(n)])
+            assert nullity > 0  # a lone loop gives a zero column
+            assert k1 == FGAbelianGroup.free(nullity)
+            assert k0.free_rank == nullity
 
     def test_empty_difference_is_trivial(self, graph_e):
         k0, k1 = subquotient_k(graph_e, {"v4"}, {"v4"})

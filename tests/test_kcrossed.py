@@ -24,6 +24,11 @@ class TestBracket:
     def test_strips_shared_primes(self):
         assert bracket(2, 6) == 3
 
+    def test_one_function_under_every_import_path(self):
+        import kdilate
+        from kdilate import colimit
+        assert kdilate.bracket is bracket is colimit.bracket
+
     def test_one_is_coprime_to_everything(self):
         for b in (1, 2, 17, 360):
             assert bracket(1, b) == b
@@ -78,7 +83,7 @@ class TestPVCrossedProduct:
             result = pv_crossed_product(data)
             assert result.k0_group() == FGAbelianGroup.cyclic(m - 1)
             assert result.k1_group() == TRIVIAL
-            assert pv_verify_exactness(data, result)
+            assert pv_verify_exactness(result)
 
     def test_trivial_multiplier_gives_z_z(self):
         result = pv_crossed_product(cuntz_k_data(None, 1))
@@ -91,7 +96,7 @@ class TestPVCrossedProduct:
         assert result.k0_group() == FGAbelianGroup.free(2)
         assert result.k1_group() == FGAbelianGroup.free(2)
         assert "free kernel end splits" in result.resolution_reason
-        assert pv_verify_exactness(data, result)
+        assert pv_verify_exactness(result)
 
     def test_trivial_action_split_policy_grid(self):
         groups = [TRIVIAL, Z, FGAbelianGroup.free(2), FGAbelianGroup.cyclic(2),
@@ -106,7 +111,7 @@ class TestPVCrossedProduct:
                     assert result.k0_group() == expected, (k0, k1)
                 if k0.is_free:  # kernel end of the K1 extension
                     assert result.k1_group() == expected, (k0, k1)
-                assert pv_verify_exactness(data, result)
+                assert pv_verify_exactness(result)
 
     def test_finite_by_finite_extension_stays_unresolved(self):
         data = KTheoryData.with_identity_maps(FGAbelianGroup.cyclic(3),
@@ -117,7 +122,7 @@ class TestPVCrossedProduct:
         assert "unresolved" in result.resolution_reason
         k0 = result.k0_description()
         assert k0.tag == "extension" and not k0.resolved
-        assert pv_verify_exactness(data, result)  # vacuous on unresolved pieces
+        assert pv_verify_exactness(result)  # vacuous on unresolved pieces
 
     def test_verify_rejects_tampered_orders(self):
         data = cuntz_k_data(None, 3)
@@ -125,14 +130,14 @@ class TestPVCrossedProduct:
         assert result.k0_group() == FGAbelianGroup.cyclic(2)
         tampered = dataclasses.replace(
             result, k0_resolved=ColimitDescription.finite(FGAbelianGroup.cyclic(5)))
-        assert not pv_verify_exactness(data, tampered)
+        assert not pv_verify_exactness(tampered)
 
     def test_verify_rejects_tampered_rank(self):
         data = KTheoryData.with_identity_maps(Z, Z)
         result = pv_crossed_product(data)
         tampered = dataclasses.replace(
             result, k1_resolved=ColimitDescription.finite(Z))
-        assert not pv_verify_exactness(data, tampered)
+        assert not pv_verify_exactness(tampered)
 
 
 class TestCuntzClosedForm:
