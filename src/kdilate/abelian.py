@@ -40,6 +40,8 @@ class IntMatrix:
         for row in self.entries:
             if len(row) != self.cols:
                 raise ValueError("ragged matrix rows")
+            if set(map(type, row)) == {int}:
+                continue
             for x in row:
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise TypeError("matrix entries must be integers")

@@ -2,9 +2,9 @@
 
 Problem files are JSON documents with a top-level "kind" drawn from
 {"group_endo", "k_data", "cuntz", "graph"}; every integer is either a JSON
-number within +-2^53 or a decimal string (arbitrary precision).  Results
-render as text, canonical JSON (sorted keys, two-space indent, no floats),
-or DOT for the two poset subcommands.
+number within +-2^53 or a decimal string of ASCII digits (arbitrary
+precision).  Results render as text, canonical JSON (sorted keys,
+two-space indent, no floats), or DOT for the two poset subcommands.
 
 Exit codes: 0 success, 2 input/schema errors (diagnostic on stderr),
 3 for computations whose outcome is an unresolved extension (the result is
@@ -67,7 +67,7 @@ def _as_int(value, where: str) -> int:
             raise InputError(f"{where}: integers beyond 2^53 must be decimal strings")
         return value
     if isinstance(value, str):
-        if re.fullmatch(r"-?\d+", value.strip()):
+        if re.fullmatch(r"-?[0-9]+", value.strip()):
             return int(value)
         raise InputError(f"{where}: {value!r} is not a decimal integer")
     raise InputError(f"{where}: expected an integer")
@@ -80,12 +80,19 @@ def _as_count(value, where: str) -> int:
     return n
 
 
+def _as_row(row: list, where: str) -> list:
+    # a row of JSON numbers within range needs no per-entry check
+    if (set(map(type, row)) == {int}
+            and -_MAX_JSON_INT <= min(row) and max(row) <= _MAX_JSON_INT):
+        return row
+    return [_as_int(x, f"{where}[{j}]") for j, x in enumerate(row)]
+
+
 def _as_matrix(value, where: str, cols: int | None = None,
                rows: int | None = None) -> IntMatrix:
     if not isinstance(value, list) or any(not isinstance(r, list) for r in value):
         raise InputError(f"{where}: expected a list of rows")
-    parsed = [[_as_int(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)]
-              for i, row in enumerate(value)]
+    parsed = [_as_row(row, f"{where}[{i}]") for i, row in enumerate(value)]
     widths = {len(r) for r in parsed}
     if len(widths) > 1:
         raise InputError(f"{where}: ragged rows")
@@ -356,11 +363,10 @@ def _cmd_cuntz(args):
 
 def _cmd_graph_hs(args):
     graph = _load_graph(args.input)
-    family = enumerate_hereditary_saturated(graph)
-    labels = [graph.format_set(s) for s in family]
-    payload = {"subsets": [sorted(s, key=graph.vertices.index) for s in family],
-               "status": "ok"}
-    return payload, labels, None
+    subsets = [[v for v in graph.vertices if v in s]
+               for s in enumerate_hereditary_saturated(graph)]
+    payload = {"subsets": subsets, "status": "ok"}
+    return payload, [graph.format_set(names) for names in subsets], None
 
 
 def _cmd_graph_lattice(args):

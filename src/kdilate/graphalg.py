@@ -15,15 +15,23 @@ The primitive-ideal poset comes from one reachability closure: Warshall's
 algorithm on the out-neighbour bitmasks gives every vertex the set it
 reaches, a vertex lies on a cycle when it reaches itself, its strongly
 connected component is what it reaches and is reached by, and one
-component lies below another when the other reaches it.  Both posets take
-their covering pairs from the same routine, which reads a cover off each
-element's transitively closed down-set.
+component lies below another when the other reaches it; its covering pairs
+are read off each component's transitively closed down-set.
+
+The family of hereditary saturated sets and the covers of its lattice come
+from one join search.  Starting from the empty set, it joins each set
+found with the closure of every vertex outside it.  A union of hereditary
+sets is hereditary, so saturation alone closes the join.  The search
+reaches every set, since each is the join of the closures of its
+vertices, and the sets covering a set are the minimal ones among its
+joins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable
 
 from .abelian import (
@@ -53,7 +61,7 @@ class Graph:
             raise ValueError("adjacency matrix shape does not match the vertex list")
         for i, name in enumerate(self.vertices):
             row = self.adjacency.row(i)
-            if any(x < 0 for x in row):
+            if min(row) < 0:
                 raise ValueError(f"negative edge multiplicity at vertex {name}")
             if sum(row) == 0:
                 raise ValueError(f"vertex {name} emits no edges (sinks are not supported)")
@@ -69,14 +77,16 @@ class Graph:
 
     @cached_property
     def _out_masks(self) -> tuple[int, ...]:
-        masks = []
-        for i in range(len(self.vertices)):
-            m = 0
-            for j, count in enumerate(self.adjacency.row(i)):
-                if count > 0:
-                    m |= 1 << j
-            masks.append(m)
-        return tuple(masks)
+        bits = [1 << j for j in range(len(self.vertices))]
+        # multiplicities are nonnegative, so the nonzero ones are the edges
+        return tuple(sum(compress(bits, row)) for row in self.adjacency.entries)
+
+    @cached_property
+    def _unlooped(self) -> tuple[tuple[int, int], ...]:
+        """(bit, out-mask) of each vertex without a loop: a vertex with a
+        loop emits an edge into itself, so saturation never adds it."""
+        return tuple((1 << v, out) for v, out in enumerate(self._out_masks)
+                     if not out >> v & 1)
 
     def mask_of(self, subset: Iterable[str]) -> int:
         mask = 0
@@ -91,25 +101,33 @@ class Graph:
         return frozenset(v for i, v in enumerate(self.vertices) if mask >> i & 1)
 
     def format_set(self, subset: Iterable[str]) -> str:
-        mask = self.mask_of(subset)
-        names = [v for i, v in enumerate(self.vertices) if mask >> i & 1]
-        return "{" + ",".join(names) + "}"
+        return "{" + ",".join(self.vertices[i] for i in _bits(self.mask_of(subset))) + "}"
+
+
+def _saturate(graph: Graph, mask: int) -> int:
+    """Add every vertex whose emitted edges all land inside, to a fixpoint."""
+    grown = True
+    while grown:
+        grown = False
+        for bit, emitted in graph._unlooped:
+            if not mask & bit and emitted & ~mask == 0:
+                mask |= bit
+                grown = True
+    return mask
 
 
 def _closure_mask(graph: Graph, mask: int) -> int:
     out = graph._out_masks
-    n = len(graph.vertices)
-    while True:
-        new = mask
-        for v in range(n):
-            if new >> v & 1:
-                new |= out[v]  # hereditary: heads of emitted edges
-        for v in range(n):
-            if not (new >> v & 1) and out[v] & ~new == 0:
-                new |= 1 << v  # saturated: all emitted edges land inside
-        if new == mask:
-            return mask
-        mask = new
+    todo = mask
+    while todo:  # hereditary: heads of emitted edges, each new vertex once
+        low = todo & -todo
+        todo ^= low
+        new = out[low.bit_length() - 1] & ~mask
+        mask |= new
+        todo |= new
+    # a vertex added by saturation emits edges only into the set, so the
+    # set stays hereditary and one saturation round finishes the closure
+    return _saturate(graph, mask)
 
 
 def hereditary_saturated_closure(graph: Graph, subset: Iterable[str]) -> VertexSet:
@@ -134,25 +152,28 @@ def _family_sort_key(mask: int):
     return (len(indices), indices)
 
 
-def enumerate_hereditary_saturated(graph: Graph) -> list[VertexSet]:
-    """All hereditary and saturated subsets, sorted by size then vertex order.
-
-    Every such set is the join (closure of the union) of closures of its
-    singletons, so closing {empty set} under joins with the singleton
-    closures generates the complete family without scanning 2^|V| subsets.
-    """
-    n = len(graph.vertices)
-    atoms = sorted({_closure_mask(graph, 1 << v) for v in range(n)})
-    family = {0}
+def _joins(graph: Graph) -> dict[int, set[int]]:
+    """Every hereditary and saturated set (as a mask), mapped to its joins
+    with the vertex closures it does not already contain (see the module
+    docstring)."""
+    atoms = {_closure_mask(graph, 1 << v) for v in range(len(graph.vertices))}
+    joins: dict[int, set[int]] = {}
+    seen = {0}
     frontier = [0]
     while frontier:
         current = frontier.pop()
-        for atom in atoms:
-            joined = _closure_mask(graph, current | atom)
-            if joined not in family:
-                family.add(joined)
+        above = {_saturate(graph, current | atom) for atom in atoms if atom & ~current}
+        joins[current] = above
+        for joined in above:
+            if joined not in seen:
+                seen.add(joined)
                 frontier.append(joined)
-    return [graph.set_of(m) for m in sorted(family, key=_family_sort_key)]
+    return joins
+
+
+def enumerate_hereditary_saturated(graph: Graph) -> list[VertexSet]:
+    """All hereditary and saturated subsets, sorted by size then vertex order."""
+    return [graph.set_of(m) for m in sorted(_joins(graph), key=_family_sort_key)]
 
 
 # ---------------------------------------------------------------------------
@@ -174,43 +195,43 @@ class PosetDiagram:
         object.__setattr__(self, "elements", tuple(str(e) for e in self.elements))
         object.__setattr__(self, "covers",
                            tuple((str(a), str(b)) for a, b in self.covers))
-        known = set(self.elements)
-        if len(known) != len(self.elements):
+        index = {e: i for i, e in enumerate(self.elements)}
+        if len(index) != len(self.elements):
             raise ValueError("duplicate poset elements")
-        succ: dict[str, set[str]] = {e: set() for e in self.elements}
+        succ: list[set[int]] = [set() for _ in self.elements]
         for lower, upper in self.covers:
-            if lower not in known or upper not in known:
+            i, j = index.get(lower), index.get(upper)
+            if i is None or j is None:
                 raise ValueError(f"cover ({lower}, {upper}) uses unknown elements")
-            if lower == upper:
+            if i == j:
                 raise ValueError("covers must relate distinct elements")
-            succ[lower].add(upper)
-        indegree = {e: 0 for e in self.elements}
-        for targets in succ.values():
+            succ[i].add(j)
+        indegree = [0] * len(self.elements)
+        for targets in succ:
             for t in targets:
                 indegree[t] += 1
-        queue = [e for e in self.elements if indegree[e] == 0]
-        processed = 0
+        queue = [i for i, d in enumerate(indegree) if d == 0]
+        order = []  # Kahn: every element comes after all of its predecessors
         while queue:
             node = queue.pop()
-            processed += 1
+            order.append(node)
             for nxt in succ[node]:
                 indegree[nxt] -= 1
                 if indegree[nxt] == 0:
                     queue.append(nxt)
-        if processed != len(self.elements):
+        if len(order) != len(self.elements):
             raise ValueError("cover relation contains a cycle")
+        # bitmasks of the elements strictly above each element, and of those
+        # strictly above one of its successors (a route of two or more covers)
+        above = [0] * len(self.elements)
+        beyond = [0] * len(self.elements)
+        for node in reversed(order):
+            for nxt in succ[node]:
+                beyond[node] |= above[nxt]
+                above[node] |= above[nxt] | 1 << nxt
         for lower, upper in self.covers:
-            # acyclicity holds, so a second route to upper must skip the edge
-            stack = [s for s in succ[lower] if s != upper]
-            seen = set(stack)
-            while stack:
-                node = stack.pop()
-                if node == upper:
-                    raise ValueError(f"cover ({lower}, {upper}) is a transitive edge")
-                for nxt in succ[node]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
+            if beyond[index[lower]] >> index[upper] & 1:
+                raise ValueError(f"cover ({lower}, {upper}) is a transitive edge")
 
     def undirected_cover_edges(self) -> frozenset:
         return frozenset(frozenset(pair) for pair in self.covers)
@@ -247,11 +268,17 @@ def _hasse(labels: list[str], below: list[int]) -> PosetDiagram:
 
 
 def ideal_lattice_hasse(graph: Graph) -> PosetDiagram:
-    """Hasse diagram of the inclusion order on hereditary&saturated sets."""
-    family = [graph.mask_of(s) for s in enumerate_hereditary_saturated(graph)]
-    below = [sum(1 << i for i, a in enumerate(family) if a != b and a & ~b == 0)
-             for b in family]
-    return _hasse([graph.format_set(graph.set_of(m)) for m in family], below)
+    """Hasse diagram of the inclusion order on hereditary&saturated sets.
+
+    The sets covering a are the minimal ones among its joins: a cover b
+    is the join of a with the closure of any vertex of b outside a, and
+    nothing lies strictly between a and a minimal join."""
+    joins = _joins(graph)
+    family = sorted(joins, key=_family_sort_key)
+    label = {m: graph.format_set(graph.set_of(m)) for m in family}
+    covers = [(label[a], label[b]) for a in family for b in joins[a]
+              if not any(c != b and c & ~b == 0 for c in joins[a])]
+    return PosetDiagram(tuple(label[m] for m in family), tuple(sorted(covers)))
 
 
 def prim_poset(graph: Graph) -> PosetDiagram:

@@ -202,6 +202,90 @@ def covers_by_definition(elements, less) -> set:
             if less(a, b) and not any(less(a, c) and less(c, b) for c in elements)}
 
 
+def poset_validation_error(elements, covers) -> str | None:
+    """The message PosetDiagram raises for these covers, or None when it
+    accepts them.  Transitive edges are found by definition: a depth-first
+    search from each cover for a second route to its upper end."""
+    elements = [str(e) for e in elements]
+    covers = [(str(a), str(b)) for a, b in covers]
+    known = set(elements)
+    if len(known) != len(elements):
+        return "duplicate poset elements"
+    succ: dict[str, set[str]] = {e: set() for e in elements}
+    for lower, upper in covers:
+        if lower not in known or upper not in known:
+            return f"cover ({lower}, {upper}) uses unknown elements"
+        if lower == upper:
+            return "covers must relate distinct elements"
+        succ[lower].add(upper)
+    indegree = {e: 0 for e in elements}
+    for targets in succ.values():
+        for t in targets:
+            indegree[t] += 1
+    queue = [e for e in elements if indegree[e] == 0]
+    processed = 0
+    while queue:
+        node = queue.pop()
+        processed += 1
+        for nxt in succ[node]:
+            indegree[nxt] -= 1
+            if indegree[nxt] == 0:
+                queue.append(nxt)
+    if processed != len(elements):
+        return "cover relation contains a cycle"
+    for lower, upper in covers:
+        # acyclicity holds, so a second route to upper must skip the edge
+        stack = [s for s in succ[lower] if s != upper]
+        seen = set(stack)
+        while stack:
+            node = stack.pop()
+            if node == upper:
+                return f"cover ({lower}, {upper}) is a transitive edge"
+            for nxt in succ[node]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+    return None
+
+
+def birkhoff_covers(graph: Graph, limit: int | None = None) -> set | None:
+    """Covering pairs of the lattice of hereditary sets of a graph whose
+    every vertex lies on a cycle, by Birkhoff duality: the sets are the
+    down-sets D of the component order (a component lies below those that
+    reach it), and D is covered by D + C for each component C outside D
+    that reaches only into D and itself.  Pairs of vertex sets; None as
+    soon as there are more than `limit` down-sets."""
+    n = len(graph.vertices)
+    reach = reachable_sets(graph)
+    components, placed = [], set()
+    for v in range(n):
+        if v not in placed:
+            members = {v} | {w for w in reach[v] if v in reach[w]}
+            placed |= members
+            components.append(sum(1 << w for w in members))
+    reaches = [sum(1 << w for w in set().union(*(reach[v] for v in range(n) if c >> v & 1)))
+               for c in components]
+    names = graph.vertices
+
+    def vertex_set(mask):
+        return frozenset(names[v] for v in range(n) if mask >> v & 1)
+
+    covers, seen, frontier = set(), {0}, [0]
+    while frontier:
+        down = frontier.pop()
+        for comp, comp_reach in zip(components, reaches):
+            if comp & down or comp_reach & ~(down | comp):
+                continue
+            up = down | comp
+            covers.add((vertex_set(down), vertex_set(up)))
+            if up not in seen:
+                seen.add(up)
+                frontier.append(up)
+                if limit is not None and len(seen) > limit:
+                    return None
+    return covers
+
+
 # ---------------------------------------------------------------------------
 # Random generators
 # ---------------------------------------------------------------------------
@@ -246,3 +330,47 @@ def random_graph(rng, max_vertices=8, loops_everywhere=False) -> Graph:
         if sum(rows[i]) == 0:
             rows[i][rng.randrange(n)] = 1
     return Graph.from_adjacency(names, rows)
+
+
+def random_looped_graph(rng, n: int, p: float) -> Graph:
+    """Loops (2 or 3) at every vertex, edges from a random DAG with edge
+    probability p, and a few back edges that merge vertices into larger
+    strongly connected pieces, on shuffled vertex names."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = rng.randint(2, 3)
+        for j in range(i):
+            if rng.random() < p:
+                rows[i][j] = rng.randint(1, 2)
+    for i in range(n):
+        lower = [j for j in range(i) if rows[i][j]]
+        if lower and rng.random() < 0.1:
+            rows[rng.choice(lower)][i] = 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_adjacency([f"v{i}" for i in range(n)],
+                                [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+
+
+def random_dag_covers(rng, max_elements=12) -> tuple[list[str], list[tuple[str, str]]]:
+    """Elements and the covering pairs of a random finite order: the
+    transitive reduction of a random DAG on a shuffled element order."""
+    n = rng.randint(1, max_elements)
+    names = [f"e{i}" for i in range(n)]
+    rng.shuffle(names)
+    p = rng.choice((0.15, 0.3, 0.5))
+    above = [0] * n  # names[j] above names[i] needs j > i
+    for i in reversed(range(n)):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                above[i] |= 1 << j | above[j]
+    covers = []
+    for i in range(n):
+        beyond = 0
+        for j in range(n):
+            if above[i] >> j & 1:
+                beyond |= above[j]
+        covers.extend((names[i], names[j]) for j in range(n)
+                      if (above[i] & ~beyond) >> j & 1)
+    rng.shuffle(covers)
+    return sorted(names), covers

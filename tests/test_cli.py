@@ -322,6 +322,84 @@ class TestInputHandling:
         assert code == 2 and "dot format" in err
 
 
+BAD_ENTRIES = [
+    (True, "expected an integer, got a boolean"),
+    (2.5, "expected an integer"),
+    ("0x1f", "'0x1f' is not a decimal integer"),
+    (2**53 + 1, "integers beyond 2^53 must be decimal strings"),
+    (-(2**53) - 1, "integers beyond 2^53 must be decimal strings"),
+]
+
+
+class TestMatrixDiagnostics:
+    """Matrices are read a row at a time; a bad entry in a later row is
+    still named by its position, word for word."""
+
+    @staticmethod
+    def write(tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def graph(self, tmp_path, adjacency, vertices=("a", "b", "c")):
+        return self.write(tmp_path, {"kind": "graph", "vertices": list(vertices),
+                                     "adjacency": adjacency})
+
+    def group(self, tmp_path, relations, generators=3):
+        return self.write(tmp_path, {"kind": "group_endo", "generators": generators,
+                                     "relations": relations})
+
+    @pytest.mark.parametrize("bad, message", BAD_ENTRIES)
+    def test_bad_adjacency_entry(self, capsys, tmp_path, bad, message):
+        path = self.graph(tmp_path, [[1, 0, 0], [0, 1, 0], [0, bad, 1]])
+        assert run(capsys, "graph-hs", "--input", path) == (
+            2, "", f"error: {path}: adjacency[2][1]: {message}\n")
+
+    @pytest.mark.parametrize("bad, message", BAD_ENTRIES)
+    def test_bad_relation_entry(self, capsys, tmp_path, bad, message):
+        path = self.group(tmp_path, [[2, 0, 0], [0, 3, bad]])
+        assert run(capsys, "snf", "--input", path) == (
+            2, "", f"error: {path}: relations[1][2]: {message}\n")
+
+    def test_ragged_rows(self, capsys, tmp_path):
+        path = self.graph(tmp_path, [[1, 0, 0], [0, 1], [0, 0, 1]])
+        assert run(capsys, "graph-hs", "--input", path) == (
+            2, "", f"error: {path}: adjacency: ragged rows\n")
+        path = self.group(tmp_path, [[2, 0, 0], [0, 3]])
+        assert run(capsys, "snf", "--input", path) == (
+            2, "", f"error: {path}: relations: ragged rows\n")
+
+    def test_wrong_width(self, capsys, tmp_path):
+        path = self.graph(tmp_path, [[1, 0], [0, 1]], vertices=("a",))
+        assert run(capsys, "graph-hs", "--input", path) == (
+            2, "", f"error: {path}: adjacency: expected 1 columns, found 2\n")
+        path = self.group(tmp_path, [[2, 0], [0, 3]])
+        assert run(capsys, "snf", "--input", path) == (
+            2, "", f"error: {path}: relations: expected 3 columns, found 2\n")
+
+    def test_negative_multiplicity(self, capsys, tmp_path):
+        path = self.graph(tmp_path, [[1, 0, 0], [0, 1, 0], [0, -1, 2]])
+        assert run(capsys, "graph-hs", "--input", path) == (
+            2, "", f"error: {path}: negative edge multiplicity at vertex c\n")
+        # a relation may have negative entries
+        path = self.group(tmp_path, [[2, 0, 0], [0, 3, -1]])
+        assert run(capsys, "snf", "--input", path)[0] == 0
+
+    def test_decimal_string_in_an_int_row(self, capsys, tmp_path):
+        assert (run(capsys, "graph-hs", "--input",
+                    self.graph(tmp_path, [[1, 0, 0], [0, 1, "2"], [0, 0, 1]]))
+                == run(capsys, "graph-hs", "--input",
+                       self.graph(tmp_path, [[1, 0, 0], [0, 1, 2], [0, 0, 1]])))
+        assert (run(capsys, "snf", "--input", self.group(tmp_path, [[2, 0, 0], [0, " -3", 4]]))
+                == run(capsys, "snf", "--input", self.group(tmp_path, [[2, 0, 0], [0, -3, 4]])))
+
+    @pytest.mark.parametrize("digits", ["\u0662", "\uff12", "1\u0663"])
+    def test_decimal_strings_use_ascii_digits(self, capsys, tmp_path, digits):
+        path = self.graph(tmp_path, [[digits]], vertices=("a",))
+        assert run(capsys, "graph-k", "--input", path, "a") == (
+            2, "", f"error: {path}: adjacency[0][0]: {digits!r} is not a decimal integer\n")
+
+
 class TestJsonCanonicalisation:
     @pytest.mark.parametrize("argv", [
         ("cuntz", "inf", "4"),

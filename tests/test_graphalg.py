@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -15,9 +16,13 @@ from kdilate.graphalg import (
     subquotient_k,
 )
 from oracles import (
+    birkhoff_covers,
     brute_hereditary_saturated,
     covers_by_definition,
+    poset_validation_error,
+    random_dag_covers,
     random_graph,
+    random_looped_graph,
     rank_over_q,
     reachable_sets,
 )
@@ -77,6 +82,15 @@ class TestClosure:
             assert small <= closed_small
             assert hereditary_saturated_closure(graph, closed_small) == closed_small
             assert closed_small <= hereditary_saturated_closure(graph, large)
+
+    def test_closure_is_the_smallest_hereditary_saturated_superset(self):
+        rng = random.Random(19)
+        for _ in range(120):
+            graph = random_graph(rng, max_vertices=8)
+            subset = frozenset(v for v in graph.vertices if rng.random() < 0.3)
+            supersets = [s for s in brute_hereditary_saturated(graph) if subset <= s]
+            smallest = frozenset(graph.vertices).intersection(*supersets)
+            assert hereditary_saturated_closure(graph, subset) == smallest
 
 
 class TestEnumeration:
@@ -144,6 +158,26 @@ class TestIdealLattice:
             assert set(poset.elements) == {graph.format_set(s) for s in family}
             assert set(poset.covers) == expected
 
+    def test_covers_at_four_thousand_sets_within_two_seconds(self):
+        # a looped graph like the benchmark's lattice inputs, drawn until
+        # its family size lies in [3800, 4400]
+        rng = random.Random(7)
+        while True:
+            graph = random_looped_graph(rng, 22, 0.12)
+            expected = birkhoff_covers(graph, limit=4400)
+            # every set but the empty one covers another
+            if expected is not None and len({b for _, b in expected}) + 1 >= 3800:
+                break
+        start = time.perf_counter()
+        poset = ideal_lattice_hasse(graph)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2.0
+        assert 3800 <= len(poset.elements) <= 4400
+
+        def vertex_set(label):
+            return frozenset(label[1:-1].split(",")) if label != "{}" else frozenset()
+        assert {(vertex_set(a), vertex_set(b)) for a, b in poset.covers} == expected
+
 
 class TestPosetDiagram:
     def test_rejects_transitive_edges(self):
@@ -159,6 +193,45 @@ class TestPosetDiagram:
             PosetDiagram(("a",), (("a", "b"),))
         with pytest.raises(ValueError):
             PosetDiagram(("a",), (("a", "a"),))
+
+    def test_validation_matches_the_search_by_definition(self):
+        rng = random.Random(41)
+        verdicts = []
+        for k in range(400):
+            elements, covers = random_dag_covers(rng, max_elements=12 if k % 4 else 20)
+            if k % 4 == 0:  # shortcuts along routes of three or more covers
+                wanted = rng.randint(1, 3)
+                for _ in range(50):
+                    walk = [rng.choice(elements)]
+                    while nexts := [b for a, b in covers if a == walk[-1]]:
+                        walk.append(rng.choice(nexts))
+                    if len(walk) >= 4:
+                        covers.insert(rng.randrange(len(covers) + 1), (walk[0], walk[-1]))
+                        wanted -= 1
+                        if not wanted:
+                            break
+            elif k % 4 == 1:  # a back edge closes a cycle
+                chains = [(a, b) for a, b in covers if any(c == b for c, _ in covers)]
+                if chains:
+                    lower, upper = rng.choice(chains)
+                    covers.append((rng.choice([b for a, b in covers if a == upper]), lower))
+            elif k % 4 == 2:
+                bad = rng.choice(["unknown", "self", "duplicate"])
+                if bad == "unknown":
+                    covers.insert(rng.randrange(len(covers) + 1), (elements[0], "zz"))
+                elif bad == "self":
+                    covers.insert(rng.randrange(len(covers) + 1), (elements[-1], elements[-1]))
+                else:
+                    elements.append(elements[0])
+            expected = poset_validation_error(elements, covers)
+            verdicts.append(expected and expected.split(" ")[-1])
+            if expected is None:
+                PosetDiagram(tuple(elements), tuple(covers))
+            else:
+                with pytest.raises(ValueError) as info:
+                    PosetDiagram(tuple(elements), tuple(covers))
+                assert str(info.value) == expected
+        assert all(verdicts.count(v) >= 40 for v in (None, "edge", "cycle", "elements"))
 
     def test_dot_output_sorted_and_quoted(self):
         poset = PosetDiagram(("b", "a", "c"), (("b", "c"), ("a", "c")))
