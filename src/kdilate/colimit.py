@@ -282,7 +282,9 @@ def _similarity_diagonal(m: IntMatrix) -> tuple[int, ...] | None:
     values: list[int] = []
     for d in sorted(_divisors(det)):
         for lam in (d, -d):
-            eig = integer_kernel_basis(m - IntMatrix.identity(n).scale(lam))
+            shifted = tuple(row[:i] + (row[i] - lam,) + row[i + 1:]
+                            for i, row in enumerate(m.entries))
+            eig = integer_kernel_basis(IntMatrix(n, n, shifted))
             for vec in eig:
                 columns.append(vec)
                 values.append(lam)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,6 +123,90 @@ class TestSmithNormalForm:
         huge = 10**40
         result = assert_snf_contract(IntMatrix.from_rows([[huge, 1], [0, huge]]))
         assert result.diagonal() == (1, huge * huge)
+
+    def test_invariant_factors_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+        rng = random.Random(13)
+        cases = []
+        for rows, cols in [(10, 10), (20, 20), (30, 30), (12, 7), (7, 12)]:
+            cases.append([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
+        cases.append([[rng.randint(-10**6, 10**6) if rng.random() < 0.2 else 0
+                       for _ in range(16)] for _ in range(16)])
+        left = [[rng.randint(-5, 5) for _ in range(9)] for _ in range(15)]
+        right = [[rng.randint(-5, 5) for _ in range(15)] for _ in range(9)]
+        cases.append([[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                      for row in left])  # 15x15 of rank 9
+        for rows in cases:
+            ours = [d for d in smith_normal_form(IntMatrix.from_rows(rows)).diagonal() if d]
+            theirs = [abs(int(x)) for x in invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
+                      if x]
+            assert ours == theirs
+
+    def test_transform_bits_stay_polynomial(self):
+        # For an n x n input with b-bit entries, U, V and U^{-1} have entries
+        # of at most 2 n (b + log2(n) + 1) bits.  Entry growth exponential
+        # in n fails this: an elimination that never reduces above its
+        # pivots reaches 261,000 bits at n = 12, b = 4.  An n x (n + 4)
+        # input has a kernel of dimension 4, and each kernel column of V
+        # can add about one maximal minor's size, so it gets twice the room.
+        for n in range(4, 41, 4):
+            rng = random.Random(n)
+            dense = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            sparse = [[rng.randint(-10**6, 10**6) if rng.random() < 0.15 else 0
+                       for _ in range(n)] for _ in range(n)]
+            left = [[rng.randint(-9, 9) for _ in range(n - 2)] for _ in range(n)]
+            right = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n - 2)]
+            singular = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                        for row in left]
+            wide = [[rng.randint(-10**6, 10**6) if rng.random() < 0.15 else 0
+                     for _ in range(n + 4)] for _ in range(n)]
+            for rows, factor in ((dense, 2), (sparse, 2), (singular, 2), (wide, 4)):
+                m = IntMatrix.from_rows(rows)
+                result = smith_normal_form(m, with_inverse=True)
+                assert result.U @ m @ result.V == result.S
+                assert result.U @ result.U_inv == IntMatrix.identity(m.rows)
+                w = max(m.rows, m.cols)
+                b = max(abs(x).bit_length() for row in rows for x in row)
+                bits = max(abs(x).bit_length() for t in (result.U, result.V, result.U_inv)
+                           for row in t.entries for x in row)
+                assert bits <= factor * w * (b + w.bit_length()), (m.rows, m.cols, b, bits)
+
+    def test_forty_by_forty_with_inverse_under_a_second(self):
+        rng = random.Random("forty")
+        m = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(40)] for _ in range(40)])
+        start = time.perf_counter()
+        result = smith_normal_form(m, with_inverse=True)
+        elapsed = time.perf_counter() - start
+        assert result.U @ m @ result.V == result.S
+        assert result.U @ result.U_inv == IntMatrix.identity(40)
+        assert elapsed < 1.0
+
+    def test_rectangular_singular_and_empty_shapes(self):
+        rng = random.Random(17)
+        # 64 rows spanning the lattice of 6 base rows, as in a padded
+        # presentation: its Smith diagonal is that of the base rows
+        base = [[rng.randint(-2, 2) for _ in range(6)] for _ in range(6)]
+        tall = base + [[sum(c * r[j] for c, r in zip(coeffs, base)) for j in range(6)]
+                       for coeffs in ([rng.randint(-1, 1) for _ in range(6)]
+                                      for _ in range(58))]
+        rng.shuffle(tall)
+        expected = smith_diagonal_by_divisors(base, 6)
+        left = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(6)]
+        right = [[rng.randint(-3, 3) for _ in range(8)] for _ in range(3)]
+        deficient = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                     for row in left]  # 6x8 of rank at most 3
+        cases = [(tall, 6, expected),
+                 ([list(c) for c in zip(*tall)], 64, expected),
+                 (deficient, 8, smith_diagonal_by_divisors(deficient, 8)),
+                 ([list(c) for c in zip(*deficient)], 6, smith_diagonal_by_divisors(deficient, 8)),
+                 ([], 5, []),
+                 ([[]] * 5, 0, [])]
+        for rows, cols, diagonal in cases:
+            m = IntMatrix.from_rows(rows, cols=cols)
+            assert list(assert_snf_contract(m).diagonal()) == diagonal
+            result = smith_normal_form(m, with_inverse=True)
+            assert result.U @ result.U_inv == IntMatrix.identity(m.rows)
 
 
 class TestIntMatrix:

@@ -97,11 +97,17 @@ class TestSnfCommand:
                         reason="no int/str digit limit before Python 3.10.7")
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_transforms_past_the_int_str_digit_limit(self, capsys, tmp_path, fmt):
+        # The transforms pass 4300 digits because the input is large: its
+        # determinant has about 6000 digits (3x3, entries of 2000 digits,
+        # given as decimal strings).
         rng = random.Random("snf-digit-limit-0")
-        rows = [[rng.randint(-9, 9) for _ in range(10)] for _ in range(10)]
+        digits = [[rng.choice(("-", "")) + rng.choice("123456789")
+                   + "".join(rng.choices("0123456789", k=1999))
+                   for _ in range(3)] for _ in range(3)]
+        rows = IntMatrix.from_rows([[int(x) for x in r] for r in digits])
         doc = tmp_path / "digits.json"
-        doc.write_text(json.dumps({"kind": "group_endo", "generators": 10,
-                                   "relations": rows}))
+        doc.write_text(json.dumps({"kind": "group_endo", "generators": 3,
+                                   "relations": digits}))
         limit = sys.get_int_max_str_digits()
         code, out, _ = run(capsys, "snf", "--format", fmt, "--input", str(doc))
         assert code == 0
@@ -118,7 +124,7 @@ class TestSnfCommand:
             assert max(len(str(abs(x))) for r in u.entries + v.entries for x in r) > 4300
         finally:
             sys.set_int_max_str_digits(limit)
-        assert u @ IntMatrix.from_rows(rows) @ v == s
+        assert u @ rows @ v == s
 
 
 class TestColimKercokerCommands:
