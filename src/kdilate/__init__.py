@@ -35,6 +35,7 @@ from .colimit import (
 from .graphalg import (
     Graph,
     PosetDiagram,
+    condition_k_failures,
     crossed_subquotient_k,
     enumerate_hereditary_saturated,
     hereditary_saturated_closure,
@@ -60,7 +61,7 @@ __all__ = [
     "ColimElement", "ColimitDescription", "DilationProblem",
     "StabilizationCapError", "classify_colimit", "colim_element_is_zero",
     "direct_sum_descriptions", "eventual_kernel", "ker_coker_one_minus",
-    "Graph", "PosetDiagram", "crossed_subquotient_k",
+    "Graph", "PosetDiagram", "condition_k_failures", "crossed_subquotient_k",
     "enumerate_hereditary_saturated", "hereditary_saturated_closure",
     "ideal_lattice_hasse", "prim_poset", "subquotient_k",
     "CrossedProductK", "CuntzClosedForm", "KTheoryData", "bracket",

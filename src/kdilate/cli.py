@@ -17,6 +17,7 @@ import argparse
 import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .abelian import (
@@ -39,6 +40,7 @@ from .colimit import (
 )
 from .graphalg import (
     Graph,
+    condition_k_failures,
     enumerate_hereditary_saturated,
     ideal_lattice_hasse,
     prim_poset,
@@ -48,6 +50,8 @@ from .graphalg import (
 from .kcrossed import KTheoryData, cuntz_closed_form, pv_crossed_product
 
 _MAX_JSON_INT = 2**53
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+_STR, _INT = {str}, {int}
 _KINDS = ("group_endo", "k_data", "cuntz", "graph")
 
 
@@ -218,18 +222,39 @@ def _parse_cuntz_n(text: str) -> int | None:
 # Rendering
 # ---------------------------------------------------------------------------
 
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
+def _render(obj, indent: str) -> str:
+    """The text json.dumps(obj, indent=2, sort_keys=True) gives at this
+    depth, with integers beyond 2^53 as decimal strings."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
     if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, int) and not isinstance(obj, bool) and abs(obj) > _MAX_JSON_INT:
-        return str(obj)
-    return obj
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        types = set(map(type, obj))
+        if types == _STR:  # a flat list is rendered in one join
+            items = map(encode_basestring_ascii, obj)
+        elif types == _INT and -_MAX_JSON_INT <= min(obj) and max(obj) <= _MAX_JSON_INT:
+            items = map(int.__repr__, obj)
+        else:
+            items = (_render(x, inner) for x in obj)
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        return ("{\n" + inner + (",\n" + inner).join(
+            encode_basestring_ascii(key) + ": " + _render(value, inner)
+            for key, value in sorted(obj.items())) + "\n" + indent + "}")
+    if obj is None or obj is True or obj is False:
+        return _JSON_CONSTANTS[obj]
+    if isinstance(obj, int):
+        return f'"{obj}"' if abs(obj) > _MAX_JSON_INT else int.__repr__(obj)
+    return json.dumps(obj)
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(_json_safe(payload), indent=2, sort_keys=True)
+    return _render(payload, "")
 
 
 def _group_json(group: FGAbelianGroup) -> dict:
@@ -366,11 +391,27 @@ def _cmd_graph_hs(args):
     subsets = [[v for v in graph.vertices if v in s]
                for s in enumerate_hereditary_saturated(graph)]
     payload = {"subsets": subsets, "status": "ok"}
-    return payload, [graph.format_set(names) for names in subsets], None
+    # the names of each set are already in vertex order
+    return payload, ["{" + ",".join(names) + "}" for names in subsets], None
+
+
+def _with_condition_k(graph: Graph, result: tuple[dict, list[str], str]):
+    """Add the Condition (K) fields to a poset payload, with a note on
+    stderr when (K) fails: the poset then describes the gauge-invariant
+    ideals only."""
+    failures = condition_k_failures(graph)
+    payload = result[0]
+    payload["condition_k"] = not failures
+    payload["condition_k_failures"] = list(failures)
+    if failures:
+        print(f"note: condition (K) fails at {', '.join(failures)}; "
+              "the result describes the gauge-invariant ideals only", file=sys.stderr)
+    return result
 
 
 def _cmd_graph_lattice(args):
-    return _poset_payload(ideal_lattice_hasse(_load_graph(args.input)))
+    graph = _load_graph(args.input)
+    return _with_condition_k(graph, _poset_payload(ideal_lattice_hasse(graph)))
 
 
 def _cmd_graph_prim(args):
@@ -379,7 +420,7 @@ def _cmd_graph_prim(args):
         poset = prim_poset(graph)
     except ValueError as exc:
         raise InputError(f"{args.input}: {exc}") from exc
-    return _poset_payload(poset)
+    return _with_condition_k(graph, _poset_payload(poset))
 
 
 def _graph_k_sets(args):

@@ -11,12 +11,16 @@ emits at least one edge) and the poset computation additionally requires
 every vertex to lie on a cycle; both are the regime in which these
 formulas hold.
 
-The primitive-ideal poset comes from one reachability closure: Warshall's
-algorithm on the out-neighbour bitmasks gives every vertex the set it
-reaches, a vertex lies on a cycle when it reaches itself, its strongly
-connected component is what it reaches and is reached by, and one
-component lies below another when the other reaches it; its covering pairs
-are read off each component's transitively closed down-set.
+The primitive-ideal poset comes from the strongly connected components,
+found by one iterative pass of Tarjan's algorithm over the out-neighbour
+bitmasks.  Tarjan emits each component after every component it reaches,
+so one walk in that order gives each component its strict down-set (the
+union of its successors' down-sets, a component lying below those that
+reach it) and its covers (the successors inside no other successor's
+down-set).  The same components decide Condition (K): a cyclic component
+fails it exactly when it is a bare cycle, with as many internal edges,
+counted with multiplicity, as vertices.  Without (K) the sets and posets
+here describe the gauge-invariant ideals only.
 
 The family of hereditary saturated sets and the covers of its lattice come
 from one join search.  Starting from the empty set, it joins each set
@@ -63,7 +67,7 @@ class Graph:
             row = self.adjacency.row(i)
             if min(row) < 0:
                 raise ValueError(f"negative edge multiplicity at vertex {name}")
-            if sum(row) == 0:
+            if not any(row):
                 raise ValueError(f"vertex {name} emits no edges (sinks are not supported)")
 
     @classmethod
@@ -88,6 +92,12 @@ class Graph:
         return tuple((1 << v, out) for v, out in enumerate(self._out_masks)
                      if not out >> v & 1)
 
+    @cached_property
+    def _components(self) -> tuple[tuple[int, ...], ...]:
+        """Strongly connected components, each after every component it
+        reaches, as vertex indices in increasing order."""
+        return _strong_components(self._out_masks)
+
     def mask_of(self, subset: Iterable[str]) -> int:
         mask = 0
         for name in subset:
@@ -98,10 +108,13 @@ class Graph:
         return mask
 
     def set_of(self, mask: int) -> VertexSet:
-        return frozenset(v for i, v in enumerate(self.vertices) if mask >> i & 1)
+        return frozenset(self.vertices[i] for i in _bits(mask))
+
+    def format_mask(self, mask: int) -> str:
+        return "{" + ",".join(self.vertices[i] for i in _bits(mask)) + "}"
 
     def format_set(self, subset: Iterable[str]) -> str:
-        return "{" + ",".join(self.vertices[i] for i in _bits(self.mask_of(subset))) + "}"
+        return self.format_mask(self.mask_of(subset))
 
 
 def _saturate(graph: Graph, mask: int) -> int:
@@ -147,9 +160,59 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _strong_components(out: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Tarjan's algorithm on out-neighbour bitmasks, with an explicit stack
+    of (vertex, successor iterator) in place of recursion.  A component is
+    emitted once every component it reaches has been."""
+    order = [-1] * len(out)  # discovery number, -1 while unvisited
+    low = [0] * len(out)
+    pending, on_pending = [], [False] * len(out)
+    components, path, count = [], [], 0
+
+    def visit(v: int):
+        nonlocal count
+        order[v] = low[v] = count
+        count += 1
+        pending.append(v)
+        on_pending[v] = True
+        path.append((v, _bits(out[v])))
+
+    for root in range(len(out)):
+        if order[root] >= 0:
+            continue
+        visit(root)
+        while path:
+            v, successors = path[-1]
+            for w in successors:
+                if order[w] < 0:
+                    visit(w)
+                    break
+                if on_pending[w] and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                path.pop()
+                if path and low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    members = []
+                    while True:
+                        w = pending.pop()
+                        on_pending[w] = False
+                        members.append(w)
+                        if w == v:
+                            break
+                    components.append(tuple(sorted(members)))
+    return tuple(components)
+
+
+_FLIP = str.maketrans("01", "10")
+
+
 def _family_sort_key(mask: int):
-    indices = tuple(_bits(mask))
-    return (len(indices), indices)
+    # size, then index tuples in lexicographic order: of two sets of one
+    # size, the one holding the lowest index where they differ comes first,
+    # as its bit string read from bit 0 with 0 and 1 swapped does
+    return (mask.bit_count(), bin(mask)[:1:-1].translate(_FLIP))
 
 
 def _joins(graph: Graph) -> dict[int, set[int]]:
@@ -254,59 +317,98 @@ class PosetDiagram:
         return "\n".join(lines) + "\n"
 
 
-def _hasse(labels: list[str], below: list[int]) -> PosetDiagram:
-    """Hasse diagram of a finite poset given by below[j], the bitmask of the
-    elements strictly under element j (transitively closed): i is covered
-    by j when i is under j and under no element that is under j."""
-    covers = []
-    for j, under in enumerate(below):
-        deeper = 0
-        for i in _bits(under):
-            deeper |= below[i]
-        covers.extend((labels[i], labels[j]) for i in _bits(under & ~deeper))
-    return PosetDiagram(tuple(labels), tuple(sorted(covers)))
-
-
 def ideal_lattice_hasse(graph: Graph) -> PosetDiagram:
-    """Hasse diagram of the inclusion order on hereditary&saturated sets.
+    """Hasse diagram of the inclusion order on hereditary&saturated sets,
+    the lattice of gauge-invariant ideals (of all ideals when Condition (K)
+    holds; see condition_k_failures).
 
     The sets covering a are the minimal ones among its joins: a cover b
     is the join of a with the closure of any vertex of b outside a, and
     nothing lies strictly between a and a minimal join."""
     joins = _joins(graph)
     family = sorted(joins, key=_family_sort_key)
-    label = {m: graph.format_set(graph.set_of(m)) for m in family}
+    label = {m: graph.format_mask(m) for m in family}
     covers = [(label[a], label[b]) for a in family for b in joins[a]
               if not any(c != b and c & ~b == 0 for c in joins[a])]
     return PosetDiagram(tuple(label[m] for m in family), tuple(sorted(covers)))
 
 
+def _component_mask(members: tuple[int, ...]) -> int:
+    return sum(1 << v for v in members)
+
+
+def _component_label(graph: Graph, members: tuple[int, ...]) -> str:
+    names = [graph.vertices[v] for v in members]
+    return names[0] if len(names) == 1 else "{" + ",".join(names) + "}"
+
+
 def prim_poset(graph: Graph) -> PosetDiagram:
-    """Primitive-ideal poset from strongly connected components.
+    """Poset of strongly connected components: the gauge-invariant
+    primitive ideals (all primitive ideals when Condition (K) holds; see
+    condition_k_failures).
 
     Requires every vertex to lie on a cycle.  The order is fixed as
     a <= b when b reaches a; the undirected cover graph plus the extremes
-    are the orientation-independent content.
+    are the orientation-independent content.  Elements come in order of
+    their first vertex.
     """
-    n = len(graph.vertices)
-    reach = list(graph._out_masks)  # Warshall: reach[i] = ends of paths from i
-    for k in range(n):
-        for i in range(n):
-            if reach[i] >> k & 1:
-                reach[i] |= reach[k]
-    if any(not reach[v] >> v & 1 for v in range(n)):
+    out = graph._out_masks
+    components = graph._components
+    if any(len(c) == 1 and not out[c[0]] >> c[0] & 1 for c in components):
         raise ValueError("prim computation requires every vertex on a cycle")
-    firsts, labels, placed = [], [], 0  # components in order of first vertex
-    for v in range(n):
-        if not placed >> v & 1:
-            members = [w for w in range(v, n) if reach[v] >> w & 1 and reach[w] >> v & 1]
-            placed |= sum(1 << w for w in members)
-            names = [graph.vertices[w] for w in members]
-            firsts.append(v)
-            labels.append(names[0] if len(names) == 1 else "{" + ",".join(names) + "}")
-    below = [sum(1 << a for a, low in enumerate(firsts) if a != b and reach[high] >> low & 1)
-             for b, high in enumerate(firsts)]
-    return _hasse(labels, below)
+    n = len(out)
+    owner = [0] * n  # first vertex of the component of each vertex
+    mask, below, label = [0] * n, [0] * n, [""] * n  # indexed by first vertex
+    covers = []
+    for members in components:  # each after every component it reaches
+        first = members[0]
+        for v in members:
+            owner[v] = first
+        mask[first] = _component_mask(members)
+        label[first] = _component_label(graph, members)
+        successors = 0
+        for v in members:
+            successors |= out[v]
+        successors &= ~mask[first]
+        down = deeper = 0  # strict down-set; the successors' down-sets
+        rest = successors
+        while rest:
+            w = owner[(rest & -rest).bit_length() - 1]
+            under = mask[w] | below[w]
+            down |= under
+            deeper |= below[w]
+            rest &= ~under
+        below[first] = down
+        rest = successors & ~deeper
+        while rest:
+            w = owner[(rest & -rest).bit_length() - 1]
+            covers.append((label[w], label[first]))
+            rest &= ~mask[w]
+    firsts = sorted(c[0] for c in components)
+    return PosetDiagram(tuple(label[v] for v in firsts), tuple(sorted(covers)))
+
+
+def condition_k_failures(graph: Graph) -> tuple[str, ...]:
+    """Labels (as in prim_poset) of the components that break Condition
+    (K), in order of first vertex.
+
+    A strongly connected component with a cycle has at least as many
+    internal edges, counted with multiplicity, as vertices, and exactly as
+    many when it is one bare cycle: every vertex then has one internal
+    edge, of multiplicity one, and a single return path, where (K) asks
+    for two.
+    """
+    failures = []
+    for members in sorted(graph._components):
+        inside_mask = _component_mask(members)
+        for v in members:
+            inside = graph._out_masks[v] & inside_mask
+            if (not inside or inside & (inside - 1)
+                    or graph.adjacency[v, inside.bit_length() - 1] != 1):
+                break
+        else:
+            failures.append(_component_label(graph, members))
+    return tuple(failures)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Nothing here goes through the package's Smith normal form: group structure
 is recovered from torsion-element counts, Smith diagonals from gcds of
-minors, vertex-set families from exhaustive subset scans, and poset covers
-from their definition.  That keeps the dual-route checks honest.
+minors, vertex-set families from exhaustive subset scans, poset covers
+from their definition, and JSON text from the standard library's encoder.
+That keeps the dual-route checks honest.
 """
 
 from fractions import Fraction
@@ -286,6 +287,31 @@ def birkhoff_covers(graph: Graph, limit: int | None = None) -> set | None:
     return covers
 
 
+def condition_k_failing_components(graph: Graph) -> list[frozenset]:
+    """Cyclic components with as many internal edges, counted with
+    multiplicity, as vertices: the bare cycles, where Condition (K) fails.
+    Components by depth-first reachability, edges by summing the matrix."""
+    reach = reachable_sets(graph)
+    n = len(graph.vertices)
+    components = {frozenset({v} | {w for w in reach[v] if v in reach[w]}) for v in range(n)}
+    return [c for c in components
+            if (len(c) > 1 or min(c) in reach[min(c)])
+            and sum(graph.adjacency[v, w] for v in c for w in c) == len(c)]
+
+
+def json_safe(obj):
+    """The payload json.dumps can render: integers beyond 2^53 as decimal
+    strings, tuples as lists (the CLI's conversion before its one-pass
+    renderer)."""
+    if isinstance(obj, dict):
+        return {k: json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_safe(v) for v in obj]
+    if isinstance(obj, int) and not isinstance(obj, bool) and abs(obj) > 2**53:
+        return str(obj)
+    return obj
+
+
 # ---------------------------------------------------------------------------
 # Random generators
 # ---------------------------------------------------------------------------
@@ -374,3 +400,35 @@ def random_dag_covers(rng, max_elements=12) -> tuple[list[str], list[tuple[str, 
                       if (above[i] & ~beyond) >> j & 1)
     rng.shuffle(covers)
     return sorted(names), covers
+
+
+_EDGE_INTS = (2**53 + 1, -(2**53 + 1), 2**53, -(2**53), 2**53 - 1, 0, 1, -1, 10**40)
+_EDGE_STRINGS = ("", "ok", 'say "hi"', "back\\slash", "tab\tnew\nline\r", "\x00\x1f\x7f",
+                 "Z[1/3] \u2295 Z/2", "caf\u00e9", "\U0001f600", "\ud800", "/", "{v1,v2}")
+
+
+def _random_string(rng) -> str:
+    if rng.random() < 0.5:
+        return rng.choice(_EDGE_STRINGS)
+    return "".join(rng.choice(_EDGE_STRINGS) for _ in range(rng.randint(0, 3)))
+
+
+def random_payload(rng, depth: int = 4):
+    """A nested payload of dicts, lists, tuples, lists of strings, integers
+    on both sides of 2^53, bools and None."""
+    kind = rng.randrange(8 if depth else 4)
+    if kind == 0:
+        return rng.choice(_EDGE_INTS) if rng.random() < 0.6 else rng.randint(-2**60, 2**60)
+    if kind == 1:
+        return _random_string(rng)
+    if kind == 2:
+        return rng.choice((True, False, None))
+    if kind == 3:
+        return rng.randint(-1000, 1000)
+    if kind == 4:
+        return {_random_string(rng): random_payload(rng, depth - 1)
+                for _ in range(rng.randint(0, 4))}
+    if kind == 5:
+        return [_random_string(rng) for _ in range(rng.randint(0, 4))]
+    items = [random_payload(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    return items if kind == 6 else tuple(items)

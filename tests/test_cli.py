@@ -4,9 +4,10 @@ import sys
 
 import pytest
 
-from kdilate import colimit
+from kdilate import cli, colimit
 from kdilate.abelian import GroupHom, IntMatrix, _quotient_with_maps
-from kdilate.cli import main
+from kdilate.cli import main, render_json
+from oracles import json_safe, random_payload
 
 E_LATTICE_DOT = """digraph {
   "{v1,v2,v3,v4}";
@@ -212,6 +213,34 @@ class TestGraphCommands:
         code, out, _ = run(capsys, "graph-prim", "--input", str(fixtures_dir / "E.json"))
         assert code == 0
         assert set(out.splitlines()) == {"v2 < v1", "v3 < v1", "v4 < v2", "v4 < v3"}
+
+    def test_condition_k_failures_are_reported_beside_unchanged_output(self, capsys, tmp_path):
+        path = tmp_path / "loops.json"
+        path.write_text(json.dumps({"kind": "graph", "vertices": ["a", "b"],
+                                    "adjacency": [[1, 1], [0, 1]]}))
+        note = ("note: condition (K) fails at a, b; "
+                "the result describes the gauge-invariant ideals only\n")
+        assert run(capsys, "graph-prim", "--input", str(path)) == (0, "b < a\n", note)
+        code, out, err = run(capsys, "graph-prim", "--format", "dot", "--input", str(path))
+        assert (code, err) == (0, note)
+        assert out == 'digraph {\n  "a";\n  "b";\n  "b" -> "a";\n}\n'
+        code, out, err = run(capsys, "graph-lattice", "--input", str(path))
+        assert (code, err) == (0, note)
+        assert out.splitlines() == ["{b} < {a,b}", "{} < {b}"]
+        for command in ("graph-prim", "graph-lattice"):
+            code, out, err = run(capsys, command, "--format", "json", "--input", str(path))
+            payload = json.loads(out)
+            assert (code, err) == (0, note)
+            assert payload["condition_k"] is False
+            assert payload["condition_k_failures"] == ["a", "b"]
+
+    def test_condition_k_holds_on_e(self, capsys, fixtures_dir):
+        for command in ("graph-prim", "graph-lattice"):
+            code, out, err = run(capsys, command, "--format", "json",
+                                 "--input", str(fixtures_dir / "E.json"))
+            payload = json.loads(out)
+            assert (code, err) == (0, "")
+            assert payload["condition_k"] is True and payload["condition_k_failures"] == []
 
     def test_graph_k(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "graph-k", "--input", str(fixtures_dir / "E.json"),
@@ -422,3 +451,34 @@ class TestJsonCanonicalisation:
                      ("snf", "--input", str(fixtures_dir / "zero.json"))):
             _, out, _ = run(capsys, *argv, "--format", "json")
             assert canonical(out) == out
+
+    def test_renderer_matches_json_dumps_on_every_fixture_payload(
+            self, capsys, fixtures_dir, monkeypatch):
+        payloads = []
+
+        def keep(payload):
+            payloads.append(payload)
+            return render_json(payload)
+        monkeypatch.setattr(cli, "render_json", keep)
+        for path in sorted(fixtures_dir.rglob("*.json")):
+            for command in ("snf", "colim", "kercoker", "pv", "cuntz", "graph-hs",
+                            "graph-lattice", "graph-prim", "graph-k", "graph-crossed-k"):
+                extra = ["v4"] if command in ("graph-k", "graph-crossed-k") else []
+                run(capsys, command, "--format", "json", "--input", str(path), *extra)
+        assert len(payloads) >= 20
+        for payload in payloads:
+            assert render_json(payload) == json.dumps(json_safe(payload), indent=2,
+                                                      sort_keys=True)
+
+    def test_renderer_matches_json_dumps_on_seeded_payloads(self):
+        rng = random.Random(61)
+        seen = set()
+        for _ in range(3000):
+            payload = random_payload(rng)
+            assert render_json(payload) == json.dumps(json_safe(payload), indent=2,
+                                                      sort_keys=True)
+            seen.update(map(repr, payload if isinstance(payload, (list, tuple)) else ()))
+        # the boundary integers and the awkward scalars all turned up
+        for value in (2**53 + 1, -(2**53 + 1), 2**53, -(2**53), True, False, None,
+                      "\ud800", "caf\u00e9", (), [], {}):
+            assert repr(value) in seen

@@ -8,6 +8,7 @@ from kdilate.abelian import FGAbelianGroup, IntMatrix, direct_sum, is_isomorphic
 from kdilate.graphalg import (
     Graph,
     PosetDiagram,
+    condition_k_failures,
     crossed_subquotient_k,
     enumerate_hereditary_saturated,
     hereditary_saturated_closure,
@@ -18,6 +19,7 @@ from kdilate.graphalg import (
 from oracles import (
     birkhoff_covers,
     brute_hereditary_saturated,
+    condition_k_failing_components,
     covers_by_definition,
     poset_validation_error,
     random_dag_covers,
@@ -287,22 +289,6 @@ class TestPrimPoset:
             classes = {frozenset(j for j in reach[i] if i in reach[j]) for i in range(n)}
             assert len(poset.elements) == len(classes)
 
-    def test_covers_match_the_definition_on_random_graphs(self):
-        rng = random.Random(41)
-        for _ in range(40):
-            graph = random_graph(rng, max_vertices=8, loops_everywhere=True)
-            reach = reachable_sets(graph)
-            components = _components(reach)
-
-            def less(a, b):  # a < b when b reaches a
-                return a != b and min(a) in reach[min(b)]
-
-            expected = {(_label(graph, a), _label(graph, b))
-                        for a, b in covers_by_definition(components, less)}
-            poset = prim_poset(graph)
-            assert set(poset.elements) == {_label(graph, c) for c in components}
-            assert set(poset.covers) == expected
-
     def test_hereditary_sets_are_the_down_sets_of_prim(self):
         """Birkhoff: with every vertex on a cycle, the hereditary saturated
         sets are the unions of components over the down-sets of prim."""
@@ -317,6 +303,86 @@ class TestPrimPoset:
                     if all(lower in chosen for lower, upper in poset.covers if upper in chosen):
                         unions.add(frozenset().union(*(members[e] for e in chosen)))
             assert set(enumerate_hereditary_saturated(graph)) == unions
+
+    def test_covers_match_the_definition_on_random_graphs(self):
+        """Exact output on seeded graphs with and without loops: elements in
+        order of first vertex, sorted covers, and the error text when a
+        vertex lies on no cycle."""
+        rng = random.Random(53)
+        errors = 0
+        for k in range(240):
+            drawn = random_graph(rng, max_vertices=9, loops_everywhere=k % 3 == 0)
+            names = list(drawn.vertices)
+            rng.shuffle(names)  # so label order and vertex order differ
+            graph = Graph.from_adjacency(names, drawn.adjacency.to_lists())
+            reach = reachable_sets(graph)
+            if any(v not in reach[v] for v in range(len(names))):
+                errors += 1
+                with pytest.raises(ValueError) as info:
+                    prim_poset(graph)
+                assert str(info.value) == "prim computation requires every vertex on a cycle"
+                continue
+            components = sorted(_components(reach))
+
+            def less(a, b):  # a < b when b reaches a
+                return a != b and a[0] in reach[b[0]]
+
+            expected = sorted((_label(graph, a), _label(graph, b))
+                              for a, b in covers_by_definition(components, less))
+            poset = prim_poset(graph)
+            assert poset.elements == tuple(_label(graph, c) for c in components)
+            assert poset.covers == tuple(expected)
+        assert 15 <= errors <= 200
+
+    def test_a_cycle_through_three_thousand_vertices_is_one_element(self):
+        # a depth-first search down this path recurses 3000 deep
+        n = 3000
+        names = [f"c{i}" for i in range(n)]
+        graph = Graph.from_adjacency(
+            names, ((0,) * ((i + 1) % n) + (1,) + (0,) * (n - 1 - (i + 1) % n)
+                    for i in range(n)))
+        label = "{" + ",".join(names) + "}"
+        assert prim_poset(graph) == PosetDiagram((label,), ())
+        assert condition_k_failures(graph) == (label,)
+
+    def test_two_thousand_vertices_within_the_gate(self):
+        graph = random_looped_graph(random.Random(2000), 2000, 0.0035)
+        start = time.perf_counter()
+        poset = prim_poset(graph)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.3
+        assert 1000 <= len(poset.elements) < 2000 and poset.covers
+
+
+class TestConditionK:
+    def test_bare_cycles_fail(self):
+        assert condition_k_failures(Graph.from_adjacency(["w"], [[1]])) == ("w",)
+        two_cycle = Graph.from_adjacency(["a", "b"], [[0, 1], [1, 0]])
+        assert condition_k_failures(two_cycle) == ("{a,b}",)
+        # the loops of the ROADMAP example are bare cycles, a above b
+        graph = Graph.from_adjacency(["a", "b"], [[1, 1], [0, 1]])
+        assert condition_k_failures(graph) == ("a", "b")
+
+    def test_second_return_paths_pass(self, graph_e):
+        assert condition_k_failures(graph_e) == ()
+        assert condition_k_failures(Graph.from_adjacency(["w"], [[2]])) == ()
+        chord = Graph.from_adjacency(["a", "b"], [[1, 1], [1, 0]])
+        assert condition_k_failures(chord) == ()
+
+    def test_acyclic_vertices_are_not_components_that_fail(self):
+        graph = Graph.from_adjacency(["a", "b"], [[0, 1], [0, 2]])
+        assert condition_k_failures(graph) == ()
+
+    def test_against_edge_counts_on_random_graphs(self):
+        rng = random.Random(59)
+        verdicts = []
+        for k in range(200):
+            graph = random_graph(rng, max_vertices=8, loops_everywhere=k % 2 == 0)
+            expected = sorted(sorted(c) for c in condition_k_failing_components(graph))
+            assert condition_k_failures(graph) == tuple(
+                _label(graph, tuple(c)) for c in expected)
+            verdicts.append(bool(expected))
+        assert verdicts.count(True) >= 40 and verdicts.count(False) >= 40
 
 
 def _components(reach):
