@@ -426,10 +426,13 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
 
 
 def integer_kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
-    """Basis of the lattice {x : m @ x = 0}, as column vectors."""
-    snf = smith_normal_form(m)
-    r = snf.rank()
-    return [snf.V.column(j) for j in range(r, m.cols)]
+    """Basis of the lattice {x : m @ x = 0}, as column vectors.
+
+    Read off one row Hermite form T m^T = H: the rows of the unimodular T
+    against the zero rows of H are a basis of the (saturated) kernel.
+    """
+    h, t, _ = _row_hermite(_transpose(m.entries, m.cols), _identity_rows(m.cols), None)
+    return [tuple(t_row) for h_row, t_row in zip(h, t) if not any(h_row)]
 
 
 def solve_integer_system(m: IntMatrix, b) -> tuple[int, ...] | None:
@@ -742,7 +745,8 @@ def _kernel_lattice_generators(f: GroupHom) -> list[tuple[int, ...]]:
     """Generators of {x in Z^n : f(x) = 0 in the codomain}, as vectors."""
     n = f.domain.num_generators
     combined = f.matrix.hstack(f.codomain.relation_rows().transpose())
-    gens = [vec[:n] for vec in integer_kernel_basis(combined)]
+    snf = smith_normal_form(combined)
+    gens = [snf.V.column(j)[:n] for j in range(snf.rank(), combined.cols)]
     return [g for g in gens if any(g)]
 
 

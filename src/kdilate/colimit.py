@@ -17,7 +17,9 @@ system is classified.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import count
+from math import gcd, isqrt
+from operator import mul
 
 from .abelian import (
     FGAbelianGroup,
@@ -259,57 +261,241 @@ def bracket(a: int, b: int) -> int:
     return c
 
 
-_DIAGONALIZE_DET_BOUND = 10**9  # divisor enumeration stays cheap below this
-
-
 def _similarity_diagonal(m: IntMatrix) -> tuple[int, ...] | None:
     """diag(m1,...,mr) with P M P^-1 diagonal for unimodular P, or None.
 
-    Searches integer eigenvalues among the divisors of det(M); the matrix is
-    diagonalizable over Z exactly when the saturated eigenlattices sum to the
-    full lattice, i.e. the assembled eigenbasis is unimodular.  Multipliers
-    are returned as absolute values, sorted (the tower only depends on |m|).
+    M is diagonalizable over Z exactly when its characteristic polynomial f
+    splits over Z and the saturated eigenlattices sum to the full lattice,
+    i.e. the assembled eigenbasis is unimodular.  f is taken exactly from
+    a Hessenberg form modulo Mersenne primes (`_charpoly`); its integer
+    roots are those of its square-free part, found by Hensel lifting
+    (`_integer_roots`), and their multiplicities by division of f.  When
+    the multiplicities sum to less than n, f does not split and no kernel
+    is computed; otherwise one kernel is taken per distinct root.
+    Multipliers are returned as absolute values, sorted (the tower only
+    depends on |m|).  Singular matrices give None.
     """
     n = m.rows
     if n == 0:
         return ()
     if all(m[i, j] == 0 for i in range(n) for j in range(n) if i != j):
         return tuple(sorted(abs(m[i, i]) for i in range(n)))
-    det = abs(m.determinant())
-    if det == 0 or det > _DIAGONALIZE_DET_BOUND:
+    f = _charpoly(m)
+    if f[0] == 0:
+        return None
+    multiplicities = {}
+    for root in _integer_roots(_squarefree_part(f)):
+        k = 0
+        quotient, rest = _poly_divmod(f, [-root, 1])
+        while not rest:
+            f, k = quotient, k + 1
+            quotient, rest = _poly_divmod(f, [-root, 1])
+        multiplicities[root] = k
+    if sum(multiplicities.values()) < n:
         return None
     columns: list[tuple[int, ...]] = []
-    values: list[int] = []
-    for d in sorted(_divisors(det)):
-        for lam in (d, -d):
-            shifted = tuple(row[:i] + (row[i] - lam,) + row[i + 1:]
-                            for i, row in enumerate(m.entries))
-            eig = integer_kernel_basis(IntMatrix(n, n, shifted))
-            for vec in eig:
-                columns.append(vec)
-                values.append(lam)
-            if len(columns) > n:
-                return None  # eigenvalue repetition drifted past full rank
-        if len(columns) == n:
-            break
-    if len(columns) != n:
-        return None
+    for lam, k in multiplicities.items():
+        shifted = tuple(row[:i] + (row[i] - lam,) + row[i + 1:]
+                        for i, row in enumerate(m.entries))
+        eig = integer_kernel_basis(IntMatrix(n, n, shifted))
+        if len(eig) != k:
+            return None
+        columns += eig
     basis = IntMatrix.from_rows([[col[i] for col in columns] for i in range(n)], cols=n)
     if abs(basis.determinant()) != 1:
         return None
-    return tuple(sorted(abs(v) for v in values))
+    return tuple(sorted(abs(lam) for lam, k in multiplicities.items() for _ in range(k)))
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return out
+# Polynomials are coefficient lists, constant term first.
+
+# Exponents e of Mersenne primes 2^e - 1.  Each is a field for the
+# Hessenberg reduction, and distinct ones are pairwise coprime, since
+# gcd(2^a - 1, 2^b - 1) = 2^gcd(a, b) - 1.
+_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253,
+                       4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497, 86243,
+                       110503, 132049, 216091, 756839, 859433, 1257787, 1398269,
+                       2976221, 3021377, 6972593, 13466917)
+
+
+def _mersenne_primes():
+    return ((1 << e) - 1 for e in _MERSENNE_EXPONENTS)
+
+
+def _symmetric(c: int, p: int) -> int:
+    return c - p if 2 * c > p else c
+
+
+def _charpoly(m: IntMatrix) -> list[int]:
+    """det(xI - M) for a square M.
+
+    The coefficient of x^(n-k) is a signed sum of the k x k principal
+    minors, so by Hadamard's bound it is at most prod(1 + |row_i|) in
+    absolute value.  The polynomial is read off a Hessenberg form modulo
+    Mersenne primes until their product passes twice that bound, then
+    recovered by CRT and symmetric residues (Cohen, GTM 138, 2.2.4).
+
+    >>> _charpoly(IntMatrix.from_rows([[2, 1], [0, 3]]))
+    [6, -5, 1]
+    >>> _charpoly(IntMatrix.from_rows([[0, 2], [3, 0]]))
+    [-6, 0, 1]
+    """
+    bound = 1
+    for row in m.entries:
+        bound *= isqrt(sum(x * x for x in row)) + 2
+    coeffs, modulus = [0] * (m.rows + 1), 1
+    for p in _mersenne_primes():
+        inv = pow(modulus, -1, p)
+        coeffs = [c + modulus * ((r - c) * inv % p)
+                  for c, r in zip(coeffs, _charpoly_mod(m.entries, p))]
+        modulus *= p
+        if modulus > 2 * bound:
+            return [_symmetric(c, modulus) for c in coeffs]
+    raise ValueError("characteristic polynomial too large for the CRT moduli")
+
+
+def _charpoly_mod(entries, p: int) -> list[int]:
+    """det(xI - M) modulo the prime p: reduce M to upper Hessenberg form H
+    by similarity, then p_k = (x - h_kk) p_{k-1} - sum_i h_{k-i,k}
+    (h_{k,k-1} ... h_{k-i+1,k-i}) p_{k-i-1} over the leading blocks."""
+    n = len(entries)
+    h = [[x % p for x in row] for row in entries]
+    for j in range(n - 2):
+        pivot = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if pivot is None:
+            continue
+        if pivot != j + 1:
+            h[pivot], h[j + 1] = h[j + 1], h[pivot]
+            for row in h:
+                row[pivot], row[j + 1] = row[j + 1], row[pivot]
+        inv = pow(h[j + 1][j], -1, p)
+        top = h[j + 1]
+        # rows k -= u_k * row j+1, then column j+1 += sum u_k * column k
+        us = [h[k][j] * inv % p for k in range(j + 2, n)]
+        for k, u in enumerate(us, j + 2):
+            if u:
+                h[k] = [(a - u * b) % p for a, b in zip(h[k], top)]
+        for row in h:
+            row[j + 1] = (row[j + 1] + sum(map(mul, us, row[j + 2:]))) % p
+    polys = [[1]]
+    for k in range(n):
+        cur = [0] + polys[k]
+        for i, c in enumerate(polys[k]):
+            cur[i] -= h[k][k] * c
+        t = 1
+        for i in range(k - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            if not t:
+                break
+            coef = t * h[i][k] % p
+            for l, c in enumerate(polys[i]):
+                cur[l] -= coef * c
+        polys.append([c % p for c in cur])
+    return polys[n]
+
+
+def _trim(f: list[int]) -> list[int]:
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _poly_gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd of a and b over GF(p), a nonzero there.
+
+    >>> _poly_gcd_mod([-1, 0, 1], [1, 1], 7)
+    [1, 1]
+    """
+    a, b = _trim([x % p for x in a]), _trim([x % p for x in b])
+    while b:
+        inv = pow(b[-1], -1, p)
+        d = len(b) - 1
+        for k in range(len(a) - 1, d - 1, -1):
+            q = a[k] * inv % p
+            if q:
+                for i, c in enumerate(b):
+                    a[k - d + i] = (a[k - d + i] - q * c) % p
+        a, b = b, _trim(a[:d])
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
+def _poly_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by a monic b over Z.
+
+    >>> _poly_divmod([-6, 1, 1], [-2, 1])
+    ([3, 1], [])
+    """
+    a = list(a)
+    d = len(b) - 1
+    q = [0] * max(len(a) - d, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = a[k + d]
+        if c:
+            for i, e in enumerate(b):
+                a[k + i] -= c * e
+    return q, _trim(a[:d])
+
+
+def _horner(f: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def _derivative(f: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(f)][1:]
+
+
+def _squarefree_part(f: list[int]) -> list[int]:
+    """f / gcd(f, f') for a monic f over Z.
+
+    The gcd is taken modulo a Mersenne prime and lifted; since f is monic,
+    the gcd mod p has at least the true degree, so a lift that divides f
+    and f' over Z is the true gcd.  Otherwise the next prime is tried.
+
+    >>> _squarefree_part([-12, 16, -7, 1])  # (x - 2)^2 (x - 3)
+    [6, -5, 1]
+    """
+    df = _derivative(f)
+    for p in _mersenne_primes():
+        g = [_symmetric(c, p) for c in _poly_gcd_mod(f, df, p)]
+        quotient, rest = _poly_divmod(f, g)
+        if not rest and not _poly_divmod(df, g)[1]:
+            return quotient
+    raise ValueError("square-free part too large for the CRT moduli")
+
+
+def _integer_roots(g: list[int]) -> list[int]:
+    """Integer roots of a monic square-free g with g(0) != 0.
+
+    Picks a small prime q with g mod q square-free, lifts each root mod q
+    by Newton/Hensel until the modulus passes 2|g(0)| (an integer root
+    divides g(0)), and keeps the lifts that are roots over Z.
+
+    >>> _integer_roots([6, -5, 1])
+    [2, 3]
+    >>> _integer_roots([-6, 0, 1])
+    []
+    """
+    dg = _derivative(g)
+    q = 2
+    while len(_poly_gcd_mod(g, dg, q)) > 1:  # g mod q has a repeated factor
+        q = next(r for r in count(q + 1) if all(r % d for d in range(2, isqrt(r) + 1)))
+    bound = 2 * abs(g[0])
+    roots = []
+    for x in range(q):
+        if _horner(g, x) % q:
+            continue
+        modulus = q
+        while modulus <= bound:
+            modulus *= modulus
+            x = (x - _horner(g, x) * pow(_horner(dg, x), -1, modulus)) % modulus
+        root = _symmetric(x, modulus)
+        if _horner(g, root) == 0:
+            roots.append(root)
+    return sorted(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -448,25 +634,32 @@ def _equivariant_complement_exists(group: FGAbelianGroup, torsion_map: IntMatrix
     return True
 
 
+def _free_colimit(free_map: IntMatrix) -> ColimitDescription:
+    """colim(Z^r, M) for an injective M: Z^r itself when |det M| = 1, else
+    the localized tower.  One determinant decides both, so the tower skips
+    the injectivity check of `ColimitDescription.localized`."""
+    det = free_map.determinant()
+    if det == 0:
+        raise ValueError("localized tower needs an injective matrix")
+    if abs(det) == 1:
+        free_group = FGAbelianGroup.free(free_map.rows)
+        return ColimitDescription.finite(free_group, GroupHom(free_group, free_group, free_map))
+    return ColimitDescription(tag=TAG_LOCALIZED, loc_rank=free_map.rows, loc_matrix=free_map)
+
+
 def _classify_injective(group: FGAbelianGroup, endo: GroupHom) -> ColimitDescription:
     t, r = group.torsion_count, group.free_rank
     if r == 0:
         return ColimitDescription.finite(group, endo)
     m = endo.matrix
     if t == 0:
-        if abs(m.determinant()) == 1:
-            return ColimitDescription.finite(group, endo)
-        return ColimitDescription.localized(m)
+        return _free_colimit(m)
     torsion_map = m.select_rows(range(t)).select_columns(range(t))
     mixing = m.select_rows(range(t)).select_columns(range(t, t + r))
     free_map = m.select_rows(range(t, t + r)).select_columns(range(t, t + r))
     torsion = group.torsion_part()
     sub = ColimitDescription.finite(torsion, GroupHom(torsion, torsion, torsion_map))
-    free_group = FGAbelianGroup.free(r)
-    if abs(free_map.determinant()) == 1:
-        quot = ColimitDescription.finite(free_group, GroupHom(free_group, free_group, free_map))
-    else:
-        quot = ColimitDescription.localized(free_map)
+    quot = _free_colimit(free_map)
     if _equivariant_complement_exists(group, torsion_map, mixing, free_map):
         return direct_sum_descriptions(sub, quot)
     return ColimitDescription.extension(sub, quot, resolved=False)

@@ -3,15 +3,19 @@
 Nothing here goes through the package's Smith normal form: group structure
 is recovered from torsion-element counts, Smith diagonals from gcds of
 minors, vertex-set families from exhaustive subset scans, poset covers
-from their definition, and JSON text from the standard library's encoder.
-That keeps the dual-route checks honest.
+from their definition, characteristic polynomials by Faddeev-LeVerrier,
+and JSON text from the standard library's encoder.  That keeps the
+dual-route checks honest.  The one exception is `divisor_search_diagonal`,
+the colimit layer's earlier integer-eigenvalue search, kept as the
+reference for its replacement: it takes eigenlattices from the Smith
+form's V, a route the replacement no longer uses.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, prod
 
-from kdilate.abelian import FGAbelianGroup, GroupHom, IntMatrix
+from kdilate.abelian import FGAbelianGroup, GroupHom, IntMatrix, smith_normal_form
 from kdilate.graphalg import Graph
 
 
@@ -312,6 +316,69 @@ def json_safe(obj):
     return obj
 
 
+def charpoly_faddeev_leverrier(rows: list[list[int]]) -> list[int]:
+    """det(xI - M), constant term first, by Faddeev-LeVerrier: with
+    N_1 = I, c_{n-k} = -tr(M N_k) / k (an exact division) and
+    N_{k+1} = M N_k + c_{n-k} I."""
+    n = len(rows)
+    coeffs = [0] * n + [1]
+    mn = [[0] * n for _ in range(n)]  # M N_k
+    for k in range(1, n + 1):
+        shifted = [[mn[i][j] + (coeffs[n - k + 1] if i == j else 0) for j in range(n)]
+                   for i in range(n)]
+        mn = [[sum(rows[i][l] * shifted[l][j] for l in range(n)) for j in range(n)]
+                    for i in range(n)]
+        trace = sum(mn[i][i] for i in range(n))
+        if trace % k:
+            raise ArithmeticError("Faddeev-LeVerrier division is not exact")
+        coeffs[n - k] = -trace // k
+    return coeffs
+
+
+def divisor_search_diagonal(m: IntMatrix) -> tuple[int, ...] | None:
+    """The colimit layer's earlier `_similarity_diagonal`, without its
+    determinant cut-off: integer eigenvalues are searched among the
+    divisors d of det(M), one Smith-form kernel per candidate +-d."""
+    n = m.rows
+    if n == 0:
+        return ()
+    if all(m[i, j] == 0 for i in range(n) for j in range(n) if i != j):
+        return tuple(sorted(abs(m[i, i]) for i in range(n)))
+    det = abs(m.determinant())
+    if det == 0:
+        return None
+    columns: list[tuple[int, ...]] = []
+    values: list[int] = []
+    for d in sorted(_divisors(det)):
+        for lam in (d, -d):
+            shifted = IntMatrix(n, n, tuple(row[:i] + (row[i] - lam,) + row[i + 1:]
+                                            for i, row in enumerate(m.entries)))
+            snf = smith_normal_form(shifted)
+            for j in range(snf.rank(), n):
+                columns.append(snf.V.column(j))
+                values.append(lam)
+        if len(columns) == n:
+            break
+    if len(columns) != n:
+        return None
+    basis = IntMatrix.from_rows([[col[i] for col in columns] for i in range(n)], cols=n)
+    if abs(basis.determinant()) != 1:
+        return None
+    return tuple(sorted(abs(v) for v in values))
+
+
+def _divisors(n: int) -> list[int]:
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Random generators
 # ---------------------------------------------------------------------------
@@ -320,6 +387,27 @@ def random_matrix(rng, max_dim=8, max_entry=50) -> IntMatrix:
     r, c = rng.randint(1, max_dim), rng.randint(1, max_dim)
     return IntMatrix.from_rows(
         [[rng.randint(-max_entry, max_entry) for _ in range(c)] for _ in range(r)])
+
+
+def random_unimodular(rng, n: int, steps: int = 12, max_factor: int = 3):
+    """(P, P^-1) as row lists: a product of random elementary row
+    additions, with its inverse built alongside."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    p_inv = [row[:] for row in p]
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([k for k in range(-max_factor, max_factor + 1) if k])
+        p[i] = [a + c * b for a, b in zip(p[i], p[j])]  # row i += c * row j
+        for row in p_inv:  # column j -= c * column i
+            row[j] -= c * row[i]
+    return p, p_inv
+
+
+def conjugate(p, middle, p_inv) -> IntMatrix:
+    """P @ middle @ P^-1 for row lists."""
+    def mul(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    return IntMatrix.from_rows(mul(mul(p, middle), p_inv))
 
 
 def random_finite_group(rng, max_order=10_000) -> FGAbelianGroup:

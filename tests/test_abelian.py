@@ -13,14 +13,22 @@ from kdilate.abelian import (
     compose,
     direct_sum,
     element_is_zero,
+    _identity_rows,
+    _row_hermite,
     group_from_presentation,
+    integer_kernel_basis,
     is_isomorphic,
     kernel,
     smith_normal_form,
     solve_integer_system,
     unimodular_inverse,
 )
-from oracles import random_endomorphism, random_finite_group, smith_diagonal_by_divisors
+from oracles import (
+    random_endomorphism,
+    random_finite_group,
+    rank_over_q,
+    smith_diagonal_by_divisors,
+)
 
 Z = FGAbelianGroup.free(1)
 
@@ -207,6 +215,42 @@ class TestSmithNormalForm:
             assert list(assert_snf_contract(m).diagonal()) == diagonal
             result = smith_normal_form(m, with_inverse=True)
             assert result.U @ result.U_inv == IntMatrix.identity(m.rows)
+
+
+def hermite_basis(vectors):
+    """Reduced row Hermite form of the lattice the vectors span: equal
+    exactly when the lattices are."""
+    rows, _, _ = _row_hermite([list(v) for v in vectors], _identity_rows(len(vectors)), None)
+    return [row for row in rows if any(row)]
+
+
+class TestIntegerKernelBasis:
+    def test_kernel_basis_spans_the_smith_kernel(self):
+        rng = random.Random(29)
+        cases = []
+        for _ in range(15):
+            n = rng.randint(1, 7)
+            cases.append([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])  # square
+            r = rng.randint(1, n)
+            cases.append([[rng.randint(-9, 9) for _ in range(n + 2)] for _ in range(r)])  # wide
+            k = rng.randint(1, n)
+            left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
+            right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+            cases.append([[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                          for row in left])  # singular square, rank at most k
+        cases += [[[0, 0, 0]], [[2, 4], [1, 2]]]
+        for rows in cases:
+            m = IntMatrix.from_rows(rows)
+            basis = integer_kernel_basis(m)
+            assert len(basis) == m.cols - rank_over_q(rows)
+            assert all(not any(m.apply(v)) for v in basis)
+            snf = smith_normal_form(m)
+            smith_kernel = [snf.V.column(j) for j in range(snf.rank(), m.cols)]
+            assert hermite_basis(basis) == hermite_basis(smith_kernel)
+
+    def test_empty_shapes(self):
+        assert integer_kernel_basis(IntMatrix.zeros(0, 3)) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert integer_kernel_basis(IntMatrix.zeros(3, 0)) == []
 
 
 class TestIntMatrix:

@@ -7,7 +7,7 @@ import pytest
 from kdilate import cli, colimit
 from kdilate.abelian import GroupHom, IntMatrix, _quotient_with_maps
 from kdilate.cli import main, render_json
-from oracles import json_safe, random_payload
+from oracles import conjugate, json_safe, random_payload, random_unimodular
 
 E_LATTICE_DOT = """digraph {
   "{v1,v2,v3,v4}";
@@ -167,6 +167,20 @@ class TestColimKercokerCommands:
         assert code == 0
         assert json.loads(out)["colimit"]["localizers"] == [2, 3]
         assert len(searched) == 1
+
+    def test_large_multiplier_tower_prints_its_localizers(self, capsys, tmp_path):
+        # |det| = 3 * (2^61 - 1) is past any divisor search: the multipliers
+        # come from the integer roots of the characteristic polynomial
+        p, p_inv = random_unimodular(random.Random(3), 2)
+        endo = conjugate(p, [[2**61 - 1, 0], [0, 3]], p_inv).to_lists()
+        doc = tmp_path / "mersenne.json"
+        doc.write_text(json.dumps({"kind": "group_endo", "generators": 2,
+                                   "relations": [], "endo": json_safe(endo)}))
+        code, out, _ = run(capsys, "colim", "--input", str(doc))
+        assert code == 0
+        assert "colimit = Z[1/3] + Z[1/2305843009213693951]" in out
+        code, out, _ = run(capsys, "colim", "--format", "json", "--input", str(doc))
+        assert json.loads(out)["colimit"]["localizers"] == [3, "2305843009213693951"]
 
     def test_endo_required(self, capsys, fixtures_dir):
         code, _, err = run(capsys, "kercoker", "--input",

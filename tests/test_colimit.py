@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from kdilate import colimit
 from kdilate.abelian import FGAbelianGroup, GroupHom, IntMatrix, direct_sum
 from kdilate.colimit import (
     ColimElement,
@@ -19,7 +20,15 @@ from kdilate.colimit import (
     eventual_kernel,
     ker_coker_one_minus,
 )
-from oracles import brute_one_minus_ker_coker, random_endomorphism, random_finite_group
+from oracles import (
+    brute_one_minus_ker_coker,
+    charpoly_faddeev_leverrier,
+    conjugate,
+    divisor_search_diagonal,
+    random_endomorphism,
+    random_finite_group,
+    random_unimodular,
+)
 
 Z = FGAbelianGroup.free(1)
 
@@ -323,3 +332,111 @@ class TestProblemValidation:
     def test_endo_must_match_base(self):
         with pytest.raises(Exception):
             DilationProblem(Z, GroupHom.identity(FGAbelianGroup.cyclic(2)))
+
+
+class TestIntegerEigenvalues:
+    """The eigen-search behind localized multipliers: characteristic
+    polynomial, its integer roots, one kernel per root."""
+
+    def test_mersenne_multiplier_classifies_fast(self):
+        p, p_inv = random_unimodular(random.Random(61), 2)
+        tower = conjugate(p, [[2**61 - 1, 0], [0, 3]], p_inv)
+        z2 = FGAbelianGroup.free(2)
+        start = time.perf_counter()
+        description = classify_colimit(DilationProblem(z2, GroupHom(z2, z2, tower)))
+        pretty = description.pretty()
+        elapsed = time.perf_counter() - start
+        assert description.tag == TAG_LOCALIZED
+        assert pretty == "Z[1/3] + Z[1/2305843009213693951]"
+        assert elapsed < 0.05
+        reference = ColimitDescription.localized(IntMatrix.diagonal([3, 2**61 - 1]))
+        assert description.isomorphic(reference) is True
+        halves = ColimitDescription.localized(IntMatrix.diagonal([3, 2]))
+        assert description.isomorphic(halves) is False
+
+    def test_matches_the_divisor_search(self):
+        rng = random.Random(2024)
+        cases = []
+        for _ in range(40):  # small random matrices
+            n = rng.randint(1, 4)
+            cases.append(IntMatrix.from_rows(
+                [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]))
+        for _ in range(40):  # planted diagonalizable P D P^-1, repeated values
+            n = rng.randint(2, 5)
+            values = [rng.choice([-6, -4, -3, -2, -1, 1, 2, 3, 5]) for _ in range(n)]
+            p, p_inv = random_unimodular(rng, n, steps=3 * n, max_factor=2)
+            cases.append(conjugate(p, [[values[i] if i == j else 0 for j in range(n)]
+                                       for i in range(n)], p_inv))
+        # beside a diagonal: a Jordan block, a block diagonalizable over Q
+        # but not over Z, or an irreducible quadratic
+        for _ in range(20):
+            n = rng.randint(3, 5)
+            block = rng.choice([[[2, 1], [0, 2]], [[-3, 1], [0, -3]],
+                                [[1, 1], [0, -1]], [[0, 2], [1, 0]], [[1, 1], [1, -1]],
+                                [[0, -1], [1, 0]]])
+            middle = [[0] * n for _ in range(n)]
+            middle[0][:2], middle[1][:2] = block[0], block[1]
+            for i in range(2, n):
+                middle[i][i] = rng.choice([-2, 2, 3, 5])
+            p, p_inv = random_unimodular(rng, n, steps=3 * n, max_factor=2)
+            cases.append(conjugate(p, middle, p_inv))
+        found = 0
+        for m in cases:
+            expected = divisor_search_diagonal(m)
+            assert colimit._similarity_diagonal(m) == expected, m
+            found += expected is not None
+        assert 40 <= found < len(cases)
+
+    def test_charpoly_matches_faddeev_leverrier(self):
+        rng = random.Random(7)
+        for size, entry in [(1, 9), (2, 50), (3, 9), (5, 50), (7, 3), (6, 10**12)]:
+            m = [[rng.randint(-entry, entry) for _ in range(size)] for _ in range(size)]
+            assert colimit._charpoly(IntMatrix.from_rows(m)) == charpoly_faddeev_leverrier(m)
+
+    def test_charpoly_matches_sympy_across_several_primes(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(11)
+        inputs = [[[rng.randint(-9, 9) for _ in range(8)] for _ in range(8)],
+                  [[rng.randint(-10**15, 10**15) for _ in range(6)] for _ in range(6)]]
+        # the second input's coefficients pass 2^150, the product of the
+        # first two Mersenne primes, so CRT needs a third
+        assert max(abs(c) for c in charpoly_faddeev_leverrier(inputs[1])) > 2**150
+        for m in inputs:
+            expected = [int(c) for c in reversed(sympy.Matrix(m).charpoly().all_coeffs())]
+            assert colimit._charpoly(IntMatrix.from_rows(m)) == expected
+
+    def test_dense_forty_by_forty_under_half_a_second(self):
+        rng = random.Random(40)
+        m = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(40)] for _ in range(40)])
+        start = time.perf_counter()
+        result = colimit._similarity_diagonal(m)
+        assert time.perf_counter() - start < 0.5
+        assert result is None
+
+    def test_free_block_takes_one_determinant(self, monkeypatch):
+        taken = []
+        determinant = IntMatrix.determinant
+        monkeypatch.setattr(IntMatrix, "determinant",
+                            lambda m: taken.append(m) or determinant(m))
+        z2 = FGAbelianGroup.free(2)
+        tower = IntMatrix.from_rows([[2, 1], [1, 3]])
+        description = classify_colimit(DilationProblem(z2, GroupHom(z2, z2, tower)))
+        assert description.tag == TAG_LOCALIZED and taken == [tower]
+        mixed = FGAbelianGroup(1, (2,))  # Z/2 + Z, no invariant complement
+        endo = IntMatrix.from_rows([[1, 1], [0, 3]])
+        description = classify_colimit(DilationProblem(mixed, GroupHom(mixed, mixed, endo)))
+        assert description.resolved is False
+        assert taken[1:] == [IntMatrix.diagonal([3])]
+
+    def test_one_kernel_per_distinct_root_and_none_without_a_split(self, monkeypatch):
+        kernels = []
+        search = colimit.integer_kernel_basis
+        monkeypatch.setattr(colimit, "integer_kernel_basis",
+                            lambda m: kernels.append(m) or search(m))
+        assert colimit._similarity_diagonal(IntMatrix.from_rows([[0, 2], [3, 0]])) is None
+        assert kernels == []
+        p, p_inv = random_unimodular(random.Random(5), 6)
+        planted = conjugate(p, [[(2, 2, -3, 5, 5, 5)[i] if i == j else 0 for j in range(6)]
+                                for i in range(6)], p_inv)
+        assert colimit._similarity_diagonal(planted) == (2, 2, 3, 5, 5, 5)
+        assert len(kernels) == 3
