@@ -11,36 +11,71 @@ so the module is safe for unsynchronized concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 import bisect
 from itertools import product
 import math
-from operator import mul
+from operator import attrgetter, mul
 
 
 class IncompatibleShapesError(ValueError):
     """Raised when matrix or homomorphism shapes do not line up."""
 
 
+class _Record:
+    """Immutable value compared, hashed and printed by its fields.
+
+    A subclass lists its two or more fields in constructor order in
+    `_fields`, and its own __init__ sets them with object.__setattr__.
+    Equality holds only between values of exactly the same class, and the
+    hash is that of the tuple of fields.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        key = attrgetter(*cls._fields)
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(key(self))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # Integer matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(_Record):
     """Immutable integer matrix with explicit shape (rows may be zero)."""
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    _fields = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimension")
-        if len(self.entries) != self.rows:
+        if len(entries) != rows:
             raise ValueError("row count does not match entries")
-        for row in self.entries:
-            if len(row) != self.cols:
+        for row in entries:
+            if len(row) != cols:
                 raise ValueError("ragged matrix rows")
             if set(map(type, row)) == {int}:
                 continue
@@ -184,17 +219,20 @@ class IntMatrix:
 # Smith normal form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(_Record):
     """U @ M @ V = S with U, V unimodular and S in Smith normal form.
 
     U_inv is the inverse of U when it was asked for, else None.
     """
 
-    U: IntMatrix
-    S: IntMatrix
-    V: IntMatrix
-    U_inv: IntMatrix | None = None
+    _fields = ("U", "S", "V", "U_inv")
+
+    def __init__(self, U: IntMatrix, S: IntMatrix, V: IntMatrix,
+                 U_inv: IntMatrix | None = None):
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "U_inv", U_inv)
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.S[i, i] for i in range(min(self.S.rows, self.S.cols)))
@@ -501,8 +539,7 @@ class _Lattice:
 # Finitely generated abelian groups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FGAbelianGroup:
+class FGAbelianGroup(_Record):
     """Canonical form: free rank plus the invariant factor chain d1 | d2 | ...
 
     Generators are ordered torsion-first (orders d1 <= d2 <= ...) followed by
@@ -510,15 +547,14 @@ class FGAbelianGroup:
     form is canonical, equality of values is isomorphism of groups.
     """
 
-    free_rank: int
-    invariant_factors: tuple[int, ...] = ()
+    _fields = ("free_rank", "invariant_factors")
 
-    def __post_init__(self):
-        object.__setattr__(self, "invariant_factors",
-                           tuple(int(d) for d in self.invariant_factors))
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, invariant_factors: tuple[int, ...] = ()):
+        factors = tuple(int(d) for d in invariant_factors)
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "invariant_factors", factors)
+        if free_rank < 0:
             raise ValueError("negative free rank")
-        factors = self.invariant_factors
         for i, d in enumerate(factors):
             if d < 2:
                 raise ValueError("invariant factors must be >= 2")
@@ -650,8 +686,7 @@ def group_from_presentation(num_generators: int, relations: IntMatrix) -> FGAbel
 # Homomorphisms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(_Record):
     """Homomorphism between canonical groups, as a matrix on generators.
 
     matrix[i][j] is the coefficient of codomain generator i in the image of
@@ -661,21 +696,21 @@ class GroupHom:
     lattice of the codomain.
     """
 
-    domain: FGAbelianGroup
-    codomain: FGAbelianGroup
-    matrix: IntMatrix
+    _fields = ("domain", "codomain", "matrix")
 
-    def __post_init__(self):
-        m = self.matrix
-        if (m.rows, m.cols) != (self.codomain.num_generators, self.domain.num_generators):
+    def __init__(self, domain: FGAbelianGroup, codomain: FGAbelianGroup, matrix: IntMatrix):
+        m = matrix
+        if (m.rows, m.cols) != (codomain.num_generators, domain.num_generators):
             raise IncompatibleShapesError(
                 f"matrix shape {m.rows}x{m.cols} does not match codomain x domain "
-                f"({self.codomain.num_generators}x{self.domain.num_generators})")
-        cod_orders = self.codomain.generator_orders()
+                f"({codomain.num_generators}x{domain.num_generators})")
+        cod_orders = codomain.generator_orders()
         reduced = tuple(tuple(x % d if d else x for x in row)
                         for row, d in zip(m.entries, cod_orders))
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "matrix", IntMatrix(m.rows, m.cols, reduced))
-        for j, dj in enumerate(self.domain.generator_orders()):
+        for j, dj in enumerate(domain.generator_orders()):
             if dj == 0:
                 continue
             for i, di in enumerate(cod_orders):

@@ -16,7 +16,6 @@ system is classified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from math import gcd, isqrt
 from operator import mul
@@ -26,6 +25,7 @@ from .abelian import (
     GroupHom,
     IncompatibleShapesError,
     IntMatrix,
+    _Record,
     _kernel_lattice_generators,
     _quotient_with_maps,
     block_diagonal,
@@ -48,41 +48,39 @@ class StabilizationCapError(RuntimeError):
     """Kernel chain failed to stabilize within the iteration cap."""
 
 
-@dataclass(frozen=True)
-class DilationProblem:
+class DilationProblem(_Record):
     """A group together with the endomorphism to dilate along."""
 
-    base: FGAbelianGroup
-    endo: GroupHom
+    _fields = ("base", "endo")
 
-    def __post_init__(self):
-        if self.endo.domain != self.base or self.endo.codomain != self.base:
+    def __init__(self, base: FGAbelianGroup, endo: GroupHom):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "endo", endo)
+        if endo.domain != base or endo.codomain != base:
             raise IncompatibleShapesError("endomorphism must map the base group to itself")
 
 
-@dataclass(frozen=True)
-class ColimElement:
+class ColimElement(_Record):
     """Formal element (coords, level) of the colimit tower.
 
     The identification is (v, t) ~ (f(v), t+1), so zero-testing asks whether
     some power of f kills the coordinates.
     """
 
-    level: int
-    coords: tuple[int, ...]
+    _fields = ("level", "coords")
 
-    def __post_init__(self):
-        if self.level < 0:
+    def __init__(self, level: int, coords: tuple[int, ...]):
+        if level < 0:
             raise ValueError("negative tower level")
-        object.__setattr__(self, "coords", tuple(int(x) for x in self.coords))
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "coords", tuple(int(x) for x in coords))
 
 
 # ---------------------------------------------------------------------------
 # Colimit descriptions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ColimitDescription:
+class ColimitDescription(_Record):
     """Classification of a dilation colimit.
 
     tag "finite_or_fg": the colimit is the f.g. group `fg_part`, with the
@@ -94,14 +92,23 @@ class ColimitDescription:
     tag "unresolved": shape outside the handled algebra.
     """
 
-    tag: str
-    fg_part: FGAbelianGroup | None = None
-    action: GroupHom | None = None
-    loc_rank: int | None = None
-    loc_matrix: IntMatrix | None = None
-    sub: "ColimitDescription | None" = None
-    quot: "ColimitDescription | None" = None
-    resolved: bool | None = None
+    _fields = ("tag", "fg_part", "action", "loc_rank", "loc_matrix", "sub", "quot",
+               "resolved")
+
+    def __init__(self, tag: str, fg_part: FGAbelianGroup | None = None,
+                 action: GroupHom | None = None, loc_rank: int | None = None,
+                 loc_matrix: IntMatrix | None = None,
+                 sub: ColimitDescription | None = None,
+                 quot: ColimitDescription | None = None,
+                 resolved: bool | None = None):
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "fg_part", fg_part)
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "loc_rank", loc_rank)
+        object.__setattr__(self, "loc_matrix", loc_matrix)
+        object.__setattr__(self, "sub", sub)
+        object.__setattr__(self, "quot", quot)
+        object.__setattr__(self, "resolved", resolved)
 
     @classmethod
     def finite(cls, group: FGAbelianGroup, action: GroupHom | None = None) -> "ColimitDescription":

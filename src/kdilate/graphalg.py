@@ -33,14 +33,14 @@ joins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import cached_property
 from itertools import compress
-from typing import Iterable
 
 from .abelian import (
     FGAbelianGroup,
     IntMatrix,
+    _Record,
     group_from_presentation,
 )
 from .colimit import ColimitDescription
@@ -49,22 +49,22 @@ from .kcrossed import KTheoryData, pv_crossed_product
 VertexSet = frozenset
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Record):
     """Directed multigraph: adjacency[v][w] counts the edges from v to w."""
 
-    vertices: tuple[str, ...]
-    adjacency: IntMatrix
+    _fields = ("vertices", "adjacency")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(str(v) for v in self.vertices))
-        n = len(self.vertices)
-        if len(set(self.vertices)) != n:
+    def __init__(self, vertices: tuple[str, ...], adjacency: IntMatrix):
+        vertices = tuple(str(v) for v in vertices)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "adjacency", adjacency)
+        n = len(vertices)
+        if len(set(vertices)) != n:
             raise ValueError("duplicate vertex names")
-        if (self.adjacency.rows, self.adjacency.cols) != (n, n):
+        if (adjacency.rows, adjacency.cols) != (n, n):
             raise ValueError("adjacency matrix shape does not match the vertex list")
-        for i, name in enumerate(self.vertices):
-            row = self.adjacency.row(i)
+        for i, name in enumerate(vertices):
+            row = adjacency.row(i)
             if min(row) < 0:
                 raise ValueError(f"negative edge multiplicity at vertex {name}")
             if not any(row):
@@ -243,18 +243,23 @@ def enumerate_hereditary_saturated(graph: Graph) -> list[VertexSet]:
 # Posets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PosetDiagram:
+class PosetDiagram(_Record):
     """Hasse diagram: elements plus the covering pairs (lower, upper).
 
     Construction validates that the covers are acyclic and free of
     transitive shortcuts, so the diagram really is a transitive reduction.
     """
 
-    elements: tuple[str, ...]
-    covers: tuple[tuple[str, str], ...]
+    _fields = ("elements", "covers")
+
+    def __init__(self, elements: tuple[str, ...], covers: tuple[tuple[str, str], ...]):
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "covers", covers)
+        self.__post_init__()
 
     def __post_init__(self):
+        # A method of its own, called by name, so that tracing can wrap the
+        # validation apart from the construction.
         object.__setattr__(self, "elements", tuple(str(e) for e in self.elements))
         object.__setattr__(self, "covers",
                            tuple((str(a), str(b)) for a, b in self.covers))

@@ -19,10 +19,9 @@ in CuntzClosedForm for cross-reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 
-from .abelian import FGAbelianGroup, GroupHom, IncompatibleShapesError
+from .abelian import FGAbelianGroup, GroupHom, IncompatibleShapesError, _Record
 from .colimit import (
     DEFAULT_STABILIZATION_CAP,
     ColimitDescription,
@@ -36,19 +35,20 @@ from .colimit import (
 INFINITY = None  # the Cuntz parameter n = infinity is a distinguished symbol
 
 
-@dataclass(frozen=True)
-class KTheoryData:
+class KTheoryData(_Record):
     """Graded K-groups of an algebra together with the induced maps."""
 
-    k0: FGAbelianGroup
-    k1: FGAbelianGroup
-    map0: GroupHom
-    map1: GroupHom
+    _fields = ("k0", "k1", "map0", "map1")
 
-    def __post_init__(self):
-        if self.map0.domain != self.k0 or self.map0.codomain != self.k0:
+    def __init__(self, k0: FGAbelianGroup, k1: FGAbelianGroup, map0: GroupHom,
+                 map1: GroupHom):
+        object.__setattr__(self, "k0", k0)
+        object.__setattr__(self, "k1", k1)
+        object.__setattr__(self, "map0", map0)
+        object.__setattr__(self, "map1", map1)
+        if map0.domain != k0 or map0.codomain != k0:
             raise IncompatibleShapesError("map0 must be an endomorphism of k0")
-        if self.map1.domain != self.k1 or self.map1.codomain != self.k1:
+        if map1.domain != k1 or map1.codomain != k1:
             raise IncompatibleShapesError("map1 must be an endomorphism of k1")
 
     @classmethod
@@ -69,8 +69,7 @@ def scale_k_map(data: KTheoryData, class_multiplier: int) -> KTheoryData:
         GroupHom.multiplication(data.k1, c) @ data.map1)
 
 
-@dataclass(frozen=True)
-class CrossedProductK:
+class CrossedProductK(_Record):
     """Graded K-theory of the crossed product, extension by extension.
 
     k0_sub/k0_quot are the cokernel and kernel ends feeding K0 (and likewise
@@ -78,13 +77,20 @@ class CrossedProductK:
     extension is settled, with the policy recorded in resolution_reason.
     """
 
-    k0_sub: ColimitDescription
-    k0_quot: ColimitDescription
-    k1_sub: ColimitDescription
-    k1_quot: ColimitDescription
-    k0_resolved: ColimitDescription | None
-    k1_resolved: ColimitDescription | None
-    resolution_reason: str
+    _fields = ("k0_sub", "k0_quot", "k1_sub", "k1_quot", "k0_resolved", "k1_resolved",
+               "resolution_reason")
+
+    def __init__(self, k0_sub: ColimitDescription, k0_quot: ColimitDescription,
+                 k1_sub: ColimitDescription, k1_quot: ColimitDescription,
+                 k0_resolved: ColimitDescription | None,
+                 k1_resolved: ColimitDescription | None, resolution_reason: str):
+        object.__setattr__(self, "k0_sub", k0_sub)
+        object.__setattr__(self, "k0_quot", k0_quot)
+        object.__setattr__(self, "k1_sub", k1_sub)
+        object.__setattr__(self, "k1_quot", k1_quot)
+        object.__setattr__(self, "k0_resolved", k0_resolved)
+        object.__setattr__(self, "k1_resolved", k1_resolved)
+        object.__setattr__(self, "resolution_reason", resolution_reason)
 
     @property
     def fully_resolved(self) -> bool:
@@ -161,8 +167,7 @@ def pv_verify_exactness(result: CrossedProductK) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CuntzClosedForm:
+class CuntzClosedForm(_Record):
     """Closed-form K-theory for the Cuntz-family crossed products.
 
     For finite n, k is the colimit torsion order (n-1 with the primes of
@@ -172,20 +177,23 @@ class CuntzClosedForm:
     `emitted` flag names the formula the groups and label actually use.
     """
 
-    n: int | None
-    m: int
-    k: int | None
-    order_gcd: int | None
-    order_quotient: int | None
-    k0: FGAbelianGroup
-    k1: FGAbelianGroup
-    label: str
-    emitted: str = field(default="gcd")
+    _fields = ("n", "m", "k", "order_gcd", "order_quotient", "k0", "k1", "label", "emitted")
 
-    def __post_init__(self):
-        if self.n is not None:
-            expected = bracket(gcd(self.n - 1, self.m), self.n - 1)
-            if self.k != expected:
+    def __init__(self, n: int | None, m: int, k: int | None, order_gcd: int | None,
+                 order_quotient: int | None, k0: FGAbelianGroup, k1: FGAbelianGroup,
+                 label: str, emitted: str = "gcd"):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "order_gcd", order_gcd)
+        object.__setattr__(self, "order_quotient", order_quotient)
+        object.__setattr__(self, "k0", k0)
+        object.__setattr__(self, "k1", k1)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "emitted", emitted)
+        if n is not None:
+            expected = bracket(gcd(n - 1, m), n - 1)
+            if k != expected:
                 raise ValueError("k does not satisfy the bracket closed form")
 
 

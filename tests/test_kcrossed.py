@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from math import gcd
 
@@ -7,6 +6,7 @@ import pytest
 from kdilate.abelian import FGAbelianGroup, GroupHom, direct_sum
 from kdilate.colimit import ColimitDescription, DilationProblem, TAG_FINITE, classify_colimit
 from kdilate.kcrossed import (
+    CrossedProductK,
     KTheoryData,
     bracket,
     cuntz_closed_form,
@@ -128,15 +128,19 @@ class TestPVCrossedProduct:
         data = cuntz_k_data(None, 3)
         result = pv_crossed_product(data)
         assert result.k0_group() == FGAbelianGroup.cyclic(2)
-        tampered = dataclasses.replace(
-            result, k0_resolved=ColimitDescription.finite(FGAbelianGroup.cyclic(5)))
+        tampered = CrossedProductK(
+            result.k0_sub, result.k0_quot, result.k1_sub, result.k1_quot,
+            k0_resolved=ColimitDescription.finite(FGAbelianGroup.cyclic(5)),
+            k1_resolved=result.k1_resolved, resolution_reason=result.resolution_reason)
         assert not pv_verify_exactness(tampered)
 
     def test_verify_rejects_tampered_rank(self):
         data = KTheoryData.with_identity_maps(Z, Z)
         result = pv_crossed_product(data)
-        tampered = dataclasses.replace(
-            result, k1_resolved=ColimitDescription.finite(Z))
+        tampered = CrossedProductK(
+            result.k0_sub, result.k0_quot, result.k1_sub, result.k1_quot,
+            k0_resolved=result.k0_resolved, k1_resolved=ColimitDescription.finite(Z),
+            resolution_reason=result.resolution_reason)
         assert not pv_verify_exactness(tampered)
 
 

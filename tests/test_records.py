@@ -1,0 +1,227 @@
+"""Value semantics of kdilate's immutable records: equality and hash over
+the fields, exact class matching, immutability, constructor defaults and
+validation messages."""
+
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from kdilate.abelian import (
+    FGAbelianGroup,
+    GroupHom,
+    IncompatibleShapesError,
+    IntMatrix,
+    SNFResult,
+    smith_normal_form,
+)
+from kdilate.colimit import (
+    ColimElement,
+    ColimitDescription,
+    DilationProblem,
+    classify_colimit,
+)
+from kdilate.graphalg import Graph, PosetDiagram, ideal_lattice_hasse
+from kdilate.kcrossed import (
+    CrossedProductK,
+    CuntzClosedForm,
+    KTheoryData,
+    cuntz_closed_form,
+    cuntz_k_data,
+    pv_crossed_product,
+)
+from oracles import conjugate, random_unimodular
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+Z = FGAbelianGroup.free(1)
+
+
+def _build(cls, rng):
+    """One seeded value of each record class."""
+    group = FGAbelianGroup(rng.randint(0, 2), (2, 2 * rng.randint(1, 4)))
+    endo = GroupHom.multiplication(group, rng.randint(-3, 3))
+    m = rng.randint(1, 4)
+    n = rng.randint(m + 1, 9)
+    names = ("a", "b", "c")
+    adjacency = [[rng.randint(1, 2) if i == j else rng.randint(0, 1) * (i < j)
+                  for j in range(3)] for i in range(3)]
+    builders = {
+        IntMatrix: lambda: IntMatrix.from_rows(
+            [[rng.randint(-9, 9) for _ in range(3)] for _ in range(2)]),
+        SNFResult: lambda: smith_normal_form(
+            IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]),
+            with_inverse=rng.random() < 0.5),
+        FGAbelianGroup: lambda: group,
+        GroupHom: lambda: endo,
+        DilationProblem: lambda: DilationProblem(group, endo),
+        ColimElement: lambda: ColimElement(
+            rng.randint(0, 5), tuple(rng.randint(-9, 9) for _ in range(group.num_generators))),
+        ColimitDescription: lambda: classify_colimit(DilationProblem(group, endo)),
+        KTheoryData: lambda: KTheoryData(group, Z, endo, GroupHom.multiplication(Z, m)),
+        CrossedProductK: lambda: pv_crossed_product(cuntz_k_data(None, m)),
+        CuntzClosedForm: lambda: cuntz_closed_form(n, m),
+        Graph: lambda: Graph.from_adjacency(names, adjacency),
+        PosetDiagram: lambda: ideal_lattice_hasse(Graph.from_adjacency(names, adjacency)),
+    }
+    return builders[cls]()
+
+
+RECORDS = [IntMatrix, SNFResult, FGAbelianGroup, GroupHom, DilationProblem,
+           ColimElement, ColimitDescription, KTheoryData, CrossedProductK,
+           CuntzClosedForm, Graph, PosetDiagram]
+
+
+def _fields(value):
+    return tuple(getattr(value, f) for f in type(value)._fields)
+
+
+@pytest.fixture(params=RECORDS, ids=lambda cls: cls.__name__)
+def values(request):
+    return [_build(request.param, random.Random(seed)) for seed in range(6)]
+
+
+class TestValueSemantics:
+    def test_eq_and_hash_follow_the_tuple_of_fields(self, values):
+        for a in values:
+            assert hash(a) == hash(_fields(a))
+            for b in values:
+                assert (a == b) is (_fields(a) == _fields(b))
+                assert (a != b) is (_fields(a) != _fields(b))
+
+    def test_construction_from_the_fields_rebuilds_an_equal_value(self, values):
+        for value in values:
+            cls = type(value)
+            by_keyword = cls(**{f: getattr(value, f) for f in cls._fields})
+            by_position = cls(*_fields(value))
+            for copy in (by_keyword, by_position):
+                assert copy is not value
+                assert copy == value and hash(copy) == hash(value)
+                assert {copy: 1}[value] == 1
+
+    def test_another_class_with_equal_fields_is_unequal(self, values):
+        value = values[0]
+        twin = object.__new__(type("Twin", (type(value),), {}))
+        vars(twin).update(vars(value))
+        assert _fields(twin) == _fields(value)
+        assert value != twin and twin != value
+        assert value.__eq__(twin) is NotImplemented
+        assert value != _fields(value)
+
+    def test_assignment_and_deletion_raise(self, values):
+        value = values[0]
+        before = _fields(value)
+        for name in type(value)._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert _fields(value) == before
+
+    def test_repr_names_every_field(self, values):
+        value = values[0]
+        args = ", ".join(f"{f}={getattr(value, f)!r}" for f in type(value)._fields)
+        assert repr(value) == f"{type(value).__name__}({args})"
+
+    def test_repr_of_a_group(self):
+        assert (repr(FGAbelianGroup(1, (2,)))
+                == "FGAbelianGroup(free_rank=1, invariant_factors=(2,))")
+
+
+class TestDefaults:
+    def test_group_defaults_to_no_torsion(self):
+        assert FGAbelianGroup(3) == FGAbelianGroup(free_rank=3, invariant_factors=())
+        assert FGAbelianGroup(free_rank=0, invariant_factors=[2, 4]).invariant_factors == (2, 4)
+
+    def test_snf_result_defaults_to_no_inverse(self):
+        identity = IntMatrix.identity(2)
+        result = SNFResult(U=identity, S=identity, V=identity)
+        assert result.U_inv is None
+
+    def test_description_defaults_to_none(self):
+        desc = ColimitDescription(tag="unresolved")
+        assert desc == ColimitDescription.unresolved()
+        assert _fields(desc) == ("unresolved",) + (None,) * 7
+
+    def test_closed_form_emits_gcd_by_default(self):
+        form = cuntz_closed_form(7, 2)
+        rebuilt = CuntzClosedForm(n=7, m=2, k=form.k, order_gcd=form.order_gcd,
+                                  order_quotient=form.order_quotient, k0=form.k0,
+                                  k1=form.k1, label=form.label)
+        assert rebuilt.emitted == "gcd" and rebuilt == form
+
+
+class TestValidationMessages:
+    def test_ragged_matrix(self):
+        with pytest.raises(ValueError, match="^ragged matrix rows$"):
+            IntMatrix(2, 2, ((1, 2), (3,)))
+
+    def test_broken_divisibility_chain(self):
+        with pytest.raises(ValueError,
+                           match="^invariant factors must form a divisibility chain$"):
+            FGAbelianGroup(0, (2, 3))
+
+    def test_hom_of_the_wrong_shape(self):
+        with pytest.raises(IncompatibleShapesError,
+                           match=r"^matrix shape 2x1 does not match codomain x domain \(1x1\)$"):
+            GroupHom(Z, Z, IntMatrix.from_rows([[1], [0]]))
+
+    def test_problem_without_an_endomorphism(self):
+        hom = GroupHom.zero(Z, FGAbelianGroup.free(2))
+        with pytest.raises(IncompatibleShapesError,
+                           match="^endomorphism must map the base group to itself$"):
+            DilationProblem(Z, hom)
+
+    def test_negative_tower_level(self):
+        with pytest.raises(ValueError, match="^negative tower level$"):
+            ColimElement(-1, (0,))
+
+    def test_duplicate_vertex(self):
+        with pytest.raises(ValueError, match="^duplicate vertex names$"):
+            Graph.from_adjacency(["a", "a"], [[1, 0], [0, 1]])
+
+    def test_poset_cycle(self):
+        with pytest.raises(ValueError, match="^cover relation contains a cycle$"):
+            PosetDiagram(("a", "b"), (("a", "b"), ("b", "a")))
+
+
+def test_stored_diagonal_leaves_eq_and_hash_alone():
+    p, p_inv = random_unimodular(random.Random(5), 3)
+    matrix = conjugate(p, [[2, 0, 0], [0, 3, 0], [0, 0, 5]], p_inv)
+    desc = ColimitDescription.localized(matrix)
+    twin = ColimitDescription.localized(matrix)
+    before = hash(desc)
+    assert desc.localized_diagonal() == (2, 3, 5)
+    assert "_diagonal" in vars(desc) and "_diagonal" not in vars(twin)
+    assert desc == twin and hash(desc) == hash(twin) == before
+
+
+def test_poset_construction_calls_post_init_by_name(monkeypatch):
+    calls = []
+    original = PosetDiagram.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(PosetDiagram, "__post_init__", counted)
+    diagram = PosetDiagram(["a", 1], [("a", 1)])
+    assert calls == [diagram]
+    assert diagram.elements == ("a", "1") and diagram.covers == (("a", "1"),)
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # Without site, the interpreter starts with few modules, so whatever
+    # importing the CLI pulls in beyond its standard-library imports shows
+    # up here.
+    code = ("import sys, argparse, json, re, pathlib; before = set(sys.modules); "
+            "import kdilate.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & (set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
