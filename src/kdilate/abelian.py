@@ -499,42 +499,6 @@ def lattice_contains(generator_rows: IntMatrix, vector) -> bool:
     return solve_integer_system(generator_rows.transpose(), vector) is not None
 
 
-class _Lattice:
-    """Sublattice of Z^n spanned by a finite generating set of columns.
-
-    Provides a basis and exact coordinate solving, both read off from one
-    Smith normal form of the generator matrix.
-    """
-
-    def __init__(self, dimension: int, generators: list[tuple[int, ...]]):
-        self.dimension = dimension
-        gens = IntMatrix.from_rows([list(g) for g in zip(*generators)] if generators else [],
-                                   cols=len(generators)) if generators else \
-            IntMatrix.zeros(dimension, 0)
-        if generators and gens.rows != dimension:
-            raise IncompatibleShapesError("generator length does not match dimension")
-        snf = smith_normal_form(gens, with_inverse=True)
-        self._u = snf.U
-        self._diag = [d for d in snf.diagonal() if d != 0]
-        self.rank = len(self._diag)
-        # basis columns: U^{-1} (s_i e_i) for the nonzero diagonal entries
-        self.basis = snf.U_inv.select_columns(range(self.rank)) @ \
-            IntMatrix.diagonal(self._diag)
-
-    def coordinates(self, vector) -> tuple[int, ...] | None:
-        """Coordinates of a vector in the basis, or None if outside."""
-        w = self._u.apply(vector)
-        coords = []
-        for i in range(self.dimension):
-            if i < self.rank:
-                if w[i] % self._diag[i] != 0:
-                    return None
-                coords.append(w[i] // self._diag[i])
-            elif w[i] != 0:
-                return None
-        return tuple(coords)
-
-
 # ---------------------------------------------------------------------------
 # Finitely generated abelian groups
 # ---------------------------------------------------------------------------
@@ -777,7 +741,11 @@ def compose(f: GroupHom, g: GroupHom) -> GroupHom:
 
 
 def _kernel_lattice_generators(f: GroupHom) -> list[tuple[int, ...]]:
-    """Generators of {x in Z^n : f(x) = 0 in the codomain}, as vectors."""
+    """Generators of {x in Z^n : f(x) = 0 in the codomain}, as vectors.
+
+    Taken from the Smith form's V rather than a Hermite form: these vectors
+    fix the basis in which a tower that does not diagonalize is printed.
+    """
     n = f.domain.num_generators
     combined = f.matrix.hstack(f.codomain.relation_rows().transpose())
     snf = smith_normal_form(combined)
@@ -788,11 +756,34 @@ def _kernel_lattice_generators(f: GroupHom) -> list[tuple[int, ...]]:
 def kernel(f: GroupHom) -> tuple[FGAbelianGroup, GroupHom]:
     """Kernel in canonical form, with its inclusion into the domain.
 
-    Lifts to the free cover: the kernel lattice of the combined system
-    [matrix | codomain relations] is computed by SNF, then reduced modulo
-    the domain relations.
+    Lifts to the free cover.  One row Hermite form T A^T = H of the combined
+    system A = [matrix | codomain relations] gives a basis of ker A: the rows
+    of T against the zero rows of H.  Their domain parts are a basis of the
+    kernel lattice, as the relation columns d_i e_i are independent.  Each
+    domain relation d_j e_j lifts to z = (d_j e_j, -d_j f(e_j)_i / d_i) in
+    ker A, with coordinates z T^{-1} in that basis; the kernel is the
+    quotient of the basis by those coordinate rows.
     """
-    return subgroup_from_lattice(f.domain, _kernel_lattice_generators(f))
+    dom, cod = f.domain, f.codomain
+    n = dom.num_generators
+    size = n + cod.torsion_count
+    rows = _transpose(f.matrix.entries, n) + [list(r) for r in cod.relation_rows().entries]
+    h, t, t_inv = _row_hermite(rows, _identity_rows(size), _identity_rows(size))
+    rank = sum(1 for row in h if any(row))
+    coords = []
+    for j, d in enumerate(dom.invariant_factors):
+        z = [0] * size
+        z[j] = d
+        for i, e in enumerate(cod.invariant_factors):
+            z[n + i] = -d * f.matrix[i, j] // e
+        c = [sum(map(mul, z, col)) for col in t_inv]  # z T^{-1}
+        if any(c[:rank]):
+            raise RuntimeError("domain relation outside the kernel lattice")
+        coords.append(c[rank:])
+    group, _, lift = _quotient_with_maps(size - rank,
+                                         IntMatrix.from_rows(coords, cols=size - rank))
+    basis = IntMatrix.from_rows([row[:n] for row in t[rank:]], cols=n).transpose()
+    return group, GroupHom(group, dom, basis @ lift)
 
 
 def _cokernel_with_maps(f: GroupHom) -> tuple[FGAbelianGroup, GroupHom, IntMatrix]:
@@ -842,23 +833,3 @@ def block_diagonal(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     rows = [list(r) + [0] * b.cols for r in a.entries]
     rows += [[0] * a.cols + list(r) for r in b.entries]
     return IntMatrix.from_rows(rows, cols=a.cols + b.cols)
-
-
-def subgroup_from_lattice(ambient: FGAbelianGroup,
-                          generators: list[tuple[int, ...]]) -> tuple[FGAbelianGroup, GroupHom]:
-    """Subgroup of `ambient` spanned by coordinate vectors, with its inclusion.
-
-    The generated lattice must contain the relation lattice of the ambient
-    group (true for kernels and other saturated-by-construction inputs).
-    """
-    lattice = _Lattice(ambient.num_generators, [tuple(g) for g in generators])
-    rel_rows = []
-    for row in ambient.relation_rows().entries:
-        coords = lattice.coordinates(row)
-        if coords is None:
-            raise ValueError("lattice does not contain the ambient relation lattice")
-        rel_rows.append(list(coords))
-    group, _, lift = _quotient_with_maps(lattice.rank,
-                                         IntMatrix.from_rows(rel_rows, cols=lattice.rank))
-    inclusion = GroupHom(group, ambient, lattice.basis @ lift)
-    return group, inclusion

@@ -18,7 +18,6 @@ import json
 import re
 import sys
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 from .abelian import (
     FGAbelianGroup,
@@ -112,7 +111,8 @@ def _as_matrix(value, where: str, cols: int | None = None,
 
 def _load_document(path: str, expected_kind: str) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:

@@ -692,14 +692,15 @@ def ker_coker_one_minus(problem: DilationProblem,
 
     Filtered colimits are exact, so ker(1 - fbar) = colim(ker(1 - f), f) and
     coker(1 - fbar) = colim(coker(1 - f), induced f); f fixes ker(1 - f)
-    pointwise, so the kernel tower is constant.
+    pointwise, so the kernel tower is constant and its colimit is the
+    kernel itself, with the identity action.
     """
     from .abelian import _cokernel_with_maps
 
     base, f = problem.base, problem.endo
     one_minus = GroupHom.identity(base) - f
     ker_group, _ = kernel(one_minus)
-    ker_desc = classify_colimit(DilationProblem(ker_group, GroupHom.identity(ker_group)), cap)
+    ker_desc = ColimitDescription.finite(ker_group)
 
     cok_group, projection, lift = _cokernel_with_maps(one_minus)
     cok_endo = GroupHom(cok_group, cok_group, projection.matrix @ f.matrix @ lift)

@@ -459,9 +459,12 @@ def crossed_subquotient_k(graph: Graph, zset: Iterable[str], yset: Iterable[str]
     """K-groups of the crossed product of a subquotient by an endomorphism
     acting as the identity on K-theory.
 
-    K1 of a subquotient is free (a kernel inside Z^X), so the six-term
-    extensions split and the result is (K0 + K1, K0 + K1); for loop-rich
-    graphs K1 vanishes and this collapses to (K0, K0)."""
+    K1 of a subquotient is free (a kernel inside Z^X), so the extension
+    0 -> K0 -> ? -> K1 -> 0 splits and the crossed K0 is K0 + K1.  The
+    extension 0 -> K1 -> ? -> K0 -> 0 splits only when K0 is free or K1
+    vanishes; when K0 has torsion and K1 does not vanish, the crossed K1 is
+    left an unresolved extension.  For loop-rich graphs K1 vanishes and the
+    result is (K0, K0)."""
     k0, k1 = subquotient_k(graph, zset, yset)
     result = pv_crossed_product(KTheoryData.with_identity_maps(k0, k1))
     return result.k0_description(), result.k1_description()

@@ -5,17 +5,24 @@ is recovered from torsion-element counts, Smith diagonals from gcds of
 minors, vertex-set families from exhaustive subset scans, poset covers
 from their definition, characteristic polynomials by Faddeev-LeVerrier,
 and JSON text from the standard library's encoder.  That keeps the
-dual-route checks honest.  The one exception is `divisor_search_diagonal`,
-the colimit layer's earlier integer-eigenvalue search, kept as the
-reference for its replacement: it takes eigenlattices from the Smith
-form's V, a route the replacement no longer uses.
+dual-route checks honest.  Two exceptions are earlier package routes, each
+kept as the reference for its replacement through a route the replacement
+no longer uses: `divisor_search_diagonal`, the colimit layer's
+integer-eigenvalue search, takes eigenlattices from the Smith form's V, and
+`kernel_via_smith_lattice` takes a kernel from three Smith forms.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, prod
 
-from kdilate.abelian import FGAbelianGroup, GroupHom, IntMatrix, smith_normal_form
+from kdilate.abelian import (
+    FGAbelianGroup,
+    GroupHom,
+    IntMatrix,
+    _quotient_with_maps,
+    smith_normal_form,
+)
 from kdilate.graphalg import Graph
 
 
@@ -367,6 +374,35 @@ def divisor_search_diagonal(m: IntMatrix) -> tuple[int, ...] | None:
     return tuple(sorted(abs(v) for v in values))
 
 
+def kernel_via_smith_lattice(f: GroupHom) -> tuple[FGAbelianGroup, GroupHom]:
+    """The abelian layer's earlier `kernel`, with its inclusion.
+
+    The kernel lattice is spanned by the domain parts of the kernel columns
+    of V in the Smith form of [matrix | codomain relations]; a second Smith
+    form U L V = S of those generators L gives the basis U^{-1} diag(s) and
+    the coordinates of each domain relation by U; the kernel is the
+    quotient of that basis by those coordinates.
+    """
+    domain, n = f.domain, f.domain.num_generators
+    combined = f.matrix.hstack(f.codomain.relation_rows().transpose())
+    snf = smith_normal_form(combined)
+    gens = [g for g in (snf.V.column(j)[:n] for j in range(snf.rank(), combined.cols))
+            if any(g)]
+    lattice = smith_normal_form(IntMatrix.from_rows(gens, cols=n).transpose(),
+                                with_inverse=True)
+    diag = [d for d in lattice.diagonal() if d]
+    rank = len(diag)
+    basis = lattice.U_inv.select_columns(range(rank)) @ IntMatrix.diagonal(diag)
+    coords = []
+    for row in domain.relation_rows().entries:
+        w = lattice.U.apply(row)
+        if any(w[rank:]) or any(x % d for x, d in zip(w, diag)):
+            raise ValueError("lattice does not contain the domain relation lattice")
+        coords.append([x // d for x, d in zip(w, diag)])
+    group, _, lift = _quotient_with_maps(rank, IntMatrix.from_rows(coords, cols=rank))
+    return group, GroupHom(group, domain, basis @ lift)
+
+
 def _divisors(n: int) -> list[int]:
     out = []
     d = 1
@@ -423,14 +459,25 @@ def random_finite_group(rng, max_order=10_000) -> FGAbelianGroup:
     return FGAbelianGroup.from_orders(orders)
 
 
+def random_group(rng, max_generators=4) -> FGAbelianGroup:
+    """Canonical form of a direct sum of cyclic groups, free ones included."""
+    return FGAbelianGroup.from_orders(
+        rng.choice([0, 0, 2, 3, 4, 6, 8, 9, 12, 25])
+        for _ in range(rng.randint(0, max_generators)))
+
+
 def random_endomorphism(rng, group: FGAbelianGroup) -> GroupHom:
-    """Uniformly random well-defined endomorphism of a finite group: entry
-    (i, j) must be a multiple of d_i / gcd(d_i, d_j)."""
-    orders = group.generator_orders()
-    n = group.num_generators
-    rows = [[(rng.randrange(orders[i]) * (orders[i] // gcd(orders[i], orders[j])))
-             % orders[i] for j in range(n)] for i in range(n)]
-    return GroupHom(group, group, IntMatrix.from_rows(rows, cols=n))
+    return random_hom(rng, group, group)
+
+
+def random_hom(rng, domain: FGAbelianGroup, codomain: FGAbelianGroup) -> GroupHom:
+    """Random well-defined homomorphism, uniform on finite groups: entry
+    (i, j) must be a multiple of d_i / gcd(d_i, d_j) for a finite codomain
+    order d_i, and zero for an infinite d_i and a finite d_j."""
+    cod, dom = codomain.generator_orders(), domain.generator_orders()
+    rows = [[(rng.randrange(di) * (di // gcd(di, dj))) % di if di
+             else 0 if dj else rng.randint(-4, 4) for dj in dom] for di in cod]
+    return GroupHom(domain, codomain, IntMatrix.from_rows(rows, cols=len(dom)))
 
 
 def random_graph(rng, max_vertices=8, loops_everywhere=False) -> Graph:

@@ -24,8 +24,11 @@ from kdilate.abelian import (
     unimodular_inverse,
 )
 from oracles import (
+    kernel_via_smith_lattice,
     random_endomorphism,
     random_finite_group,
+    random_group,
+    random_hom,
     rank_over_q,
     smith_diagonal_by_divisors,
 )
@@ -404,6 +407,29 @@ class TestKernelCokernel:
             cok_group, projection = cokernel(f)
             for j in range(group.num_generators):
                 assert element_is_zero(cok_group, projection.apply(f.matrix.column(j)))
+
+    def test_kernel_matches_the_smith_lattice_route(self):
+        rng = random.Random(10)
+        compared = 0
+        while compared < 500:
+            domain, codomain = random_group(rng), random_group(rng)
+            if domain == codomain:
+                continue
+            f = random_hom(rng, domain, codomain)
+            group, inclusion = kernel(f)
+            assert group == kernel_via_smith_lattice(f)[0]
+            assert (f @ inclusion).matrix.is_zero()
+            assert kernel(inclusion)[0].is_trivial
+            compared += 1
+
+    def test_kernel_rejects_a_map_that_is_not_well_defined(self):
+        # 1 on Z/2 -> Z sends the relation 2*g0 to 2, outside the kernel lattice
+        f = object.__new__(GroupHom)
+        for name, value in (("domain", FGAbelianGroup.cyclic(2)), ("codomain", Z),
+                            ("matrix", IntMatrix.identity(1))):
+            object.__setattr__(f, name, value)
+        with pytest.raises(RuntimeError, match="outside the kernel lattice"):
+            kernel(f)
 
     def test_kernel_and_cokernel_orders_match_on_finite_groups(self):
         rng = random.Random(6)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from kdilate import cli, colimit
+from kdilate import abelian, cli, colimit
 from kdilate.abelian import GroupHom, IntMatrix, _quotient_with_maps
 from kdilate.cli import main, render_json
 from oracles import conjugate, json_safe, random_payload, random_unimodular
@@ -52,6 +52,21 @@ class TestCuntzCommand:
         assert code == 0
         assert "K0 = 0, K1 = 0, label = O_2 x O_2" in out
         assert "torsion order = 1 (gcd form; quotient form 3 recorded)" in out
+
+    def test_o2_by_o2_takes_at_most_13_smith_forms(self, capsys, monkeypatch):
+        snf = abelian.smith_normal_form
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return snf(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("kdilate") and getattr(module, "smith_normal_form", None) is snf:
+                monkeypatch.setattr(module, "smith_normal_form", counted)
+        code, out, _ = run(capsys, "cuntz", "7", "2")
+        assert code == 0 and "label = O_2 x O_2" in out
+        assert len(calls) <= 13
 
     def test_file_input(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "cuntz", "--input",
@@ -277,6 +292,23 @@ class TestGraphCommands:
         assert code == 0
         assert "K0 = Z/15" in out and "K1 = Z/15" in out
 
+    def test_graph_crossed_k_with_torsion_k0_leaves_k1_unresolved(self, capsys, tmp_path):
+        # K0 = Z/2 + Z and K1 = Z: 0 -> K1 -> ? -> K0 -> 0 has a torsion quotient
+        path = tmp_path / "loops.json"
+        path.write_text(json.dumps({"kind": "graph", "vertices": ["a", "b"],
+                                    "adjacency": [[3, 0], [0, 1]]}))
+        code, out, _ = run(capsys, "graph-crossed-k", "--input", str(path), "a,b")
+        assert code == 3
+        assert out.splitlines() == [
+            "K0 = Z/2 + Z^2",
+            "K1 = extension 0 -> Z -> ? -> Z/2 + Z -> 0 (unresolved)",
+            "status = unresolved"]
+        code, out, _ = run(capsys, "graph-crossed-k", "--format", "json",
+                           "--input", str(path), "a,b")
+        payload = json.loads(out)
+        assert code == 3 and payload["status"] == "unresolved"
+        assert payload["k1"]["tag"] == "extension" and payload["k1"]["resolved"] is False
+
     def test_bad_subquotient_is_an_input_error(self, capsys, fixtures_dir):
         code, _, err = run(capsys, "graph-k", "--input", str(fixtures_dir / "E.json"),
                            "v2")
@@ -290,6 +322,12 @@ class TestInputHandling:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "colim", "--input", "nope/missing.json")
         assert code == 2 and "cannot read" in err
+
+    def test_missing_file_diagnostic_echoes_the_path_as_given(self, capsys):
+        code, _, err = run(capsys, "colim", "--input", "nope//missing.json")
+        assert code == 2
+        assert err == ("error: cannot read nope//missing.json: [Errno 2] "
+                       "No such file or directory: 'nope//missing.json'\n")
 
     def test_malformed_json_reports_line_and_column(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -27,6 +27,7 @@ from oracles import (
     divisor_search_diagonal,
     random_endomorphism,
     random_finite_group,
+    random_group,
     random_unimodular,
 )
 
@@ -213,6 +214,28 @@ class TestKerCokerOneMinus:
             assert cok_desc.fg_part.invariant_factors == expected_cok
             # equal orders on a finite base
             assert ker_desc.fg_part.order() == cok_desc.fg_part.order()
+
+    def test_one_classification_for_the_cokernel_end_only(self, monkeypatch):
+        classified = []
+        classify = colimit.classify_colimit
+        monkeypatch.setattr(colimit, "classify_colimit",
+                            lambda problem, cap: classified.append(problem) or
+                            classify(problem, cap))
+        base = FGAbelianGroup.from_orders([2, 0, 0])
+        endo = GroupHom(base, base, IntMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 2]]))
+        ker_desc, _ = ker_coker_one_minus(DilationProblem(base, endo))
+        assert len(classified) == 1
+        assert ker_desc == ColimitDescription.finite(FGAbelianGroup.from_orders([2, 0]))
+
+    def test_kernel_end_is_the_classified_constant_tower(self):
+        # f fixes ker(1 - f) pointwise, so classifying its tower changes nothing
+        rng = random.Random(22)
+        for _ in range(60):
+            base = random_group(rng)
+            ker_desc, _ = ker_coker_one_minus(
+                DilationProblem(base, random_endomorphism(rng, base)))
+            ker = ker_desc.fg_part
+            assert ker_desc == classify_colimit(DilationProblem(ker, GroupHom.identity(ker)))
 
     def test_kernel_and_cokernel_orders_agree_when_finite(self):
         for k in range(2, 40):

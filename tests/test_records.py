@@ -218,9 +218,10 @@ def test_cli_import_loads_no_introspection_modules():
     # Without site, the interpreter starts with few modules, so whatever
     # importing the CLI pulls in beyond its standard-library imports shows
     # up here.
-    code = ("import sys, argparse, json, re, pathlib; before = set(sys.modules); "
+    code = ("import sys, argparse, json, re; before = set(sys.modules); "
             "import kdilate.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'typing'} & (set(sys.modules) - before)))")
+            "print(sorted({'dataclasses', 'inspect', 'pathlib', 'typing'}"
+            " & (set(sys.modules) - before)))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
