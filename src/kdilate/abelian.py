@@ -624,10 +624,15 @@ def _quotient_with_maps(num_generators: int,
 
     Returns (group, projection, lift): projection maps old coordinates to
     canonical ones, lift picks a representative for each canonical generator,
-    and projection @ lift is the identity on canonical coordinates.
+    and projection @ lift is the identity on canonical coordinates.  With no
+    relations the group is free and both maps are the identity, taken
+    without a Smith form.
     """
     if relation_rows.cols != num_generators:
         raise IncompatibleShapesError("relations must have one column per generator")
+    if not relation_rows.rows:
+        identity = IntMatrix.identity(num_generators)
+        return FGAbelianGroup.free(num_generators), identity, identity
     snf = smith_normal_form(relation_rows.transpose(), with_inverse=True)
     diag = snf.diagonal()
     rank = sum(1 for d in diag if d != 0)

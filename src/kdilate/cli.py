@@ -151,6 +151,8 @@ def _load_presentation(doc: dict, where: str,
 def _endo_on_presentation(generators: int, relations: IntMatrix, endo: IntMatrix,
                           where: str) -> DilationProblem:
     group, projection, lift = _quotient_with_maps(generators, relations)
+    if not relations.rows:  # a free group, with identity maps
+        return DilationProblem(group, GroupHom(group, group, endo))
     induced = projection @ endo
     # endo preserves the relation lattice exactly when it sends every
     # relation to zero in the quotient group

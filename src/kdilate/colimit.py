@@ -122,7 +122,7 @@ class ColimitDescription(_Record):
     def localized(cls, matrix: IntMatrix) -> "ColimitDescription":
         if not matrix.is_square():
             raise IncompatibleShapesError("localized tower needs a square matrix")
-        if matrix.determinant() == 0:
+        if _charpoly_of(matrix)[0] == 0:  # f(0) = det(-M)
             raise ValueError("localized tower needs an injective matrix")
         return cls(tag=TAG_LOCALIZED, loc_rank=matrix.rows, loc_matrix=matrix)
 
@@ -273,12 +273,22 @@ def _similarity_diagonal(m: IntMatrix) -> tuple[int, ...] | None:
 
     M is diagonalizable over Z exactly when its characteristic polynomial f
     splits over Z and the saturated eigenlattices sum to the full lattice,
-    i.e. the assembled eigenbasis is unimodular.  f is taken exactly from
-    a Hessenberg form modulo Mersenne primes (`_charpoly`); its integer
-    roots are those of its square-free part, found by Hensel lifting
-    (`_integer_roots`), and their multiplicities by division of f.  When
-    the multiplicities sum to less than n, f does not split and no kernel
-    is computed; otherwise one kernel is taken per distinct root.
+    i.e. the assembled eigenbasis is unimodular.  f is the polynomial kept
+    with the matrix (`_charpoly_of`); its integer roots are those of its
+    square-free part, found by Hensel lifting (`_integer_roots`), and their
+    multiplicities by division of f.  When the multiplicities sum to less
+    than n, f does not split and no eigenvector is computed.
+
+    Over Q, M is then diagonalizable exactly when the product of M - mu I
+    over its distinct roots mu is zero.  So for a simple root lam, the
+    vector v = prod_{mu != lam} (M - mu I) x either has (M - lam I) v = 0,
+    and v divided by its content spans the saturated eigenlattice, or M is
+    not diagonalizable and the answer is None.  `_projections` takes these
+    products for all roots at once from x = (1, 2, ..., n).  (v is zero when
+    x is orthogonal to the row of P^-1 for lam; the all-ones x is, for two
+    roots of the average planted-shear Z^34 tower.)  A repeated root, and a
+    simple root whose v is zero, takes its eigenlattice from one
+    Hermite-form kernel.
     Multipliers are returned as absolute values, sorted (the tower only
     depends on |m|).  Singular matrices give None.
     """
@@ -287,7 +297,7 @@ def _similarity_diagonal(m: IntMatrix) -> tuple[int, ...] | None:
         return ()
     if all(m[i, j] == 0 for i in range(n) for j in range(n) if i != j):
         return tuple(sorted(abs(m[i, i]) for i in range(n)))
-    f = _charpoly(m)
+    f = _charpoly_of(m)
     if f[0] == 0:
         return None
     multiplicities = {}
@@ -300,8 +310,17 @@ def _similarity_diagonal(m: IntMatrix) -> tuple[int, ...] | None:
         multiplicities[root] = k
     if sum(multiplicities.values()) < n:
         return None
+    simple = {lam for lam, k in multiplicities.items() if k == 1}
+    projected = _projections(m.entries, list(multiplicities), simple, range(1, n + 1))
     columns: list[tuple[int, ...]] = []
     for lam, k in multiplicities.items():
+        v = projected.get(lam)
+        if v is not None and any(v):
+            if any(sum(map(mul, row, v)) != lam * x for row, x in zip(m.entries, v)):
+                return None
+            content = gcd(*v)
+            columns.append(tuple(x // content for x in v))
+            continue
         shifted = tuple(row[:i] + (row[i] - lam,) + row[i + 1:]
                         for i, row in enumerate(m.entries))
         eig = integer_kernel_basis(IntMatrix(n, n, shifted))
@@ -312,6 +331,36 @@ def _similarity_diagonal(m: IntMatrix) -> tuple[int, ...] | None:
     if abs(basis.determinant()) != 1:
         return None
     return tuple(sorted(abs(lam) for lam, k in multiplicities.items() for _ in range(k)))
+
+
+def _projections(rows, roots: list[int], wanted: set[int], x) -> dict[int, list[int]]:
+    """prod_{mu != lam} (M - mu I) x over the roots mu, for each lam in
+    `wanted`, where `rows` are the rows of M.
+
+    The root list is halved, and each half is entered with x already
+    multiplied by the other half's factors, so r roots take about
+    r log2(r) matrix-vector products instead of r (r - 1).  Halves with no
+    wanted root are skipped.
+    """
+    out: dict[int, list[int]] = {}
+
+    def times(mus: list[int], y: list[int]) -> list[int]:  # prod (M - mu I) y
+        for mu in mus:
+            y = [sum(map(mul, row, y)) - mu * c for row, c in zip(rows, y)]
+        return y
+
+    def descend(part: list[int], y: list[int]) -> None:
+        if wanted.isdisjoint(part):
+            return
+        if len(part) == 1:
+            out[part[0]] = y
+            return
+        half = len(part) // 2
+        descend(part[:half], times(part[half:], y))
+        descend(part[half:], times(part[:half], y))
+
+    descend(roots, list(x))
+    return out
 
 
 # Polynomials are coefficient lists, constant term first.
@@ -359,6 +408,15 @@ def _charpoly(m: IntMatrix) -> list[int]:
         if modulus > 2 * bound:
             return [_symmetric(c, modulus) for c in coeffs]
     raise ValueError("characteristic polynomial too large for the CRT moduli")
+
+
+def _charpoly_of(m: IntMatrix) -> list[int]:
+    """`_charpoly(m)`, computed once per matrix and kept on it (its fields
+    stay frozen), so that a tower's injectivity test, |det M| and the
+    eigen-search share one polynomial.  Callers must not change the list."""
+    if "_charpoly" not in m.__dict__:
+        object.__setattr__(m, "_charpoly", _charpoly(m))
+    return m.__dict__["_charpoly"]
 
 
 def _charpoly_mod(entries, p: int) -> list[int]:
@@ -577,9 +635,13 @@ def direct_sum_descriptions(a: ColimitDescription, b: ColimitDescription) -> Col
 def _stable_kernel_generators(problem: DilationProblem,
                               cap: int) -> tuple[int, list[tuple[int, ...]], GroupHom]:
     """Least t with ker(f^t) = ker(f^{t+1}), generators of that kernel
-    lattice, and the power f^t itself."""
+    lattice, and the power f^t itself.  On a free base, f(0) != 0 for the
+    characteristic polynomial f of the matrix means f is injective, so
+    t = 0 with no kernel taken."""
     base, f = problem.base, problem.endo
     power = GroupHom.identity(base)
+    if base.is_free and _charpoly_of(f.matrix)[0]:
+        return 0, [], power
     for t in range(cap + 1):
         nxt = f @ power
         gens = _kernel_lattice_generators(nxt)
@@ -602,6 +664,8 @@ def _injective_quotient(problem: DilationProblem,
     """Quotient by the eventual kernel, with the induced injective map."""
     base = problem.base
     _, gens, _ = _stable_kernel_generators(problem, cap)
+    if not gens and base.is_free:  # nothing to quotient by
+        return base, problem.endo
     rows = base.relation_rows().vstack(
         IntMatrix.from_rows([list(g) for g in gens], cols=base.num_generators))
     quotient, projection, lift = _quotient_with_maps(base.num_generators, rows)
@@ -643,9 +707,10 @@ def _equivariant_complement_exists(group: FGAbelianGroup, torsion_map: IntMatrix
 
 def _free_colimit(free_map: IntMatrix) -> ColimitDescription:
     """colim(Z^r, M) for an injective M: Z^r itself when |det M| = 1, else
-    the localized tower.  One determinant decides both, so the tower skips
-    the injectivity check of `ColimitDescription.localized`."""
-    det = free_map.determinant()
+    the localized tower.  |det M| = |f(0)| for the characteristic
+    polynomial f kept with the matrix, which also decides injectivity, so
+    the tower skips the check of `ColimitDescription.localized`."""
+    det = _charpoly_of(free_map)[0]
     if det == 0:
         raise ValueError("localized tower needs an injective matrix")
     if abs(det) == 1:

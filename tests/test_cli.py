@@ -36,6 +36,22 @@ def canonical(text: str) -> str:
     return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
+def smith_form_inputs(monkeypatch) -> list:
+    """The matrices of every Smith form taken from now on, counted in every
+    kdilate namespace that binds the function."""
+    snf = abelian.smith_normal_form
+    inputs = []
+
+    def counted(m, *args, **kwargs):
+        inputs.append(m)
+        return snf(m, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kdilate") and getattr(module, "smith_normal_form", None) is snf:
+            monkeypatch.setattr(module, "smith_normal_form", counted)
+    return inputs
+
+
 class TestCuntzCommand:
     def test_text_line_for_o4(self, capsys):
         code, out, _ = run(capsys, "cuntz", "inf", "4")
@@ -54,19 +70,17 @@ class TestCuntzCommand:
         assert "torsion order = 1 (gcd form; quotient form 3 recorded)" in out
 
     def test_o2_by_o2_takes_at_most_13_smith_forms(self, capsys, monkeypatch):
-        snf = abelian.smith_normal_form
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return snf(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("kdilate") and getattr(module, "smith_normal_form", None) is snf:
-                monkeypatch.setattr(module, "smith_normal_form", counted)
+        calls = smith_form_inputs(monkeypatch)
         code, out, _ = run(capsys, "cuntz", "7", "2")
         assert code == 0 and "label = O_2 x O_2" in out
         assert len(calls) <= 13
+
+    def test_o2_by_o2_takes_no_smith_form_of_an_empty_matrix(self, capsys, monkeypatch):
+        # its trivial groups are quotients by no relations
+        calls = smith_form_inputs(monkeypatch)
+        code, out, _ = run(capsys, "cuntz", "7", "2")
+        assert code == 0 and "label = O_2 x O_2" in out
+        assert calls and all(m.rows and m.cols for m in calls)
 
     def test_file_input(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "cuntz", "--input",
@@ -182,6 +196,20 @@ class TestColimKercokerCommands:
         assert code == 0
         assert json.loads(out)["colimit"]["localizers"] == [2, 3]
         assert len(searched) == 1
+
+    def test_free_tower_takes_no_smith_form_and_one_polynomial(self, capsys, tmp_path,
+                                                                monkeypatch):
+        calls = smith_form_inputs(monkeypatch)
+        computed = []
+        charpoly = colimit._charpoly
+        monkeypatch.setattr(colimit, "_charpoly", lambda m: computed.append(m) or charpoly(m))
+        doc = tmp_path / "tower.json"  # similar over Z to diag(2, 3, -1)
+        doc.write_text(json.dumps({"kind": "group_endo", "generators": 3, "relations": [],
+                                   "endo": [[2, -1, 0], [0, 3, 0], [0, 4, -1]]}))
+        code, out, _ = run(capsys, "colim", "--format", "json", "--input", str(doc))
+        assert code == 0
+        assert json.loads(out)["colimit"]["localizers"] == [1, 2, 3]
+        assert calls == [] and len(computed) == 1
 
     def test_large_multiplier_tower_prints_its_localizers(self, capsys, tmp_path):
         # |det| = 3 * (2^61 - 1) is past any divisor search: the multipliers
