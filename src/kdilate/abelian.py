@@ -96,6 +96,16 @@ class IntMatrix(_Record):
         return cls(len(rows), cols, tuple(rows))
 
     @classmethod
+    def _of_checked_rows(cls, cols: int, entries: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """The matrix of rows the caller has already checked: tuples of
+        exactly cols ints each, no bools among them."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "rows", len(entries))
+        object.__setattr__(matrix, "cols", cols)
+        object.__setattr__(matrix, "entries", entries)
+        return matrix
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 

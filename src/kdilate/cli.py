@@ -40,7 +40,7 @@ from .colimit import (
 from .graphalg import (
     Graph,
     condition_k_failures,
-    enumerate_hereditary_saturated,
+    hereditary_saturated_masks,
     ideal_lattice_hasse,
     prim_poset,
     subquotient_k,
@@ -83,18 +83,37 @@ def _as_count(value, where: str) -> int:
     return n
 
 
-def _as_row(row: list, where: str) -> list:
+def _is_plain_row(row) -> bool:
     # a row of JSON numbers within range needs no per-entry check
-    if (set(map(type, row)) == {int}
-            and -_MAX_JSON_INT <= min(row) and max(row) <= _MAX_JSON_INT):
+    return (set(map(type, row)) == _INT
+            and -_MAX_JSON_INT <= min(row) and max(row) <= _MAX_JSON_INT)
+
+
+def _as_row(row, where: str):
+    if _is_plain_row(row):
         return row
     return [_as_int(x, f"{where}[{j}]") for j, x in enumerate(row)]
 
 
 def _as_matrix(value, where: str, cols: int | None = None,
                rows: int | None = None) -> IntMatrix:
+    """The matrix of a decoded JSON list of rows.  Each row is replaced in
+    value by its tuple as it is read, so the decoded lists do not stay
+    alive beside the matrix."""
     if not isinstance(value, list) or any(not isinstance(r, list) for r in value):
         raise InputError(f"{where}: expected a list of rows")
+    width = len(value[0]) if value and cols is None else cols
+    if width is not None and (rows is None or len(value) == rows):
+        # while every row is plain and of the one width, each row is
+        # checked once and becomes its tuple
+        for i, row in enumerate(value):
+            if len(row) != width or not _is_plain_row(row):
+                break
+            value[i] = tuple(row)
+        else:
+            return IntMatrix._of_checked_rows(width, tuple(value))
+    # otherwise entry by entry from row 0: a bad entry anywhere is reported
+    # before a ragged row, a wrong width or a wrong row count
     parsed = [_as_row(row, f"{where}[{i}]") for i, row in enumerate(value)]
     widths = {len(r) for r in parsed}
     if len(widths) > 1:
@@ -390,11 +409,10 @@ def _cmd_cuntz(args):
 
 def _cmd_graph_hs(args):
     graph = _load_graph(args.input)
-    subsets = [[v for v in graph.vertices if v in s]
-               for s in enumerate_hereditary_saturated(graph)]
+    subsets = [graph.names_of(mask) for mask in hereditary_saturated_masks(graph)]
     payload = {"subsets": subsets, "status": "ok"}
-    # the names of each set are already in vertex order
-    return payload, ["{" + ",".join(names) + "}" for names in subsets], None
+    # text lines only if --format text reads them
+    return payload, ("{" + ",".join(names) + "}" for names in subsets), None
 
 
 def _with_condition_k(graph: Graph, result: tuple[dict, list[str], str]):

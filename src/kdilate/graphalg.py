@@ -25,10 +25,14 @@ here describe the gauge-invariant ideals only.
 The family of hereditary saturated sets and the covers of its lattice come
 from one join search.  Starting from the empty set, it joins each set
 found with the closure of every vertex outside it.  A union of hereditary
-sets is hereditary, so saturation alone closes the join.  The search
-reaches every set, since each is the join of the closures of its
-vertices, and the sets covering a set are the minimal ones among its
-joins.
+sets is hereditary, so saturation alone closes the join; saturation adds
+only vertices without a loop, so it runs only when the graph has some.
+The search reaches every set, since each is the join of the closures of
+its vertices, and the sets covering a set are the minimal ones among its
+joins.  It yields each set with its joins: the lattice keeps the pairs,
+while the family alone (`hereditary_saturated_masks`, which `graph-hs`
+prints from) keeps only the sets, as bitmasks until their names are
+printed.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from .colimit import ColimitDescription
 from .kcrossed import KTheoryData, pv_crossed_product
 
 VertexSet = frozenset
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 class Graph(_Record):
@@ -63,12 +68,17 @@ class Graph(_Record):
             raise ValueError("duplicate vertex names")
         if (adjacency.rows, adjacency.cols) != (n, n):
             raise ValueError("adjacency matrix shape does not match the vertex list")
-        for i, name in enumerate(vertices):
-            row = adjacency.row(i)
+        bits = [1 << j for j in range(n)]
+        out = []  # out-neighbour bitmask of each vertex
+        for name, row in zip(vertices, adjacency.entries):
             if min(row) < 0:
                 raise ValueError(f"negative edge multiplicity at vertex {name}")
-            if not any(row):
+            # multiplicities are nonnegative, so the nonzero ones are the edges
+            mask = sum(compress(bits, row))
+            if not mask:
                 raise ValueError(f"vertex {name} emits no edges (sinks are not supported)")
+            out.append(mask)
+        object.__setattr__(self, "_out_masks", tuple(out))
 
     @classmethod
     def from_adjacency(cls, vertices: Iterable[str], rows) -> "Graph":
@@ -78,12 +88,6 @@ class Graph(_Record):
     @cached_property
     def _index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
-    def _out_masks(self) -> tuple[int, ...]:
-        bits = [1 << j for j in range(len(self.vertices))]
-        # multiplicities are nonnegative, so the nonzero ones are the edges
-        return tuple(sum(compress(bits, row)) for row in self.adjacency.entries)
 
     @cached_property
     def _unlooped(self) -> tuple[tuple[int, int], ...]:
@@ -107,11 +111,24 @@ class Graph(_Record):
             mask |= 1 << i
         return mask
 
+    def names_of(self, mask: int) -> list[str]:
+        """Names of the vertices in a mask (bit i for vertex i), in vertex
+        order.
+
+        >>> graph = Graph.from_adjacency(["a", "b", "c"], [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+        >>> graph.names_of(0b101)
+        ['a', 'c']
+        >>> graph.names_of(0)
+        []
+        """
+        # the bit string read from bit 0, as bytes 0 and 1
+        return list(compress(self.vertices, bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
+
     def set_of(self, mask: int) -> VertexSet:
-        return frozenset(self.vertices[i] for i in _bits(mask))
+        return frozenset(self.names_of(mask))
 
     def format_mask(self, mask: int) -> str:
-        return "{" + ",".join(self.vertices[i] for i in _bits(mask)) + "}"
+        return "{" + ",".join(self.names_of(mask)) + "}"
 
     def format_set(self, subset: Iterable[str]) -> str:
         return self.format_mask(self.mask_of(subset))
@@ -140,7 +157,7 @@ def _closure_mask(graph: Graph, mask: int) -> int:
         todo |= new
     # a vertex added by saturation emits edges only into the set, so the
     # set stays hereditary and one saturation round finishes the closure
-    return _saturate(graph, mask)
+    return _saturate(graph, mask) if graph._unlooped else mask
 
 
 def hereditary_saturated_closure(graph: Graph, subset: Iterable[str]) -> VertexSet:
@@ -215,28 +232,34 @@ def _family_sort_key(mask: int):
     return (mask.bit_count(), bin(mask)[:1:-1].translate(_FLIP))
 
 
-def _joins(graph: Graph) -> dict[int, set[int]]:
-    """Every hereditary and saturated set (as a mask), mapped to its joins
-    with the vertex closures it does not already contain (see the module
-    docstring)."""
+def _join_search(graph: Graph):
+    """Yield every hereditary and saturated set (as a mask) with the set of
+    its joins with the vertex closures it does not already contain (see
+    the module docstring)."""
     atoms = {_closure_mask(graph, 1 << v) for v in range(len(graph.vertices))}
-    joins: dict[int, set[int]] = {}
     seen = {0}
     frontier = [0]
     while frontier:
         current = frontier.pop()
-        above = {_saturate(graph, current | atom) for atom in atoms if atom & ~current}
-        joins[current] = above
+        above = {current | atom for atom in atoms if atom & ~current}
+        if graph._unlooped:  # saturation adds only vertices without a loop
+            above = {_saturate(graph, joined) for joined in above}
+        yield current, above
         for joined in above:
             if joined not in seen:
                 seen.add(joined)
                 frontier.append(joined)
-    return joins
+
+
+def hereditary_saturated_masks(graph: Graph) -> list[int]:
+    """All hereditary and saturated subsets as vertex masks (bit i for
+    vertex i), sorted by size then vertex order."""
+    return sorted((mask for mask, _ in _join_search(graph)), key=_family_sort_key)
 
 
 def enumerate_hereditary_saturated(graph: Graph) -> list[VertexSet]:
     """All hereditary and saturated subsets, sorted by size then vertex order."""
-    return [graph.set_of(m) for m in sorted(_joins(graph), key=_family_sort_key)]
+    return [graph.set_of(m) for m in hereditary_saturated_masks(graph)]
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +353,7 @@ def ideal_lattice_hasse(graph: Graph) -> PosetDiagram:
     The sets covering a are the minimal ones among its joins: a cover b
     is the join of a with the closure of any vertex of b outside a, and
     nothing lies strictly between a and a minimal join."""
-    joins = _joins(graph)
+    joins = dict(_join_search(graph))
     family = sorted(joins, key=_family_sort_key)
     label = {m: graph.format_mask(m) for m in family}
     covers = [(label[a], label[b]) for a in family for b in joins[a]

@@ -7,7 +7,16 @@ import pytest
 from kdilate import abelian, cli, colimit
 from kdilate.abelian import GroupHom, IntMatrix, _quotient_with_maps
 from kdilate.cli import main, render_json
-from oracles import conjugate, json_safe, random_payload, random_unimodular
+from kdilate.graphalg import Graph
+from oracles import (
+    brute_hereditary_saturated,
+    conjugate,
+    covers_by_definition,
+    json_safe,
+    random_graph,
+    random_payload,
+    random_unimodular,
+)
 
 E_LATTICE_DOT = """digraph {
   "{v1,v2,v3,v4}";
@@ -291,6 +300,40 @@ class TestGraphCommands:
             assert payload["condition_k"] is False
             assert payload["condition_k_failures"] == ["a", "b"]
 
+    def test_hs_and_lattice_against_brute_force_with_unlooped_vertices(self, capsys,
+                                                                       tmp_path):
+        # the benchmark's graphs have a loop at every vertex; these take the
+        # search through saturation
+        rng = random.Random(43)
+        graphs = []
+        while len(graphs) < 40:
+            graph = random_graph(rng, max_vertices=8)
+            if any(graph.adjacency[v, v] == 0 for v in range(len(graph.vertices))):
+                graphs.append(graph)
+        for n in range(2, 6):  # bare cycles
+            graphs.append(Graph.from_adjacency(
+                [f"c{i}" for i in range(n)],
+                [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]))
+        path = tmp_path / "graph.json"
+        for graph in graphs:
+            path.write_text(json.dumps({"kind": "graph", "vertices": list(graph.vertices),
+                                        "adjacency": graph.adjacency.to_lists()}))
+            index = {v: i for i, v in enumerate(graph.vertices)}
+            family = sorted(brute_hereditary_saturated(graph),
+                            key=lambda s: (len(s), sorted(index[v] for v in s)))
+            names = [[v for v in graph.vertices if v in s] for s in family]
+            code, out, _ = run(capsys, "graph-hs", "--format", "json", "--input", str(path))
+            assert code == 0 and json.loads(out)["subsets"] == names
+            label = {s: "{" + ",".join(n) + "}" for s, n in zip(family, names)}
+            covers = sorted([label[a], label[b]]
+                            for a, b in covers_by_definition(family, lambda a, b: a < b))
+            code, out, _ = run(capsys, "graph-lattice", "--format", "json",
+                               "--input", str(path))
+            payload = json.loads(out)
+            assert code == 0
+            assert payload["elements"] == [label[s] for s in family]
+            assert payload["covers"] == covers
+
     def test_condition_k_holds_on_e(self, capsys, fixtures_dir):
         for command in ("graph-prim", "graph-lattice"):
             code, out, err = run(capsys, command, "--format", "json",
@@ -499,6 +542,37 @@ class TestMatrixDiagnostics:
         # a relation may have negative entries
         path = self.group(tmp_path, [[2, 0, 0], [0, 3, -1]])
         assert run(capsys, "snf", "--input", path)[0] == 0
+
+    def test_bad_entry_in_a_later_row_is_reported_first(self, capsys, tmp_path):
+        path = self.graph(tmp_path, [[1, 0, 0], [0, 1], [0, True, 1]])
+        assert run(capsys, "graph-hs", "--input", path) == (
+            2, "", f"error: {path}: adjacency[2][1]: expected an integer, got a boolean\n")
+        path = self.graph(tmp_path, [[1, 0, 0], [0, 1, 0], [0, 2.5, 1]], vertices=("a", "b"))
+        assert run(capsys, "graph-hs", "--input", path) == (
+            2, "", f"error: {path}: adjacency[2][1]: expected an integer\n")
+        path = self.graph(tmp_path, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, "x", 0]])
+        assert run(capsys, "graph-hs", "--input", path) == (
+            2, "", f"error: {path}: adjacency[3][1]: 'x' is not a decimal integer\n")
+        path = self.group(tmp_path, [[2, 0], [0, 3, 0], [0, "0x1f", 1]])
+        assert run(capsys, "snf", "--input", path) == (
+            2, "", f"error: {path}: relations[2][1]: '0x1f' is not a decimal integer\n")
+
+    def test_out_of_range_entry_is_named_before_a_negative_multiplicity(self, capsys,
+                                                                        tmp_path):
+        message = "integers beyond 2^53 must be decimal strings"
+        path = self.graph(tmp_path, [[1, 0, 0], [0, -1, 0], [0, -(2**53) - 1, 1]])
+        assert run(capsys, "graph-hs", "--input", path) == (
+            2, "", f"error: {path}: adjacency[2][1]: {message}\n")
+        path = self.graph(tmp_path, [[-(2**53) - 1, 1, 0], [0, 1, 0], [0, 0, 1]])
+        assert run(capsys, "graph-prim", "--input", path) == (
+            2, "", f"error: {path}: adjacency[0][0]: {message}\n")
+
+    @pytest.mark.parametrize("bad", [True, 2.5])
+    def test_library_matrices_reject_bools_and_floats(self, bad):
+        with pytest.raises(TypeError):
+            Graph.from_adjacency(["a", "b"], [[1, 0], [bad, 1]])
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([[2, bad]])
 
     def test_decimal_string_in_an_int_row(self, capsys, tmp_path):
         assert (run(capsys, "graph-hs", "--input",

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from kdilate import graphalg
 from kdilate.abelian import FGAbelianGroup, IntMatrix, direct_sum, is_isomorphic
 from kdilate.graphalg import (
     Graph,
@@ -12,6 +13,7 @@ from kdilate.graphalg import (
     crossed_subquotient_k,
     enumerate_hereditary_saturated,
     hereditary_saturated_closure,
+    hereditary_saturated_masks,
     ideal_lattice_hasse,
     prim_poset,
     subquotient_k,
@@ -129,6 +131,28 @@ class TestEnumeration:
         family = enumerate_hereditary_saturated(graph_e)
         sizes = [len(s) for s in family]
         assert sizes == sorted(sizes)
+
+    def test_no_saturation_when_every_vertex_has_a_loop(self, monkeypatch):
+        # saturation adds only vertices without a loop, so the family search
+        # behind graph-hs and graph-lattice never calls it on such graphs
+        calls = []
+        saturate = graphalg._saturate
+
+        def counted(graph, mask):
+            calls.append(mask)
+            return saturate(graph, mask)
+
+        monkeypatch.setattr(graphalg, "_saturate", counted)
+        rng = random.Random(41)
+        for _ in range(10):
+            graph = random_looped_graph(rng, 12, 0.2)
+            hereditary_saturated_masks(graph)
+            ideal_lattice_hasse(graph)
+        assert calls == []
+        # b has a loop and a does not: {b} saturates to {a, b}
+        graph = Graph.from_adjacency(["a", "b"], [[0, 1], [0, 1]])
+        assert enumerate_hereditary_saturated(graph) == [frozenset(), frozenset({"a", "b"})]
+        assert calls
 
 
 class TestIdealLattice:
