@@ -83,14 +83,10 @@ def _as_count(value, where: str) -> int:
     return n
 
 
-def _is_plain_row(row) -> bool:
+def _as_row(row: list, where: str) -> list:
     # a row of JSON numbers within range needs no per-entry check
-    return (set(map(type, row)) == _INT
-            and -_MAX_JSON_INT <= min(row) and max(row) <= _MAX_JSON_INT)
-
-
-def _as_row(row, where: str):
-    if _is_plain_row(row):
+    if (set(map(type, row)) == _INT
+            and -_MAX_JSON_INT <= min(row) and max(row) <= _MAX_JSON_INT):
         return row
     return [_as_int(x, f"{where}[{j}]") for j, x in enumerate(row)]
 
@@ -102,30 +98,21 @@ def _as_matrix(value, where: str, cols: int | None = None,
     alive beside the matrix."""
     if not isinstance(value, list) or any(not isinstance(r, list) for r in value):
         raise InputError(f"{where}: expected a list of rows")
-    width = len(value[0]) if value and cols is None else cols
-    if width is not None and (rows is None or len(value) == rows):
-        # while every row is plain and of the one width, each row is
-        # checked once and becomes its tuple
-        for i, row in enumerate(value):
-            if len(row) != width or not _is_plain_row(row):
-                break
-            value[i] = tuple(row)
-        else:
-            return IntMatrix._of_checked_rows(width, tuple(value))
-    # otherwise entry by entry from row 0: a bad entry anywhere is reported
-    # before a ragged row, a wrong width or a wrong row count
-    parsed = [_as_row(row, f"{where}[{i}]") for i, row in enumerate(value)]
-    widths = {len(r) for r in parsed}
+    # every entry is checked before the shape, so a bad entry anywhere is
+    # reported before a ragged row, a wrong width or a wrong row count
+    for i, row in enumerate(value):
+        value[i] = tuple(_as_row(row, f"{where}[{i}]"))
+    widths = {len(r) for r in value}
     if len(widths) > 1:
         raise InputError(f"{where}: ragged rows")
-    if not parsed and cols is None:
+    if not value and cols is None:
         raise InputError(f"{where}: cannot infer the width of an empty matrix")
-    width = widths.pop() if parsed else cols
+    width = widths.pop() if value else cols
     if cols is not None and width != cols:
         raise InputError(f"{where}: expected {cols} columns, found {width}")
-    if rows is not None and len(parsed) != rows:
-        raise InputError(f"{where}: expected {rows} rows, found {len(parsed)}")
-    return IntMatrix.from_rows(parsed, cols=width)
+    if rows is not None and len(value) != rows:
+        raise InputError(f"{where}: expected {rows} rows, found {len(value)}")
+    return IntMatrix._of_checked_rows(width, tuple(value))
 
 
 def _load_document(path: str, expected_kind: str) -> dict:

@@ -26,7 +26,8 @@ The family of hereditary saturated sets and the covers of its lattice come
 from one join search.  Starting from the empty set, it joins each set
 found with the closure of every vertex outside it.  A union of hereditary
 sets is hereditary, so saturation alone closes the join; saturation adds
-only vertices without a loop, so it runs only when the graph has some.
+only vertices without a loop, so joins are saturated only when the graph
+has some.
 The search reaches every set, since each is the join of the closures of
 its vertices, and the sets covering a set are the minimal ones among its
 joins.  It yields each set with its joins: the lattice keeps the pairs,
@@ -157,7 +158,7 @@ def _closure_mask(graph: Graph, mask: int) -> int:
         todo |= new
     # a vertex added by saturation emits edges only into the set, so the
     # set stays hereditary and one saturation round finishes the closure
-    return _saturate(graph, mask) if graph._unlooped else mask
+    return _saturate(graph, mask)
 
 
 def hereditary_saturated_closure(graph: Graph, subset: Iterable[str]) -> VertexSet:

@@ -134,7 +134,8 @@ class TestEnumeration:
 
     def test_no_saturation_when_every_vertex_has_a_loop(self, monkeypatch):
         # saturation adds only vertices without a loop, so the family search
-        # behind graph-hs and graph-lattice never calls it on such graphs
+        # behind graph-hs and graph-lattice saturates only the closure of
+        # each vertex, never a join, on such graphs
         calls = []
         saturate = graphalg._saturate
 
@@ -146,9 +147,11 @@ class TestEnumeration:
         rng = random.Random(41)
         for _ in range(10):
             graph = random_looped_graph(rng, 12, 0.2)
-            hereditary_saturated_masks(graph)
-            ideal_lattice_hasse(graph)
-        assert calls == []
+            for search in (hereditary_saturated_masks, ideal_lattice_hasse):
+                calls.clear()
+                search(graph)
+                assert len(calls) == len(graph.vertices)
+        calls.clear()
         # b has a loop and a does not: {b} saturates to {a, b}
         graph = Graph.from_adjacency(["a", "b"], [[0, 1], [0, 1]])
         assert enumerate_hereditary_saturated(graph) == [frozenset(), frozenset({"a", "b"})]
