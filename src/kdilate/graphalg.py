@@ -27,13 +27,12 @@ from one join search.  Starting from the empty set, it joins each set
 found with the closure of every vertex outside it.  A union of hereditary
 sets is hereditary, so saturation alone closes the join; saturation adds
 only vertices without a loop, so joins are saturated only when the graph
-has some.
-The search reaches every set, since each is the join of the closures of
-its vertices, and the sets covering a set are the minimal ones among its
-joins.  It yields each set with its joins: the lattice keeps the pairs,
-while the family alone (`hereditary_saturated_masks`, which `graph-hs`
-prints from) keeps only the sets, as bitmasks until their names are
-printed.
+has some.  The search reaches every set, since each is the join of the
+closures of its vertices, and the sets covering a set are the minimal
+ones among its joins.  It yields each set with its joins: the lattice
+keeps the pairs, while the family alone (`hereditary_saturated_masks`,
+which `graph-hs` prints from) keeps only the sets, as bitmasks until
+their names are printed.
 """
 
 from __future__ import annotations
