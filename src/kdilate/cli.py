@@ -13,11 +13,11 @@ still printed, with a status field).
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .abelian import (
     FGAbelianGroup,
@@ -463,53 +463,119 @@ def _cmd_graph_crossed_k(args):
     return payload, lines, None
 
 
-_HANDLERS = {
-    "snf": _cmd_snf,
-    "colim": _cmd_colim,
-    "kercoker": _cmd_kercoker,
-    "pv": _cmd_pv,
-    "cuntz": _cmd_cuntz,
-    "graph-hs": _cmd_graph_hs,
-    "graph-lattice": _cmd_graph_lattice,
-    "graph-prim": _cmd_graph_prim,
-    "graph-k": _cmd_graph_k,
-    "graph-crossed-k": _cmd_graph_crossed_k,
+class _Subcommand:
+    """One row of the command-line grammar."""
+
+    __slots__ = ("handler", "help", "needs_input", "positionals", "dot")
+
+    def __init__(self, handler, help_text: str, needs_input: bool = True,
+                 positionals: tuple = (), dot: bool = False):
+        self.handler = handler
+        self.help = help_text
+        self.needs_input = needs_input
+        # (dest, metavar, nargs, default, help), in argparse's terms
+        self.positionals = positionals
+        self.dot = dot  # whether --format dot is available
+
+
+_OPTIONAL_Y = ("yset", "Y", "?", "", "comma-separated vertex names (default empty)")
+
+# The whole grammar: _scan reads well-formed command lines from it, and
+# build_parser builds argparse's parser from it for everything else.
+_SUBCOMMANDS = {
+    "snf": _Subcommand(
+        _cmd_snf, "Smith normal form of the relations matrix of a group_endo file"),
+    "colim": _Subcommand(
+        _cmd_colim, "classify the dilation colimit of a group endomorphism"),
+    "kercoker": _Subcommand(
+        _cmd_kercoker, "kernel and cokernel of (1 - fbar) on the dilation colimit"),
+    "pv": _Subcommand(_cmd_pv, "crossed-product K-theory from a k_data file"),
+    "cuntz": _Subcommand(
+        _cmd_cuntz, "closed-form table entry for the Cuntz family", needs_input=False,
+        positionals=(("n", None, "?", None, "'inf' or an integer >= 2"),
+                     ("m", None, "?", None, "positive integer"))),
+    "graph-hs": _Subcommand(
+        _cmd_graph_hs, "hereditary and saturated vertex sets of a graph"),
+    "graph-lattice": _Subcommand(
+        _cmd_graph_lattice, "Hasse diagram of the ideal lattice of a graph", dot=True),
+    "graph-prim": _Subcommand(_cmd_graph_prim, "primitive-ideal poset of a graph", dot=True),
+    "graph-k": _Subcommand(
+        _cmd_graph_k, "K-groups of the subquotient on Z minus Y",
+        positionals=(("zset", "Z", None, None,
+                      "comma-separated vertex names ('' or '-' for empty)"),
+                     _OPTIONAL_Y)),
+    "graph-crossed-k": _Subcommand(
+        _cmd_graph_crossed_k, "crossed-product K-groups of the subquotient",
+        positionals=(("zset", "Z", None, None, "comma-separated vertex names"),
+                     _OPTIONAL_Y)),
 }
+_FORMATS = ("text", "json", "dot")
+_OPTIONS = {"--format": "format", "--input": "input"}
+
+
+def _scan(argv: list):
+    """The namespace argparse would return for argv, if argv is a
+    subcommand followed by --format and --input, each at most once and
+    each with a value, and by its positionals in one run; None otherwise.
+
+    No token taken here starts with '-', so abbreviations, '--opt=value',
+    '--', negative numbers and help requests all go to argparse.
+
+    >>> vars(_scan(["graph-k", "--input", "g.json", "v1,v2"]))
+    {'command': 'graph-k', 'format': 'text', 'input': 'g.json', 'zset': 'v1,v2', 'yset': ''}
+    >>> _scan(["cuntz", "inf", "--format", "json", "2"]) is None
+    True
+    """
+    spec = _SUBCOMMANDS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    options, run = {}, []
+    i = 1
+    while i < len(argv):
+        token = argv[i]
+        if token.startswith("-"):
+            dest = _OPTIONS.get(token)
+            if (dest is None or dest in options or i + 1 == len(argv)
+                    or argv[i + 1].startswith("-")):
+                return None
+            options[dest] = argv[i + 1]
+            i += 2
+        else:
+            run.append(i)
+            i += 1
+    fmt = options.get("format", "text")
+    positionals = spec.positionals
+    required = sum(nargs is None for _, _, nargs, _, _ in positionals)
+    if (fmt not in _FORMATS or (spec.needs_input and "input" not in options)
+            or not required <= len(run) <= len(positionals)
+            or (run and run[-1] - run[0] != len(run) - 1)):
+        return None
+    values = [argv[j] for j in run]
+    values += [default for _, _, _, default, _ in positionals[len(values):]]
+    return SimpleNamespace(command=argv[0], format=fmt, input=options.get("input"),
+                           **{dest: v for (dest, *_), v in zip(positionals, values)})
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """argparse's parser for the grammar table.  It writes every help
+    text and usage error, and is built only for command lines that _scan
+    declines, so that well-formed calls never import argparse."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="kdilate",
         description="Exact K-theory of crossed products by endomorphisms, "
                     "dilation colimits, and graph-algebra ideal lattices.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
-
-    def add(name: str, help_text: str, needs_input: bool) -> argparse.ArgumentParser:
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--format", choices=("text", "json", "dot"), default="text",
+    for name, spec in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=spec.help)
+        sp.add_argument("--format", choices=_FORMATS, default="text",
                         help="output format (default: text)")
-        sp.add_argument("--input", metavar="FILE", required=needs_input,
+        sp.add_argument("--input", metavar="FILE", required=spec.needs_input,
                         default=None, help="JSON problem file")
-        return sp
-
-    add("snf", "Smith normal form of the relations matrix of a group_endo file", True)
-    add("colim", "classify the dilation colimit of a group endomorphism", True)
-    add("kercoker", "kernel and cokernel of (1 - fbar) on the dilation colimit", True)
-    add("pv", "crossed-product K-theory from a k_data file", True)
-    cuntz = add("cuntz", "closed-form table entry for the Cuntz family", False)
-    cuntz.add_argument("n", nargs="?", default=None, help="'inf' or an integer >= 2")
-    cuntz.add_argument("m", nargs="?", default=None, help="positive integer")
-    add("graph-hs", "hereditary and saturated vertex sets of a graph", True)
-    add("graph-lattice", "Hasse diagram of the ideal lattice of a graph", True)
-    add("graph-prim", "primitive-ideal poset of a graph", True)
-    gk = add("graph-k", "K-groups of the subquotient on Z minus Y", True)
-    gk.add_argument("zset", metavar="Z", help="comma-separated vertex names ('' or '-' for empty)")
-    gk.add_argument("yset", metavar="Y", nargs="?", default="",
-                    help="comma-separated vertex names (default empty)")
-    gck = add("graph-crossed-k", "crossed-product K-groups of the subquotient", True)
-    gck.add_argument("zset", metavar="Z", help="comma-separated vertex names")
-    gck.add_argument("yset", metavar="Y", nargs="?", default="",
-                     help="comma-separated vertex names (default empty)")
+        for dest, metavar, nargs, default, help_text in spec.positionals:
+            sp.add_argument(dest, metavar=metavar, nargs=nargs, default=default,
+                            help=help_text)
     return parser
 
 
@@ -528,22 +594,24 @@ def main(argv=None) -> int:
 
 
 def _main(argv) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _scan(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse already wrote the diagnostic
+            code = exc.code
+            return code if isinstance(code, int) else 2
+    spec = _SUBCOMMANDS[args.command]
+    if args.format == "dot" and not spec.dot:
+        print("error: dot format is not available for this subcommand", file=sys.stderr)
+        return 2
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already wrote the diagnostic
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    try:
-        payload, lines, dot = _HANDLERS[args.command](args)
+        payload, lines, dot = spec.handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "dot":
-        if dot is None:
-            print("error: dot format is not available for this subcommand",
-                  file=sys.stderr)
-            return 2
         sys.stdout.write(dot)
     elif args.format == "json":
         print(render_json(payload))

@@ -367,8 +367,9 @@ def _projections(rows, roots: list[int], wanted: set[int], x) -> dict[int, list[
 
 # Exponents e of Mersenne primes 2^e - 1.  Each is a field for the
 # Hessenberg reduction, and distinct ones are pairwise coprime, since
-# gcd(2^a - 1, 2^b - 1) = 2^gcd(a, b) - 1.
-_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253,
+# gcd(2^a - 1, 2^b - 1) = 2^gcd(a, b) - 1.  The order is free, and 127
+# comes first, so that one pass covers every bound below 2^126.
+_MERSENNE_EXPONENTS = (127, 107, 89, 61, 521, 607, 1279, 2203, 2281, 3217, 4253,
                        4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497, 86243,
                        110503, 132049, 216091, 756839, 859433, 1257787, 1398269,
                        2976221, 3021377, 6972593, 13466917)

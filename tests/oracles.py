@@ -10,8 +10,13 @@ kept as the reference for its replacement through a route the replacement
 no longer uses: `divisor_search_diagonal`, the colimit layer's
 integer-eigenvalue search, takes eigenlattices from the Smith form's V, and
 `kernel_via_smith_lattice` takes a kernel from three Smith forms.
+`reference_parser` is the CLI's argparse parser written out call by call,
+as it stood before the CLI declared its grammar in one table.
 """
 
+import argparse
+import contextlib
+import io
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, prod
@@ -567,3 +572,50 @@ def random_payload(rng, depth: int = 4):
         return [_random_string(rng) for _ in range(rng.randint(0, 4))]
     items = [random_payload(rng, depth - 1) for _ in range(rng.randint(0, 4))]
     return items if kind == 6 else tuple(items)
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """kdilate's command-line parser, spelled out one call at a time."""
+    parser = argparse.ArgumentParser(
+        prog="kdilate",
+        description="Exact K-theory of crossed products by endomorphisms, "
+                    "dilation colimits, and graph-algebra ideal lattices.")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
+
+    def add(name: str, help_text: str, needs_input: bool) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("--format", choices=("text", "json", "dot"), default="text",
+                        help="output format (default: text)")
+        sp.add_argument("--input", metavar="FILE", required=needs_input,
+                        default=None, help="JSON problem file")
+        return sp
+
+    add("snf", "Smith normal form of the relations matrix of a group_endo file", True)
+    add("colim", "classify the dilation colimit of a group endomorphism", True)
+    add("kercoker", "kernel and cokernel of (1 - fbar) on the dilation colimit", True)
+    add("pv", "crossed-product K-theory from a k_data file", True)
+    cuntz = add("cuntz", "closed-form table entry for the Cuntz family", False)
+    cuntz.add_argument("n", nargs="?", default=None, help="'inf' or an integer >= 2")
+    cuntz.add_argument("m", nargs="?", default=None, help="positive integer")
+    add("graph-hs", "hereditary and saturated vertex sets of a graph", True)
+    add("graph-lattice", "Hasse diagram of the ideal lattice of a graph", True)
+    add("graph-prim", "primitive-ideal poset of a graph", True)
+    gk = add("graph-k", "K-groups of the subquotient on Z minus Y", True)
+    gk.add_argument("zset", metavar="Z", help="comma-separated vertex names ('' or '-' for empty)")
+    gk.add_argument("yset", metavar="Y", nargs="?", default="",
+                    help="comma-separated vertex names (default empty)")
+    gck = add("graph-crossed-k", "crossed-product K-groups of the subquotient", True)
+    gck.add_argument("zset", metavar="Z", help="comma-separated vertex names")
+    gck.add_argument("yset", metavar="Y", nargs="?", default="",
+                     help="comma-separated vertex names (default empty)")
+    return parser
+
+
+def parse_outcome(parser: argparse.ArgumentParser, argv: list[str]):
+    """("ok", the parsed attributes) or ("exit", code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return "ok", vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return "exit", exc.code, out.getvalue(), err.getvalue()

@@ -479,6 +479,26 @@ class TestInputHandling:
                            "--input", str(fixtures_dir / "E.json"))
         assert code == 2 and "dot format" in err
 
+    @pytest.mark.parametrize("format_args", [("--format", "dot"), ("--format=dot",)],
+                             ids=["scanned", "argparse"])
+    def test_dot_refused_before_any_work(self, capsys, monkeypatch, fixtures_dir,
+                                         format_args):
+        calls = []
+        for name in ("graph-hs", "graph-lattice"):
+            spec = cli._SUBCOMMANDS[name]
+            monkeypatch.setattr(spec, "handler",
+                                lambda args, handler=spec.handler: calls.append(args)
+                                or handler(args))
+        graph = str(fixtures_dir / "E.json")
+        assert run(capsys, "graph-hs", *format_args, "--input", graph) == (
+            2, "", "error: dot format is not available for this subcommand\n")
+        assert calls == []
+        # the dot error comes before the input is read
+        assert run(capsys, "colim", *format_args, "--input", "no/such/file.json") == (
+            2, "", "error: dot format is not available for this subcommand\n")
+        code, out, _ = run(capsys, "graph-lattice", *format_args, "--input", graph)
+        assert (code, out) == (0, E_LATTICE_DOT) and len(calls) == 1
+
 
 BAD_ENTRIES = [
     (True, "expected an integer, got a boolean"),

@@ -427,9 +427,9 @@ class TestIntegerEigenvalues:
         rng = random.Random(11)
         inputs = [[[rng.randint(-9, 9) for _ in range(8)] for _ in range(8)],
                   [[rng.randint(-10**15, 10**15) for _ in range(6)] for _ in range(6)]]
-        # the second input's coefficients pass 2^150, the product of the
+        # the second input's coefficients pass 2^234, the product of the
         # first two Mersenne primes, so CRT needs a third
-        assert max(abs(c) for c in charpoly_faddeev_leverrier(inputs[1])) > 2**150
+        assert max(abs(c) for c in charpoly_faddeev_leverrier(inputs[1])) > 2**234
         for m in inputs:
             expected = [int(c) for c in reversed(sympy.Matrix(m).charpoly().all_coeffs())]
             assert colimit._charpoly(IntMatrix.from_rows(m)) == expected

@@ -2,6 +2,7 @@
 the fields, exact class matching, immutability, constructor defaults and
 validation messages."""
 
+import json
 import os
 import random
 import subprocess
@@ -33,9 +34,10 @@ from kdilate.kcrossed import (
     cuntz_k_data,
     pv_crossed_product,
 )
-from oracles import conjugate, random_unimodular
+from oracles import conjugate, parse_outcome, random_unimodular, reference_parser
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 Z = FGAbelianGroup.free(1)
 
 
@@ -226,3 +228,28 @@ def test_cli_import_loads_no_introspection_modules():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
+
+
+def test_well_formed_call_loads_no_argparse(monkeypatch):
+    # argparse, and gettext and locale with it, load only for help and
+    # usage errors, whose text must be argparse's own, byte for byte.
+    code = ("import contextlib, io, json, sys; from kdilate.cli import main\n"
+            "def call(argv):\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "        code = main(argv)\n"
+            "    return [code, out.getvalue(), err.getvalue()]\n"
+            "colim = call(['colim', '--input', 'fixtures/z_times_3.json', '--format', 'json'])\n"
+            "loaded = sorted({'argparse', 'gettext', 'locale'} & set(sys.modules))\n"
+            "print(json.dumps([colim[0], loaded, call(['colim']), call(['--help'])]))\n")
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, cwd=ROOT, check=True,
+                         capture_output=True, text=True).stdout
+    colim_code, loaded, usage, help_text = json.loads(out)
+    assert colim_code == 0 and loaded == []
+    reference = reference_parser()
+    assert ("exit", *usage) == parse_outcome(reference, ["colim"])
+    assert ("exit", *help_text) == parse_outcome(reference, ["--help"])
+    assert usage[0] == 2 and usage[1] == "" and "required: --input" in usage[2]
+    assert help_text[0] == 0 and help_text[1].startswith("usage: kdilate")
