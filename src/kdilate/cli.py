@@ -8,12 +8,14 @@ two-space indent, no floats), or DOT for the two poset subcommands.
 
 Exit codes: 0 success, 2 input/schema errors (diagnostic on stderr),
 3 for computations whose outcome is an unresolved extension (the result is
-still printed, with a status field).
+still printed, with a status field), 1 when stdout is closed before the
+result is written out (say by `| head`).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii
@@ -84,10 +86,16 @@ def _as_count(value, where: str) -> int:
 
 
 def _as_row(row: list, where: str) -> list:
-    # a row of JSON numbers within range needs no per-entry check
-    if (set(map(type, row)) == _INT
-            and -_MAX_JSON_INT <= min(row) and max(row) <= _MAX_JSON_INT):
-        return row
+    # a row of JSON numbers within range needs no per-entry check.  bytes()
+    # probes the range in one pass when every entry is in 0..255, as in
+    # most graph rows; the type check comes first, since bytes() takes bools
+    if set(map(type, row)) == _INT:
+        try:
+            bytes(row)
+            return row
+        except ValueError:
+            if -_MAX_JSON_INT <= min(row) and max(row) <= _MAX_JSON_INT:
+                return row
     return [_as_int(x, f"{where}[{j}]") for j, x in enumerate(row)]
 
 
@@ -230,39 +238,54 @@ def _parse_cuntz_n(text: str) -> int | None:
 # Rendering
 # ---------------------------------------------------------------------------
 
-def _render(obj, indent: str) -> str:
-    """The text json.dumps(obj, indent=2, sort_keys=True) gives at this
-    depth, with integers beyond 2^53 as decimal strings."""
+def _write_json(obj, write, indent: str, lead: str = "") -> None:
+    """Write lead, then the text json.dumps(obj, indent=2, sort_keys=True)
+    gives at this depth, with integers beyond 2^53 as decimal strings: one
+    piece per scalar or flat list, with the separator and key before it,
+    and one per closing bracket."""
     if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, (list, tuple)):
+        write(lead + encode_basestring_ascii(obj))
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
+            write(lead + "[]")
+            return
         inner = indent + "  "
         types = set(map(type, obj))
-        if types == _STR:  # a flat list is rendered in one join
+        if types == _STR:  # a flat list is written in one join
             items = map(encode_basestring_ascii, obj)
         elif types == _INT and -_MAX_JSON_INT <= min(obj) and max(obj) <= _MAX_JSON_INT:
             items = map(int.__repr__, obj)
         else:
-            items = (_render(x, inner) for x in obj)
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    if isinstance(obj, dict):
+            separator = lead + "[\n" + inner
+            for item in obj:
+                _write_json(item, write, inner, separator)
+                separator = ",\n" + inner
+            write("\n" + indent + "]")
+            return
+        write(lead + "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]")
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
+            write(lead + "{}")
+            return
         inner = indent + "  "
-        return ("{\n" + inner + (",\n" + inner).join(
-            encode_basestring_ascii(key) + ": " + _render(value, inner)
-            for key, value in sorted(obj.items())) + "\n" + indent + "}")
-    if obj is None or obj is True or obj is False:
-        return _JSON_CONSTANTS[obj]
-    if isinstance(obj, int):
-        return f'"{obj}"' if abs(obj) > _MAX_JSON_INT else int.__repr__(obj)
-    return json.dumps(obj)
+        separator = lead + "{\n" + inner
+        for key, value in sorted(obj.items()):
+            _write_json(value, write, inner, separator + encode_basestring_ascii(key) + ": ")
+            separator = ",\n" + inner
+        write("\n" + indent + "}")
+    elif obj is None or obj is True or obj is False:
+        write(lead + _JSON_CONSTANTS[obj])
+    elif isinstance(obj, int):
+        write(lead + (f'"{obj}"' if abs(obj) > _MAX_JSON_INT else int.__repr__(obj)))
+    else:
+        write(lead + json.dumps(obj))
 
 
-def render_json(payload: dict) -> str:
-    return _render(payload, "")
+def render_json(payload: dict, write) -> None:
+    """Write payload as canonical JSON (sorted keys, two-space indent, no
+    trailing newline) to write, piece by piece, so that no string of the
+    whole document is ever built."""
+    _write_json(payload, write, "")
 
 
 def _group_json(group: FGAbelianGroup) -> dict:
@@ -294,14 +317,20 @@ def _description_status(desc: ColimitDescription) -> str:
     return "ok"
 
 
-def _poset_payload(poset) -> tuple[dict, list[str], str]:
+def _poset_payload(poset, fmt: str) -> tuple[dict, list[str] | None, str | None]:
+    """The payload, with the text lines or the DOT text only when fmt
+    prints them."""
     payload = {"elements": list(poset.elements),
                "covers": [list(c) for c in poset.covers],
                "status": "ok"}
-    lines = [f"{lower} < {upper}" for lower, upper in poset.covers]
-    if not lines:
-        lines = [f"single element: {e}" for e in poset.elements] or ["empty poset"]
-    return payload, lines, poset.to_dot()
+    lines = dot = None
+    if fmt == "dot":
+        dot = poset.to_dot()
+    elif fmt == "text":
+        lines = [f"{lower} < {upper}" for lower, upper in poset.covers]
+        if not lines:
+            lines = [f"single element: {e}" for e in poset.elements] or ["empty poset"]
+    return payload, lines, dot
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +431,7 @@ def _cmd_graph_hs(args):
     return payload, ("{" + ",".join(names) + "}" for names in subsets), None
 
 
-def _with_condition_k(graph: Graph, result: tuple[dict, list[str], str]):
+def _with_condition_k(graph: Graph, result: tuple[dict, list[str] | None, str | None]):
     """Add the Condition (K) fields to a poset payload, with a note on
     stderr when (K) fails: the poset then describes the gauge-invariant
     ideals only."""
@@ -418,7 +447,7 @@ def _with_condition_k(graph: Graph, result: tuple[dict, list[str], str]):
 
 def _cmd_graph_lattice(args):
     graph = _load_graph(args.input)
-    return _with_condition_k(graph, _poset_payload(ideal_lattice_hasse(graph)))
+    return _with_condition_k(graph, _poset_payload(ideal_lattice_hasse(graph), args.format))
 
 
 def _cmd_graph_prim(args):
@@ -427,7 +456,7 @@ def _cmd_graph_prim(args):
         poset = prim_poset(graph)
     except ValueError as exc:
         raise InputError(f"{args.input}: {exc}") from exc
-    return _with_condition_k(graph, _poset_payload(poset))
+    return _with_condition_k(graph, _poset_payload(poset, args.format))
 
 
 def _graph_k_sets(args):
@@ -582,15 +611,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     # Smith transforms can have entries of any size, and every result is
     # printed in full; the caller's limit on int/str conversion comes back
-    # on return.
-    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
-        return _main(argv)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    # on return (there is no limit before 3.10.7).
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        return _main(argv)
+        code = _main(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early.  What is still buffered goes to
+        # the null device, so that the flush at exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     finally:
-        sys.set_int_max_str_digits(limit)
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def _main(argv) -> int:
@@ -614,7 +652,8 @@ def _main(argv) -> int:
     if args.format == "dot":
         sys.stdout.write(dot)
     elif args.format == "json":
-        print(render_json(payload))
+        render_json(payload, sys.stdout.write)
+        sys.stdout.write("\n")
     else:
         for line in lines:
             print(line)

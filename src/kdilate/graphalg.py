@@ -52,6 +52,7 @@ from .kcrossed import KTheoryData, pv_crossed_product
 
 VertexSet = frozenset
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+_NONZERO_BITS = b"0" + b"1" * 255  # maps each byte to whether it is nonzero
 
 
 class Graph(_Record):
@@ -71,10 +72,14 @@ class Graph(_Record):
         bits = [1 << j for j in range(n)]
         out = []  # out-neighbour bitmask of each vertex
         for name, row in zip(vertices, adjacency.entries):
-            if min(row) < 0:
-                raise ValueError(f"negative edge multiplicity at vertex {name}")
-            # multiplicities are nonnegative, so the nonzero ones are the edges
-            mask = sum(compress(bits, row))
+            # the nonzero multiplicities are the edges: with every entry in
+            # 0..255, the row's bytes give them as a bit string (bit 0 last)
+            try:
+                mask = int(bytes(row).translate(_NONZERO_BITS)[::-1], 2)
+            except ValueError:
+                if min(row) < 0:
+                    raise ValueError(f"negative edge multiplicity at vertex {name}") from None
+                mask = sum(compress(bits, row))
             if not mask:
                 raise ValueError(f"vertex {name} emits no edges (sinks are not supported)")
             out.append(mask)

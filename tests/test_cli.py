@@ -1,22 +1,29 @@
+import io
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from kdilate import abelian, cli, colimit
 from kdilate.abelian import GroupHom, IntMatrix, _quotient_with_maps
 from kdilate.cli import main, render_json
-from kdilate.graphalg import Graph
+from kdilate.graphalg import Graph, PosetDiagram, hereditary_saturated_masks
 from oracles import (
     brute_hereditary_saturated,
     conjugate,
     covers_by_definition,
     json_safe,
     random_graph,
+    random_looped_graph,
     random_payload,
     random_unimodular,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 E_LATTICE_DOT = """digraph {
   "{v1,v2,v3,v4}";
@@ -43,6 +50,13 @@ def run(capsys, *argv):
 
 def canonical(text: str) -> str:
     return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def rendered(payload) -> str:
+    """What render_json writes for payload, collected into one string."""
+    pieces = []
+    render_json(payload, pieces.append)
+    return "".join(pieces)
 
 
 def smith_form_inputs(monkeypatch) -> list:
@@ -274,6 +288,40 @@ class TestGraphCommands:
                             "--input", str(fixtures_dir / "E.json"))
             outputs.add(out)
         assert len(outputs) == 1
+
+    @pytest.mark.parametrize("command", ["graph-lattice", "graph-prim"])
+    @pytest.mark.parametrize("fmt, dots", [("json", 0), ("text", 0), ("dot", 1)])
+    def test_dot_is_built_only_when_printed(self, capsys, monkeypatch, fixtures_dir,
+                                            command, fmt, dots):
+        calls = []
+        to_dot = PosetDiagram.to_dot
+        monkeypatch.setattr(PosetDiagram, "to_dot",
+                            lambda poset: calls.append(poset) or to_dot(poset))
+        code, out, _ = run(capsys, command, "--format", fmt,
+                           "--input", str(fixtures_dir / "E.json"))
+        assert code == 0 and out and len(calls) == dots
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_closed_stdout_ends_quietly(self, tmp_path, fmt):
+        # 12 isolated looped vertices: 4,096 sets, well past a pipe's buffer
+        names = [f"v{i}" for i in range(12)]
+        path = tmp_path / "isolated.json"
+        path.write_text(json.dumps({"kind": "graph", "vertices": names, "adjacency": [
+            [int(i == j) for j in range(12)] for i in range(12)]}))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "kdilate.cli", "graph-hs", "--format", fmt,
+             "--input", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(SRC)))
+        try:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert code == 1 and "Traceback" not in err and "Exception" not in err
 
     def test_prim_text(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "graph-prim", "--input", str(fixtures_dir / "E.json"))
@@ -587,6 +635,35 @@ class TestMatrixDiagnostics:
         assert run(capsys, "graph-prim", "--input", path) == (
             2, "", f"error: {path}: adjacency[0][0]: {message}\n")
 
+    @pytest.mark.parametrize("bad, message", BAD_ENTRIES)
+    def test_bad_entry_beside_a_multiplicity_past_a_byte(self, capsys, tmp_path, bad,
+                                                          message):
+        path = self.graph(tmp_path, [[1, 0, 0], [0, 1, 0], [256, bad, 1]])
+        assert run(capsys, "graph-hs", "--input", path) == (
+            2, "", f"error: {path}: adjacency[2][1]: {message}\n")
+
+    def test_rows_past_a_byte(self, capsys, tmp_path):
+        """Multiplicities beyond 255 are legal, and a row holding one is
+        checked entry by entry with the same diagnostics in the same order."""
+        expected = run(capsys, "graph-hs", "--input",
+                       self.graph(tmp_path, [[1, 0, 0], [0, 1, 1], [0, 0, 1]]))
+        assert expected[0] == 0
+        for row in ([0, 256, 256], [0, 1, "256"], [0, 2**53, 1], [0, 3, str(2**53 + 1)]):
+            path = self.graph(tmp_path, [[1, 0, 0], row, [0, 0, 1]])
+            assert run(capsys, "graph-hs", "--input", path) == expected
+        path = self.graph(tmp_path, [[1, 0, 0], [0, 256, -1], [0, 0, 1]])
+        assert run(capsys, "graph-hs", "--input", path) == (
+            2, "", f"error: {path}: negative edge multiplicity at vertex b\n")
+        # every entry is read before the graph is built
+        for bad, message in BAD_ENTRIES:
+            path = self.graph(tmp_path, [[1, 0, 0], [0, 256, -1], [0, bad, 1]])
+            assert run(capsys, "graph-hs", "--input", path) == (
+                2, "", f"error: {path}: adjacency[2][1]: {message}\n")
+        graph = Graph.from_adjacency(["a", "b", "c"], [[256, 0, 2**60], [0, 1, 0], [0, 0, 1]])
+        assert graph._out_masks == (0b101, 0b010, 0b100)
+        with pytest.raises(ValueError, match="negative edge multiplicity at vertex a"):
+            Graph.from_adjacency(["a", "b"], [[256, -1], [0, 1]])
+
     @pytest.mark.parametrize("bad", [True, 2.5])
     def test_library_matrices_reject_bools_and_floats(self, bad):
         with pytest.raises(TypeError):
@@ -630,9 +707,9 @@ class TestJsonCanonicalisation:
             self, capsys, fixtures_dir, monkeypatch):
         payloads = []
 
-        def keep(payload):
+        def keep(payload, write):
             payloads.append(payload)
-            return render_json(payload)
+            render_json(payload, write)
         monkeypatch.setattr(cli, "render_json", keep)
         for path in sorted(fixtures_dir.rglob("*.json")):
             for command in ("snf", "colim", "kercoker", "pv", "cuntz", "graph-hs",
@@ -641,16 +718,36 @@ class TestJsonCanonicalisation:
                 run(capsys, command, "--format", "json", "--input", str(path), *extra)
         assert len(payloads) >= 20
         for payload in payloads:
-            assert render_json(payload) == json.dumps(json_safe(payload), indent=2,
-                                                      sort_keys=True)
+            assert rendered(payload) == json.dumps(json_safe(payload), indent=2,
+                                                   sort_keys=True)
+
+    def test_graph_hs_is_written_as_it_is_rendered(self, tmp_path, monkeypatch):
+        graph = random_looped_graph(random.Random(1), 16, 0.1)
+        subsets = [graph.names_of(mask) for mask in hereditary_saturated_masks(graph)]
+        assert len(subsets) >= 2000
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"kind": "graph", "vertices": list(graph.vertices),
+                                    "adjacency": graph.adjacency.to_lists()}))
+        pieces = []
+
+        class Sink(io.StringIO):
+            def write(self, text):
+                pieces.append(text)
+                return len(text)
+        monkeypatch.setattr(sys, "stdout", Sink())
+        assert main(["graph-hs", "--format", "json", "--input", str(path)]) == 0
+        document = "".join(pieces)
+        assert document == json.dumps({"subsets": subsets, "status": "ok"}, indent=2,
+                                      sort_keys=True) + "\n"
+        assert max(map(len, pieces)) <= len(document) / 100
 
     def test_renderer_matches_json_dumps_on_seeded_payloads(self):
         rng = random.Random(61)
         seen = set()
         for _ in range(3000):
             payload = random_payload(rng)
-            assert render_json(payload) == json.dumps(json_safe(payload), indent=2,
-                                                      sort_keys=True)
+            assert rendered(payload) == json.dumps(json_safe(payload), indent=2,
+                                                   sort_keys=True)
             seen.update(map(repr, payload if isinstance(payload, (list, tuple)) else ()))
         # the boundary integers and the awkward scalars all turned up
         for value in (2**53 + 1, -(2**53 + 1), 2**53, -(2**53), True, False, None,
