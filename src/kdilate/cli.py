@@ -238,19 +238,40 @@ def _parse_cuntz_n(text: str) -> int | None:
 # Rendering
 # ---------------------------------------------------------------------------
 
+class MappedList:
+    """A sized, re-iterable view of func applied to each of items.  Its
+    values are made one at a time as it is read, so a payload can hold a
+    long list without holding every value at once; render_json writes it
+    as the list of those values."""
+
+    __slots__ = ("func", "items")
+
+    def __init__(self, func, items):
+        self.func = func
+        self.items = items
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __iter__(self):
+        return map(self.func, self.items)
+
+
 def _write_json(obj, write, indent: str, lead: str = "") -> None:
     """Write lead, then the text json.dumps(obj, indent=2, sort_keys=True)
-    gives at this depth, with integers beyond 2^53 as decimal strings: one
-    piece per scalar or flat list, with the separator and key before it,
-    and one per closing bracket."""
+    gives at this depth, with integers beyond 2^53 as decimal strings and a
+    MappedList as the list of its values: one piece per scalar or flat
+    list, with the separator and key before it, and one per closing
+    bracket."""
     if isinstance(obj, str):
         write(lead + encode_basestring_ascii(obj))
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, (list, tuple, MappedList)):
         if not obj:
             write(lead + "[]")
             return
         inner = indent + "  "
-        types = set(map(type, obj))
+        # a view is written value by value, as each value is made
+        types = () if type(obj) is MappedList else set(map(type, obj))
         if types == _STR:  # a flat list is written in one join
             items = map(encode_basestring_ascii, obj)
         elif types == _INT and -_MAX_JSON_INT <= min(obj) and max(obj) <= _MAX_JSON_INT:
@@ -320,9 +341,7 @@ def _description_status(desc: ColimitDescription) -> str:
 def _poset_payload(poset, fmt: str) -> tuple[dict, list[str] | None, str | None]:
     """The payload, with the text lines or the DOT text only when fmt
     prints them."""
-    payload = {"elements": list(poset.elements),
-               "covers": [list(c) for c in poset.covers],
-               "status": "ok"}
+    payload = {"elements": poset.elements, "covers": poset.covers, "status": "ok"}
     lines = dot = None
     if fmt == "dot":
         dot = poset.to_dot()
@@ -402,11 +421,16 @@ def _cmd_cuntz(args):
         _check_fields(doc, args.input, {"n", "m"})
         n = None if doc["n"] is None else _as_int(doc["n"], f"{args.input}: n")
         m = _as_int(doc["m"], f"{args.input}: m")
+        infinity = "null"
     elif args.n is not None and args.m is not None:
         n = _parse_cuntz_n(args.n)
         m = _as_int(args.m, "m")
+        infinity = "'inf'"
     else:
         raise InputError("cuntz needs positional arguments n m (n may be 'inf') or --input")
+    # the library words this for Python callers; it checks m first
+    if m >= 1 and n is not None and n < 2:
+        raise InputError(f"n must be at least 2 (or {infinity} for infinity)")
     try:
         form = cuntz_closed_form(n, m)
     except ValueError as exc:
@@ -425,10 +449,10 @@ def _cmd_cuntz(args):
 
 def _cmd_graph_hs(args):
     graph = _load_graph(args.input)
-    subsets = [graph.names_of(mask) for mask in hereditary_saturated_masks(graph)]
-    payload = {"subsets": subsets, "status": "ok"}
-    # text lines only if --format text reads them
-    return payload, ("{" + ",".join(names) + "}" for names in subsets), None
+    masks = hereditary_saturated_masks(graph)
+    # each set's names are made only as the set is written
+    payload = {"subsets": MappedList(graph.names_of, masks), "status": "ok"}
+    return payload, map(graph.format_mask, masks), None
 
 
 def _with_condition_k(graph: Graph, result: tuple[dict, list[str] | None, str | None]):

@@ -30,9 +30,11 @@ only vertices without a loop, so joins are saturated only when the graph
 has some.  The search reaches every set, since each is the join of the
 closures of its vertices, and the sets covering a set are the minimal
 ones among its joins.  It yields each set with its joins: the lattice
-keeps the pairs, while the family alone (`hereditary_saturated_masks`,
-which `graph-hs` prints from) keeps only the sets, as bitmasks until
-their names are printed.
+keeps only the minimal joins, its covers, while the family alone
+(`hereditary_saturated_masks`, which `graph-hs` prints from) keeps only
+the sets.  Both sort the sets as bitmasks by one integer key (size, then
+the bit-reversed complement; see `_family_key`), and a set is named only
+when it is labelled or printed.
 """
 
 from __future__ import annotations
@@ -227,14 +229,22 @@ def _strong_components(out: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(components)
 
 
-_FLIP = str.maketrans("01", "10")
+def _family_key(n: int):
+    """The sort key of the family order on masks over n vertices: size,
+    then index tuples in lexicographic order, as one integer.
 
+    Of two sets of one size, the one holding the lowest index where they
+    differ comes first.  Reversing the n-bit string of the complement puts
+    index 0 at the top bit, where that set has a 0 and the other a 1.
 
-def _family_sort_key(mask: int):
-    # size, then index tuples in lexicographic order: of two sets of one
-    # size, the one holding the lowest index where they differ comes first,
-    # as its bit string read from bit 0 with 0 and 1 swapped does
-    return (mask.bit_count(), bin(mask)[:1:-1].translate(_FLIP))
+    >>> sorted([0b011, 0b100, 0b101, 0b000], key=_family_key(3))
+    [0, 4, 3, 5]
+    """
+    width, full = f"0{n}b", (1 << n) - 1
+
+    def key(mask: int) -> int:
+        return mask.bit_count() << n | int(format(full ^ mask, width)[::-1], 2)
+    return key
 
 
 def _join_search(graph: Graph):
@@ -259,7 +269,8 @@ def _join_search(graph: Graph):
 def hereditary_saturated_masks(graph: Graph) -> list[int]:
     """All hereditary and saturated subsets as vertex masks (bit i for
     vertex i), sorted by size then vertex order."""
-    return sorted((mask for mask, _ in _join_search(graph)), key=_family_sort_key)
+    return sorted((mask for mask, _ in _join_search(graph)),
+                  key=_family_key(len(graph.vertices)))
 
 
 def enumerate_hereditary_saturated(graph: Graph) -> list[VertexSet]:
@@ -270,6 +281,10 @@ def enumerate_hereditary_saturated(graph: Graph) -> list[VertexSet]:
 # ---------------------------------------------------------------------------
 # Posets
 # ---------------------------------------------------------------------------
+
+def _all_str(items) -> bool:
+    return all(type(item) is str for item in items)
+
 
 class PosetDiagram(_Record):
     """Hasse diagram: elements plus the covering pairs (lower, upper).
@@ -288,9 +303,14 @@ class PosetDiagram(_Record):
     def __post_init__(self):
         # A method of its own, called by name, so that tracing can wrap the
         # validation apart from the construction.
-        object.__setattr__(self, "elements", tuple(str(e) for e in self.elements))
-        object.__setattr__(self, "covers",
-                           tuple((str(a), str(b)) for a, b in self.covers))
+        # names are copied through str() only when one is not a str already
+        if type(self.elements) is not tuple or not _all_str(self.elements):
+            object.__setattr__(self, "elements", tuple(map(str, self.elements)))
+        if (type(self.covers) is not tuple
+                or not all(type(c) is tuple and len(c) == 2 and _all_str(c)
+                           for c in self.covers)):
+            object.__setattr__(self, "covers",
+                               tuple((str(a), str(b)) for a, b in self.covers))
         index = {e: i for i, e in enumerate(self.elements)}
         if len(index) != len(self.elements):
             raise ValueError("duplicate poset elements")
@@ -358,12 +378,12 @@ def ideal_lattice_hasse(graph: Graph) -> PosetDiagram:
     The sets covering a are the minimal ones among its joins: a cover b
     is the join of a with the closure of any vertex of b outside a, and
     nothing lies strictly between a and a minimal join."""
-    joins = dict(_join_search(graph))
-    family = sorted(joins, key=_family_sort_key)
-    label = {m: graph.format_mask(m) for m in family}
-    covers = [(label[a], label[b]) for a in family for b in joins[a]
-              if not any(c != b and c & ~b == 0 for c in joins[a])]
-    return PosetDiagram(tuple(label[m] for m in family), tuple(sorted(covers)))
+    covering = {a: [b for b in joins if not any(c != b and c & ~b == 0 for c in joins)]
+                for a, joins in _join_search(graph)}  # the sets covering each set
+    label = {m: graph.format_mask(m)
+             for m in sorted(covering, key=_family_key(len(graph.vertices)))}
+    covers = sorted((label[a], label[b]) for a, above in covering.items() for b in above)
+    return PosetDiagram(tuple(label.values()), tuple(covers))
 
 
 def _component_mask(members: tuple[int, ...]) -> int:

@@ -28,6 +28,7 @@ from kdilate.abelian import (
     _quotient_with_maps,
     smith_normal_form,
 )
+from kdilate.cli import MappedList
 from kdilate.graphalg import Graph
 
 
@@ -317,11 +318,11 @@ def condition_k_failing_components(graph: Graph) -> list[frozenset]:
 
 def json_safe(obj):
     """The payload json.dumps can render: integers beyond 2^53 as decimal
-    strings, tuples as lists (the CLI's conversion before its one-pass
-    renderer)."""
+    strings, tuples and the CLI's MappedList views as lists (what the CLI's
+    one-pass renderer writes for them)."""
     if isinstance(obj, dict):
         return {k: json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, MappedList)):
         return [json_safe(v) for v in obj]
     if isinstance(obj, int) and not isinstance(obj, bool) and abs(obj) > 2**53:
         return str(obj)

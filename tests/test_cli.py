@@ -123,6 +123,16 @@ class TestCuntzCommand:
         code, _, err = run(capsys, "cuntz", "4", "9")
         assert code == 2 and "requires m<n" in err
 
+    def test_n_below_two_is_worded_for_the_command_line(self, capsys):
+        assert run(capsys, "cuntz", "1", "1") == (
+            2, "", "error: n must be at least 2 (or 'inf' for infinity)\n")
+
+    def test_n_below_two_is_worded_for_a_file(self, capsys, tmp_path):
+        path = tmp_path / "cuntz.json"
+        path.write_text(json.dumps({"kind": "cuntz", "n": 1, "m": 1}))
+        assert run(capsys, "cuntz", "--input", str(path)) == (
+            2, "", "error: n must be at least 2 (or null for infinity)\n")
+
     def test_missing_arguments(self, capsys):
         code, _, err = run(capsys, "cuntz")
         assert code == 2 and "cuntz needs" in err
@@ -728,18 +738,30 @@ class TestJsonCanonicalisation:
         path = tmp_path / "graph.json"
         path.write_text(json.dumps({"kind": "graph", "vertices": list(graph.vertices),
                                     "adjacency": graph.adjacency.to_lists()}))
-        pieces = []
+        calls = 0
+        names_of = Graph.names_of
+
+        def counted(self, mask):
+            nonlocal calls
+            calls += 1
+            return names_of(self, mask)
+        monkeypatch.setattr(Graph, "names_of", counted)
+        writes = []  # each piece, with the number of names_of calls before it
 
         class Sink(io.StringIO):
             def write(self, text):
-                pieces.append(text)
+                writes.append((text, calls))
                 return len(text)
         monkeypatch.setattr(sys, "stdout", Sink())
         assert main(["graph-hs", "--format", "json", "--input", str(path)]) == 0
-        document = "".join(pieces)
+        document = "".join(text for text, _ in writes)
         assert document == json.dumps({"subsets": subsets, "status": "ok"}, indent=2,
                                       sort_keys=True) + "\n"
-        assert max(map(len, pieces)) <= len(document) / 100
+        assert max(len(text) for text, _ in writes) <= len(document) / 100
+        # each set is named once, as it is written: the first set goes out
+        # before names_of runs a second time
+        assert next(made for text, made in writes if '"subsets": [' in text) == 1
+        assert calls == len(subsets)
 
     def test_renderer_matches_json_dumps_on_seeded_payloads(self):
         rng = random.Random(61)

@@ -132,6 +132,24 @@ class TestEnumeration:
         sizes = [len(s) for s in family]
         assert sizes == sorted(sizes)
 
+    def test_family_key_orders_by_size_then_index_tuple(self):
+        # the integer key against the order it stands for, computed directly
+        rng = random.Random(53)
+        for n in (0, 1, 2, 3, 8, 31, 32, 33, 63, 64, 65, 70):
+            full = (1 << n) - 1
+            masks = {0, full}
+            for _ in range(300):
+                k = rng.choice([rng.randint(0, n), min(n, 2), max(n - 2, 0)])
+                masks.add(sum(1 << i for i in rng.sample(range(n), k)))
+                masks.add(rng.getrandbits(n))
+            masks = list(masks)
+            rng.shuffle(masks)
+            key = graphalg._family_key(n)
+            assert len({key(m) for m in masks}) == len(masks)
+            indices = {m: tuple(i for i in range(n) if m >> i & 1) for m in masks}
+            assert (sorted(masks, key=key)
+                    == sorted(masks, key=lambda m: (len(indices[m]), indices[m])))
+
     def test_no_saturation_when_every_vertex_has_a_loop(self, monkeypatch):
         # saturation adds only vertices without a loop, so the family search
         # behind graph-hs and graph-lattice saturates only the closure of
@@ -261,6 +279,16 @@ class TestPosetDiagram:
                     PosetDiagram(tuple(elements), tuple(covers))
                 assert str(info.value) == expected
         assert all(verdicts.count(v) >= 40 for v in (None, "edge", "cycle", "elements"))
+
+    def test_names_are_copied_only_when_not_already_strings(self):
+        elements, covers = ("a", "b"), (("a", "b"),)
+        poset = PosetDiagram(elements, covers)
+        assert poset.elements is elements and poset.covers is covers
+        poset = PosetDiagram([1, "b"], [[1, "b"]])
+        assert poset.elements == ("1", "b") and poset.covers == (("1", "b"),)
+        assert type(poset.covers[0]) is tuple
+        with pytest.raises(ValueError):  # a cover is a pair
+            PosetDiagram(("a", "b"), (("a", "b", "a"),))
 
     def test_dot_output_sorted_and_quoted(self):
         poset = PosetDiagram(("b", "a", "c"), (("b", "c"), ("a", "c")))
