@@ -6,7 +6,16 @@ number within +-2^53 or a decimal string of ASCII digits (arbitrary
 precision).  Results render as text, canonical JSON (sorted keys,
 two-space indent, no floats), or DOT for the two poset subcommands.
 
-Exit codes: 0 success, 2 input/schema errors (diagnostic on stderr),
+Graph files are decoded by `_GraphDecoder`, which reads an adjacency row
+of single digits (the small multiplicities most graphs have) straight
+from its text, as a tuple of ints; any file with a fault in it is read
+again by `json.loads`, so that every diagnostic stays that route's.
+`graph-hs` puts its family into the payload as a `VertexSets` view of
+bitmasks, which the JSON writer names set by set from vertex names it
+encodes once.
+
+Exit codes: 0 success, 2 input/schema errors (diagnostic on stderr; this
+includes files that are not UTF-8 and JSON nested too deeply to decode),
 3 for computations whose outcome is an unresolved extension (the result is
 still printed, with a status field), 1 when stdout is closed before the
 result is written out (say by `| head`).
@@ -18,7 +27,10 @@ import json
 import os
 import re
 import sys
+from itertools import compress
+from json.decoder import WHITESPACE, JSONArray
 from json.encoder import encode_basestring_ascii
+from json.scanner import py_make_scanner
 from types import SimpleNamespace
 
 from .abelian import (
@@ -40,6 +52,7 @@ from .colimit import (
     ker_coker_one_minus,
 )
 from .graphalg import (
+    _BIT_BYTES,
     Graph,
     condition_k_failures,
     hereditary_saturated_masks,
@@ -54,6 +67,8 @@ _MAX_JSON_INT = 2**53
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 _STR, _INT = {str}, {int}
 _KINDS = ("group_endo", "k_data", "cuntz", "graph")
+_JSON_SPACE = str.maketrans("", "", " \t\n\r")
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 class InputError(Exception):
@@ -85,10 +100,13 @@ def _as_count(value, where: str) -> int:
     return n
 
 
-def _as_row(row: list, where: str) -> list:
-    # a row of JSON numbers within range needs no per-entry check.  bytes()
+def _as_row(row: list | tuple, where: str) -> list | tuple:
+    # a tuple row comes from _GraphDecoder, which checked it already.  A
+    # row of JSON numbers within range needs no per-entry check.  bytes()
     # probes the range in one pass when every entry is in 0..255, as in
     # most graph rows; the type check comes first, since bytes() takes bools
+    if type(row) is tuple:
+        return row
     if set(map(type, row)) == _INT:
         try:
             bytes(row)
@@ -104,7 +122,7 @@ def _as_matrix(value, where: str, cols: int | None = None,
     """The matrix of a decoded JSON list of rows.  Each row is replaced in
     value by its tuple as it is read, so the decoded lists do not stay
     alive beside the matrix."""
-    if not isinstance(value, list) or any(not isinstance(r, list) for r in value):
+    if not isinstance(value, list) or any(not isinstance(r, (list, tuple)) for r in value):
         raise InputError(f"{where}: expected a list of rows")
     # every entry is checked before the shape, so a bad entry anywhere is
     # reported before a ragged row, a wrong width or a wrong row count
@@ -123,15 +141,23 @@ def _as_matrix(value, where: str, cols: int | None = None,
     return IntMatrix._of_checked_rows(width, tuple(value))
 
 
-def _load_document(path: str, expected_kind: str) -> dict:
+def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_document(path: str, expected_kind: str, text: str | None = None,
+                   decode=None) -> dict:
+    """The problem file at path (or its text, when given), decoded by
+    decode (json.loads by default), with its kind checked."""
+    if text is None:
+        text = _read_text(path)
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text) if decode is None else decode(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: problem file must be a JSON object")
@@ -203,8 +229,44 @@ def _load_k_data(path: str) -> KTheoryData:
                        problems[0].endo, problems[1].endo)
 
 
-def _load_graph(path: str) -> Graph:
-    doc = _load_document(path, "graph")
+class _GraphDecoder(json.JSONDecoder):
+    """json.loads's decoder, but for one kind of array: one whose text up
+    to the next ']', JSON whitespace aside, alternates single ASCII digits
+    and commas (an adjacency row of small multiplicities) becomes a tuple
+    of ints straight from that text.  An array that opens another array
+    is read element by element, so that each row of a matrix can take that
+    path; any other array goes to the C scanner whole.  No JSON decodes to
+    a tuple, so a tuple row is one this decoder checked."""
+
+    def __init__(self):
+        super().__init__()
+        scan_whole = self.scan_once  # the C scanner, where there is one
+        skip = WHITESPACE.match
+
+        def parse_array(s_and_end, scan_once):
+            s, end = s_and_end
+            first = skip(s, end).end()
+            if s.startswith("[", first):
+                return JSONArray(s_and_end, scan_once)
+            # only an array that starts with a digit is looked at up to the
+            # next ']', so the text is scanned once however arrays nest
+            close = s.find("]", first) if "0" <= s[first:first + 1] <= "9" else -1
+            if close > 0:
+                row = s[first:close].translate(_JSON_SPACE)
+                digits = row[::2]
+                if len(row) & 1 and digits.isascii():
+                    # digits at every even place, and so commas at every odd
+                    # one when there are as many commas as odd places
+                    digits = digits.encode()
+                    if digits.isdigit() and row.count(",") == len(row) >> 1:
+                        return tuple(digits.translate(_DIGIT_VALUES)), close + 1
+            return scan_whole(s, end - 1)
+
+        self.parse_array = parse_array
+        self.scan_once = py_make_scanner(self)
+
+
+def _graph_of(doc: dict, path: str) -> Graph:
     _check_fields(doc, path, {"vertices", "adjacency"})
     vertices = doc["vertices"]
     if (not isinstance(vertices, list)
@@ -216,6 +278,17 @@ def _load_graph(path: str) -> Graph:
         return Graph(tuple(vertices), adjacency)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
+
+
+def _load_graph(path: str) -> Graph:
+    text = _read_text(path)
+    try:
+        return _graph_of(_load_document(path, "graph", text, _GraphDecoder().decode), path)
+    except InputError:
+        # a decoding error comes here as an InputError too.  The document
+        # is read again by json.loads, so that every diagnostic is the one
+        # it has always been, whichever decoder met the fault first
+        return _graph_of(_load_document(path, "graph", text), path)
 
 
 def _parse_vertex_set(arg: str, where: str) -> list[str]:
@@ -238,40 +311,63 @@ def _parse_cuntz_n(text: str) -> int | None:
 # Rendering
 # ---------------------------------------------------------------------------
 
-class MappedList:
-    """A sized, re-iterable view of func applied to each of items.  Its
-    values are made one at a time as it is read, so a payload can hold a
-    long list without holding every value at once; render_json writes it
-    as the list of those values."""
+class VertexSets:
+    """The vertex sets of graph given by masks, as a sized, re-iterable
+    view that reads as each set's names_of list.  render_json writes it
+    from the vertex names encoded once, naming each set as it is written,
+    so a payload can hold a long family without its names."""
 
-    __slots__ = ("func", "items")
+    __slots__ = ("graph", "masks")
 
-    def __init__(self, func, items):
-        self.func = func
-        self.items = items
+    def __init__(self, graph: Graph, masks):
+        self.graph = graph
+        self.masks = masks
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.masks)
 
     def __iter__(self):
-        return map(self.func, self.items)
+        return map(self.graph.names_of, self.masks)
+
+
+def _bit_selector(mask: int) -> bytes:
+    """The bits of mask read from bit 0, as bytes 0 and 1, as
+    Graph.names_of reads them: for itertools.compress, a set's selector
+    over anything listed in vertex order."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+
+
+def _write_vertex_sets(sets: VertexSets, write, indent: str, lead: str) -> None:
+    """_write_json's pieces for a nonempty VertexSets view: one per set,
+    joined from the encoded names its selector picks."""
+    inner, leaf = indent + "  ", indent + "    "
+    encoded = list(map(encode_basestring_ascii, sets.graph.vertices))
+    join = (",\n" + leaf).join
+    separator = lead + "[\n" + inner
+    for selector in map(_bit_selector, sets.masks):
+        names = join(compress(encoded, selector))
+        write(separator + ("[\n" + leaf + names + "\n" + inner + "]" if names else "[]"))
+        separator = ",\n" + inner
+    write("\n" + indent + "]")
 
 
 def _write_json(obj, write, indent: str, lead: str = "") -> None:
     """Write lead, then the text json.dumps(obj, indent=2, sort_keys=True)
     gives at this depth, with integers beyond 2^53 as decimal strings and a
-    MappedList as the list of its values: one piece per scalar or flat
-    list, with the separator and key before it, and one per closing
-    bracket."""
+    VertexSets view as the list of its sets' names: one piece per scalar,
+    flat list or vertex set, with the separator and key before it, and one
+    per closing bracket."""
     if isinstance(obj, str):
         write(lead + encode_basestring_ascii(obj))
-    elif isinstance(obj, (list, tuple, MappedList)):
+    elif isinstance(obj, (list, tuple, VertexSets)):
         if not obj:
             write(lead + "[]")
             return
+        if type(obj) is VertexSets:
+            _write_vertex_sets(obj, write, indent, lead)
+            return
         inner = indent + "  "
-        # a view is written value by value, as each value is made
-        types = () if type(obj) is MappedList else set(map(type, obj))
+        types = set(map(type, obj))
         if types == _STR:  # a flat list is written in one join
             items = map(encode_basestring_ascii, obj)
         elif types == _INT and -_MAX_JSON_INT <= min(obj) and max(obj) <= _MAX_JSON_INT:
@@ -451,7 +547,7 @@ def _cmd_graph_hs(args):
     graph = _load_graph(args.input)
     masks = hereditary_saturated_masks(graph)
     # each set's names are made only as the set is written
-    payload = {"subsets": MappedList(graph.names_of, masks), "status": "ok"}
+    payload = {"subsets": VertexSets(graph, masks), "status": "ok"}
     return payload, map(graph.format_mask, masks), None
 
 

@@ -11,12 +11,15 @@ no longer uses: `divisor_search_diagonal`, the colimit layer's
 integer-eigenvalue search, takes eigenlattices from the Smith form's V, and
 `kernel_via_smith_lattice` takes a kernel from three Smith forms.
 `reference_parser` is the CLI's argparse parser written out call by call,
-as it stood before the CLI declared its grammar in one table.
+as it stood before the CLI declared its grammar in one table, and
+`reference_load_graph` is the CLI's graph loader as it stood before it
+read adjacency rows in bulk: `json.loads` and the same checks.
 """
 
 import argparse
 import contextlib
 import io
+import json
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, prod
@@ -28,7 +31,7 @@ from kdilate.abelian import (
     _quotient_with_maps,
     smith_normal_form,
 )
-from kdilate.cli import MappedList
+from kdilate.cli import InputError, VertexSets, _as_matrix, _check_fields
 from kdilate.graphalg import Graph
 
 
@@ -318,15 +321,48 @@ def condition_k_failing_components(graph: Graph) -> list[frozenset]:
 
 def json_safe(obj):
     """The payload json.dumps can render: integers beyond 2^53 as decimal
-    strings, tuples and the CLI's MappedList views as lists (what the CLI's
+    strings, tuples and the CLI's VertexSets views as lists (what the CLI's
     one-pass renderer writes for them)."""
     if isinstance(obj, dict):
         return {k: json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, MappedList)):
+    if isinstance(obj, (list, tuple, VertexSets)):
         return [json_safe(v) for v in obj]
     if isinstance(obj, int) and not isinstance(obj, bool) and abs(obj) > 2**53:
         return str(obj)
     return obj
+
+
+def reference_load_graph(path: str) -> Graph:
+    """The graph in a problem file, by json.loads and the CLI's checks,
+    raising InputError with the CLI's text for anything wrong."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InputError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: problem file must be a JSON object")
+    kind = doc.get("kind")
+    kinds = ["group_endo", "k_data", "cuntz", "graph"]
+    if kind not in kinds:
+        raise InputError(f"{path}: kind must be one of {kinds}, got {kind!r}")
+    if kind != "graph":
+        raise InputError(f"{path}: this subcommand expects kind 'graph', file has {kind!r}")
+    _check_fields(doc, path, {"vertices", "adjacency"})
+    vertices = doc["vertices"]
+    if (not isinstance(vertices, list)
+            or any(not isinstance(v, str) or not v for v in vertices)):
+        raise InputError(f"{path}: vertices must be a list of nonempty strings")
+    adjacency = _as_matrix(doc["adjacency"], f"{path}: adjacency",
+                           cols=len(vertices), rows=len(vertices))
+    try:
+        return Graph(tuple(vertices), adjacency)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def charpoly_faddeev_leverrier(rows: list[list[int]]) -> list[int]:

@@ -465,6 +465,27 @@ class TestInputHandling:
         assert code == 2
         assert "line 1 column" in err
 
+    @pytest.mark.parametrize("command", ["graph-prim", "colim"])
+    def test_deep_nesting_is_malformed_json(self, tmp_path, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        proc = subprocess.run(
+            [sys.executable, "-m", "kdilate.cli", command, "--input", str(deep)],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith(f"error: malformed JSON in {deep}: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["graph-prim", "colim"])
+    def test_file_that_is_not_utf8_cannot_be_read(self, capsys, tmp_path, command):
+        odd = tmp_path / "latin1.json"
+        odd.write_bytes(b'{"kind": "graph", "vertices": ["a\xff"], "adjacency": [[1]]}')
+        code, out, err = run(capsys, command, "--input", str(odd))
+        assert code == 2 and out == ""
+        assert err == (f"error: cannot read {odd}: 'utf-8' codec can't decode byte 0xff "
+                       "in position 33: invalid start byte\n")
+
     def test_wrong_kind(self, capsys, fixtures_dir):
         code, _, err = run(capsys, "snf", "--input", str(fixtures_dir / "E.json"))
         assert code == 2 and "expects kind 'group_endo'" in err
@@ -739,14 +760,15 @@ class TestJsonCanonicalisation:
         path.write_text(json.dumps({"kind": "graph", "vertices": list(graph.vertices),
                                     "adjacency": graph.adjacency.to_lists()}))
         calls = 0
-        names_of = Graph.names_of
+        selector = cli._bit_selector
 
-        def counted(self, mask):
+        def counted(mask):
             nonlocal calls
             calls += 1
-            return names_of(self, mask)
-        monkeypatch.setattr(Graph, "names_of", counted)
-        writes = []  # each piece, with the number of names_of calls before it
+            return selector(mask)
+        # the writer names a set by its bit selector over the encoded names
+        monkeypatch.setattr(cli, "_bit_selector", counted)
+        writes = []  # each piece, with the number of sets named before it
 
         class Sink(io.StringIO):
             def write(self, text):
@@ -759,7 +781,7 @@ class TestJsonCanonicalisation:
                                       sort_keys=True) + "\n"
         assert max(len(text) for text, _ in writes) <= len(document) / 100
         # each set is named once, as it is written: the first set goes out
-        # before names_of runs a second time
+        # before the second is named
         assert next(made for text, made in writes if '"subsets": [' in text) == 1
         assert calls == len(subsets)
 
