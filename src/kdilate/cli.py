@@ -52,8 +52,8 @@ from .colimit import (
     ker_coker_one_minus,
 )
 from .graphalg import (
-    _BIT_BYTES,
     Graph,
+    bit_selector as _bit_selector,
     condition_k_failures,
     hereditary_saturated_masks,
     ideal_lattice_hasse,
@@ -328,13 +328,6 @@ class VertexSets:
 
     def __iter__(self):
         return map(self.graph.names_of, self.masks)
-
-
-def _bit_selector(mask: int) -> bytes:
-    """The bits of mask read from bit 0, as bytes 0 and 1, as
-    Graph.names_of reads them: for itertools.compress, a set's selector
-    over anything listed in vertex order."""
-    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
 
 
 def _write_vertex_sets(sets: VertexSets, write, indent: str, lead: str) -> None:

@@ -2,16 +2,21 @@
 finitely generated abelian group, and compute kernel/cokernel of (1 - fbar)
 on the colimit.
 
-The classification first quotients by the eventual kernel (the union of
-ker(f^t), which stabilizes because the groups are noetherian) so the induced
-endomorphism is injective, then splits into the finite, free, and mixed
-cases.  Mixed groups are split equivariantly when an invariant free
-complement exists; otherwise the result is reported as an unresolved
-extension rather than guessed.
+The classification first quotients by the eventual kernel K, the union of
+ker(f^t), so the induced endomorphism is injective, then splits into the
+finite, free, and mixed cases.  Mixed groups are split equivariantly when
+an invariant free complement exists; otherwise the result is reported as
+an unresolved extension rather than guessed.
 
 Kernel/cokernel of (1 - fbar) never touch the colimit directly: filtered
 colimits are exact, so both are computed at level zero and the induced
 system is classified.
+
+The chain ker(f^t) stabilizes at t* <= r + Omega(|T|) for K of rank r and
+torsion T, Omega counting prime factors with multiplicity: f is nilpotent
+on K (Fitting), and until f^i(K) = 0 each step lowers its rank or, once it
+is finite, divides its order by a prime.  Doubling the power of f finds
+the stable kernel in one kernel if t* = 0, else 2 + ceil(log2 t*).
 """
 
 from __future__ import annotations
@@ -36,16 +41,10 @@ from .abelian import (
     solve_integer_system,
 )
 
-DEFAULT_STABILIZATION_CAP = 64
-
 TAG_FINITE = "finite_or_fg"
 TAG_LOCALIZED = "localized_free"
 TAG_EXTENSION = "extension"
 TAG_UNRESOLVED = "unresolved"
-
-
-class StabilizationCapError(RuntimeError):
-    """Kernel chain failed to stabilize within the iteration cap."""
 
 
 class DilationProblem(_Record):
@@ -633,38 +632,47 @@ def direct_sum_descriptions(a: ColimitDescription, b: ColimitDescription) -> Col
 # Core operations
 # ---------------------------------------------------------------------------
 
-def _stable_kernel_generators(problem: DilationProblem,
-                              cap: int) -> tuple[int, list[tuple[int, ...]], GroupHom]:
-    """Least t with ker(f^t) = ker(f^{t+1}), generators of that kernel
-    lattice, and the power f^t itself.  On a free base, f(0) != 0 for the
-    characteristic polynomial f of the matrix means f is injective, so
-    t = 0 with no kernel taken."""
+def _stable_kernel_generators(problem: DilationProblem
+                              ) -> tuple[list[tuple[int, ...]], GroupHom]:
+    """Generators of the eventual kernel lattice, and a power f^a that
+    kills it, for the first a in 0, 1, 2, 4, ... where f^a kills the
+    generators of ker(f^max(1, 2a)): the chain only grows, so it has
+    stabilized there.  On a free base, f(0) != 0 for the characteristic
+    polynomial f of the matrix means f is injective, so a = 0 with no
+    kernel taken."""
     base, f = problem.base, problem.endo
     power = GroupHom.identity(base)
     if base.is_free and _charpoly_of(f.matrix)[0]:
-        return 0, [], power
-    for t in range(cap + 1):
-        nxt = f @ power
+        return [], power
+    nxt = f
+    while True:
         gens = _kernel_lattice_generators(nxt)
         if all(element_is_zero(base, power.matrix.apply(g)) for g in gens):
-            return t, gens, power
-        power = nxt
-    raise StabilizationCapError("stabilization cap exceeded")
+            return gens, power
+        power, nxt = nxt, nxt @ nxt
 
 
-def eventual_kernel(problem: DilationProblem,
-                    cap: int = DEFAULT_STABILIZATION_CAP) -> tuple[FGAbelianGroup, int]:
-    """The union of ker(f^t) in canonical form, and the stabilization index."""
-    t_star, _, power = _stable_kernel_generators(problem, cap)
+def eventual_kernel(problem: DilationProblem) -> tuple[FGAbelianGroup, int]:
+    """The union of ker(f^t) in canonical form, and the stabilization
+    index: the least t with f^t killing the union.
+
+    >>> z = FGAbelianGroup.cyclic(2**65)
+    >>> eventual_kernel(DilationProblem(z, GroupHom.multiplication(z, 2)))
+    (FGAbelianGroup(free_rank=0, invariant_factors=(36893488147419103232,)), 65)
+    """
+    gens, power = _stable_kernel_generators(problem)
     group, _ = kernel(power)
+    t_star, alive = 0, [g for g in map(problem.base.reduce, gens) if any(g)]
+    while alive:
+        alive = [g for g in map(problem.endo.apply, alive) if any(g)]
+        t_star += 1
     return group, t_star
 
 
-def _injective_quotient(problem: DilationProblem,
-                        cap: int) -> tuple[FGAbelianGroup, GroupHom]:
+def _injective_quotient(problem: DilationProblem) -> tuple[FGAbelianGroup, GroupHom]:
     """Quotient by the eventual kernel, with the induced injective map."""
     base = problem.base
-    _, gens, _ = _stable_kernel_generators(problem, cap)
+    gens, _ = _stable_kernel_generators(problem)
     if not gens and base.is_free:  # nothing to quotient by
         return base, problem.endo
     rows = base.relation_rows().vstack(
@@ -738,8 +746,7 @@ def _classify_injective(group: FGAbelianGroup, endo: GroupHom) -> ColimitDescrip
     return ColimitDescription.extension(sub, quot, resolved=False)
 
 
-def classify_colimit(problem: DilationProblem,
-                     cap: int = DEFAULT_STABILIZATION_CAP) -> ColimitDescription:
+def classify_colimit(problem: DilationProblem) -> ColimitDescription:
     """Classify colim(G, f).
 
     Quotienting by the eventual kernel leaves an injective system with the
@@ -747,12 +754,11 @@ def classify_colimit(problem: DilationProblem,
     injective free systems give localized towers, and mixed groups split when
     an invariant free complement exists.
     """
-    quotient, induced = _injective_quotient(problem, cap)
+    quotient, induced = _injective_quotient(problem)
     return _classify_injective(quotient, induced)
 
 
-def ker_coker_one_minus(problem: DilationProblem,
-                        cap: int = DEFAULT_STABILIZATION_CAP
+def ker_coker_one_minus(problem: DilationProblem
                         ) -> tuple[ColimitDescription, ColimitDescription]:
     """Kernel and cokernel of (1 - fbar) on the colimit.
 
@@ -770,16 +776,13 @@ def ker_coker_one_minus(problem: DilationProblem,
 
     cok_group, projection, lift = _cokernel_with_maps(one_minus)
     cok_endo = GroupHom(cok_group, cok_group, projection.matrix @ f.matrix @ lift)
-    cok_desc = classify_colimit(DilationProblem(cok_group, cok_endo), cap)
+    cok_desc = classify_colimit(DilationProblem(cok_group, cok_endo))
     return ker_desc, cok_desc
 
 
-def colim_element_is_zero(problem: DilationProblem, element: ColimElement,
-                          cap: int = DEFAULT_STABILIZATION_CAP) -> bool:
+def colim_element_is_zero(problem: DilationProblem, element: ColimElement) -> bool:
     """Whether (coords, level) is zero in the colimit, i.e. killed by some
-    power of the endomorphism."""
-    coords = problem.base.reduce(element.coords)
-    t_star, _, _ = _stable_kernel_generators(problem, cap)
-    for _ in range(t_star):
-        coords = problem.endo.apply(coords)
-    return element_is_zero(problem.base, coords)
+    power of the endomorphism, and so by the power that kills the eventual
+    kernel."""
+    _, power = _stable_kernel_generators(problem)
+    return element_is_zero(problem.base, power.apply(element.coords))

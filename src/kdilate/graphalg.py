@@ -57,6 +57,13 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 _NONZERO_BITS = b"0" + b"1" * 255  # maps each byte to whether it is nonzero
 
 
+def bit_selector(mask: int) -> bytes:
+    """The bits of mask read from bit 0, as bytes 0 and 1: for
+    itertools.compress, the selector of the vertex set over anything listed
+    in vertex order."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+
+
 class Graph(_Record):
     """Directed multigraph: adjacency[v][w] counts the edges from v to w."""
 
@@ -128,8 +135,7 @@ class Graph(_Record):
         >>> graph.names_of(0)
         []
         """
-        # the bit string read from bit 0, as bytes 0 and 1
-        return list(compress(self.vertices, bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
+        return list(compress(self.vertices, bit_selector(mask)))
 
     def set_of(self, mask: int) -> VertexSet:
         return frozenset(self.names_of(mask))

@@ -23,7 +23,6 @@ from math import gcd
 
 from .abelian import FGAbelianGroup, GroupHom, IncompatibleShapesError, _Record
 from .colimit import (
-    DEFAULT_STABILIZATION_CAP,
     ColimitDescription,
     DilationProblem,
     TAG_FINITE,
@@ -129,11 +128,10 @@ def _resolve_extension(sub: ColimitDescription,
     return None, "kernel end is not free; extension left unresolved"
 
 
-def pv_crossed_product(data: KTheoryData,
-                       cap: int = DEFAULT_STABILIZATION_CAP) -> CrossedProductK:
+def pv_crossed_product(data: KTheoryData) -> CrossedProductK:
     """Dilate the K-data and assemble the crossed product's K-groups."""
-    ker0, cok0 = ker_coker_one_minus(DilationProblem(data.k0, data.map0), cap)
-    ker1, cok1 = ker_coker_one_minus(DilationProblem(data.k1, data.map1), cap)
+    ker0, cok0 = ker_coker_one_minus(DilationProblem(data.k0, data.map0))
+    ker1, cok1 = ker_coker_one_minus(DilationProblem(data.k1, data.map1))
     k0_resolved, reason0 = _resolve_extension(cok0, ker1)
     k1_resolved, reason1 = _resolve_extension(cok1, ker0)
     return CrossedProductK(

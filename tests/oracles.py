@@ -5,11 +5,12 @@ is recovered from torsion-element counts, Smith diagonals from gcds of
 minors, vertex-set families from exhaustive subset scans, poset covers
 from their definition, characteristic polynomials by Faddeev-LeVerrier,
 and JSON text from the standard library's encoder.  That keeps the
-dual-route checks honest.  Two exceptions are earlier package routes, each
-kept as the reference for its replacement through a route the replacement
-no longer uses: `divisor_search_diagonal`, the colimit layer's
-integer-eigenvalue search, takes eigenlattices from the Smith form's V, and
-`kernel_via_smith_lattice` takes a kernel from three Smith forms.
+dual-route checks honest.  Three exceptions are earlier package routes,
+each kept as the reference for its replacement through a route the
+replacement no longer uses: `divisor_search_diagonal`, the colimit layer's
+integer-eigenvalue search, takes eigenlattices from the Smith form's V,
+`kernel_via_smith_lattice` takes a kernel from three Smith forms, and
+`eventual_kernel_step_by_step` walks the kernel chain one power at a time.
 `reference_parser` is the CLI's argparse parser written out call by call,
 as it stood before the CLI declared its grammar in one table, and
 `reference_load_graph` is the CLI's graph loader as it stood before it
@@ -21,14 +22,16 @@ import contextlib
 import io
 import json
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, count, product
 from math import gcd, prod
 
 from kdilate.abelian import (
     FGAbelianGroup,
     GroupHom,
     IntMatrix,
+    _kernel_lattice_generators,
     _quotient_with_maps,
+    element_is_zero,
     smith_normal_form,
 )
 from kdilate.cli import InputError, VertexSets, _as_matrix, _check_fields
@@ -443,6 +446,21 @@ def kernel_via_smith_lattice(f: GroupHom) -> tuple[FGAbelianGroup, GroupHom]:
         coords.append([x // d for x, d in zip(w, diag)])
     group, _, lift = _quotient_with_maps(rank, IntMatrix.from_rows(coords, cols=rank))
     return group, GroupHom(group, domain, basis @ lift)
+
+
+def eventual_kernel_step_by_step(base: FGAbelianGroup,
+                                 f: GroupHom) -> tuple[FGAbelianGroup, int, GroupHom]:
+    """The colimit layer's earlier eventual kernel, without its cap: for
+    t = 0, 1, 2, ..., the generators of ker(f^(t+1)), until f^t kills them
+    all.  Returns ker(f^t), by `kernel_via_smith_lattice`, that t, and f^t.
+    """
+    power = GroupHom.identity(base)
+    for t in count():
+        nxt = f @ power
+        if all(element_is_zero(base, power.matrix.apply(g))
+               for g in _kernel_lattice_generators(nxt)):
+            return kernel_via_smith_lattice(power)[0], t, power
+        power = nxt
 
 
 def _divisors(n: int) -> list[int]:

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -243,6 +244,16 @@ class TestColimKercokerCommands:
         assert code == 0
         assert json.loads(out)["colimit"]["localizers"] == [1, 2, 3]
         assert calls == [] and len(computed) == 1
+
+    @pytest.mark.parametrize("exponent", [65, 4000])
+    def test_long_kernel_chain_collapses_without_a_cap(self, capsys, tmp_path, exponent):
+        doc = tmp_path / "power_of_two.json"  # Z/2^exponent, times 2
+        doc.write_text(json.dumps({"kind": "group_endo", "generators": 1,
+                                   "relations": [[str(2**exponent)]], "endo": [[2]]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "colim", "--input", str(doc))
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (0, "colimit = 0\nstatus = ok\n", "")
 
     def test_large_multiplier_tower_prints_its_localizers(self, capsys, tmp_path):
         # |det| = 3 * (2^61 - 1) is past any divisor search: the multipliers

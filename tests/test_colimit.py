@@ -5,12 +5,11 @@ from math import gcd
 import pytest
 
 from kdilate import colimit
-from kdilate.abelian import FGAbelianGroup, GroupHom, IntMatrix, direct_sum
+from kdilate.abelian import FGAbelianGroup, GroupHom, IntMatrix, direct_sum, element_is_zero
 from kdilate.colimit import (
     ColimElement,
     ColimitDescription,
     DilationProblem,
-    StabilizationCapError,
     TAG_EXTENSION,
     TAG_FINITE,
     TAG_LOCALIZED,
@@ -25,6 +24,8 @@ from oracles import (
     charpoly_faddeev_leverrier,
     conjugate,
     divisor_search_diagonal,
+    eventual_kernel_step_by_step,
+    prime_factors,
     random_endomorphism,
     random_finite_group,
     random_group,
@@ -67,12 +68,43 @@ class TestEventualKernel:
         assert group == FGAbelianGroup.cyclic(2)
         assert index == 1
 
-    def test_cap_exceeded_is_reported(self):
-        with pytest.raises(StabilizationCapError, match="stabilization cap exceeded"):
-            eventual_kernel(cyclic_problem(2**10, 2), cap=3)
-        group, index = eventual_kernel(cyclic_problem(2**10, 2), cap=12)
+    def test_doubling_on_z1024_absorbs_everything_at_index_10(self):
+        group, index = eventual_kernel(cyclic_problem(2**10, 2))
         assert group == FGAbelianGroup.cyclic(2**10)
         assert index == 10
+
+    def test_long_chains_end_without_a_cap(self):
+        problem = cyclic_problem(2**4000, 2)
+        assert eventual_kernel(problem) == (FGAbelianGroup.cyclic(2**4000), 4000)
+        assert colim_element_is_zero(problem, ColimElement(0, (1,)))
+
+    def test_matches_the_step_by_step_chain(self):
+        # t* <= r + Omega(|T|) for the eventual kernel of rank r and torsion T
+        rng = random.Random(23)
+        indices = set()
+        for _ in range(250):
+            orders = [0] * rng.randint(0, 3) + [
+                rng.choice((2, 3, 4, 8, 9, 12, 16, 27, 32, 64, 81, 128, 1024))
+                for _ in range(rng.randint(0, 3))]
+            base = FGAbelianGroup.from_orders(orders)
+            matrix = random_endomorphism(rng, base).matrix.scale(rng.choice((1, 2, 3, 6)))
+            rows, t = matrix.to_lists(), base.torsion_count
+            if rng.random() < 0.4:  # a nilpotent free block
+                for i in range(t, len(rows)):
+                    rows[i][t:i + 1] = [0] * (i + 1 - t)
+            endo = GroupHom(base, base, IntMatrix.from_rows(rows, cols=base.num_generators))
+            problem = DilationProblem(base, endo)
+            group, index = eventual_kernel(problem)
+            expected, expected_index, power = eventual_kernel_step_by_step(base, endo)
+            assert (group, index) == (expected, expected_index)
+            omega = sum(prime_factors(group.torsion_part().order()).values())
+            assert index <= group.free_rank + omega
+            for i in range(base.num_generators):
+                e = tuple(int(j == i) for j in range(base.num_generators))
+                assert colim_element_is_zero(problem, ColimElement(0, e)) == \
+                    element_is_zero(base, power.apply(e))
+            indices.add(index)
+        assert indices >= set(range(8)) | {10}
 
     def test_zero_endomorphism_on_free_group(self):
         group, index = eventual_kernel(times_m_on_z(0))
@@ -219,8 +251,8 @@ class TestKerCokerOneMinus:
         classified = []
         classify = colimit.classify_colimit
         monkeypatch.setattr(colimit, "classify_colimit",
-                            lambda problem, cap: classified.append(problem) or
-                            classify(problem, cap))
+                            lambda problem: classified.append(problem) or
+                            classify(problem))
         base = FGAbelianGroup.from_orders([2, 0, 0])
         endo = GroupHom(base, base, IntMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 2]]))
         ker_desc, _ = ker_coker_one_minus(DilationProblem(base, endo))
