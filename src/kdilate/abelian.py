@@ -712,10 +712,6 @@ class GroupHom(_Record):
     def multiplication(cls, group: FGAbelianGroup, c: int) -> "GroupHom":
         return cls(group, group, IntMatrix.identity(group.num_generators).scale(c))
 
-    @property
-    def is_endomorphism(self) -> bool:
-        return self.domain == self.codomain
-
     def apply(self, coords) -> tuple[int, ...]:
         return self.codomain.reduce(self.matrix.apply(self.domain.reduce(coords)))
 
@@ -739,16 +735,6 @@ class GroupHom(_Record):
     def __neg__(self) -> "GroupHom":
         return GroupHom(self.domain, self.codomain, -self.matrix)
 
-    def power(self, k: int) -> "GroupHom":
-        if not self.is_endomorphism:
-            raise IncompatibleShapesError("powers need an endomorphism")
-        if k < 0:
-            raise ValueError("negative powers are not defined")
-        result = GroupHom.identity(self.domain)
-        for _ in range(k):
-            result = self @ result
-        return result
-
 
 def compose(f: GroupHom, g: GroupHom) -> GroupHom:
     """Composite f after g."""
@@ -760,6 +746,9 @@ def _kernel_lattice_generators(f: GroupHom) -> list[tuple[int, ...]]:
 
     Taken from the Smith form's V rather than a Hermite form: these vectors
     fix the basis in which a tower that does not diagonalize is printed.
+    `kernel`'s inclusion spans the same lattice, but quotienting by its
+    columns instead prints some towers of rank 2 and 3 in another basis:
+    the same characteristic polynomial with other entries.
     """
     n = f.domain.num_generators
     combined = f.matrix.hstack(f.codomain.relation_rows().transpose())
@@ -816,10 +805,8 @@ def cokernel(f: GroupHom) -> tuple[FGAbelianGroup, GroupHom]:
 
 def _direct_sum_with_maps(g: FGAbelianGroup, h: FGAbelianGroup):
     """Canonical direct sum plus the projection/lift of the juxtaposed basis."""
-    n = g.num_generators + h.num_generators
-    rows = [list(r) + [0] * h.num_generators for r in g.relation_rows().entries]
-    rows += [[0] * g.num_generators + list(r) for r in h.relation_rows().entries]
-    return _quotient_with_maps(n, IntMatrix.from_rows(rows, cols=n))
+    return _quotient_with_maps(g.num_generators + h.num_generators,
+                               block_diagonal(g.relation_rows(), h.relation_rows()))
 
 
 def direct_sum(g: FGAbelianGroup, h: FGAbelianGroup) -> FGAbelianGroup:
@@ -832,11 +819,8 @@ def direct_sum_endo(g: FGAbelianGroup, fg: GroupHom,
                     h: FGAbelianGroup, fh: GroupHom) -> tuple[FGAbelianGroup, GroupHom]:
     """Block-diagonal endomorphism fg + fh on the canonical direct sum."""
     group, projection, lift = _direct_sum_with_maps(g, h)
-    ng, nh = g.num_generators, h.num_generators
-    block = [list(r) + [0] * nh for r in fg.matrix.entries]
-    block += [[0] * ng + list(r) for r in fh.matrix.entries]
-    block_m = IntMatrix.from_rows(block, cols=ng + nh)
-    return group, GroupHom(group, group, projection @ block_m @ lift)
+    block = block_diagonal(fg.matrix, fh.matrix)
+    return group, GroupHom(group, group, projection @ block @ lift)
 
 
 def is_isomorphic(g: FGAbelianGroup, h: FGAbelianGroup) -> bool:

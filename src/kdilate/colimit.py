@@ -31,9 +31,11 @@ from .abelian import (
     IncompatibleShapesError,
     IntMatrix,
     _Record,
+    _cokernel_with_maps,
     _kernel_lattice_generators,
     _quotient_with_maps,
     block_diagonal,
+    direct_sum,
     direct_sum_endo,
     element_is_zero,
     integer_kernel_basis,
@@ -188,7 +190,6 @@ class ColimitDescription(_Record):
             a, b = self.sub.signature(), self.quot.signature()
             if a is None or b is None:
                 return None
-            from .abelian import direct_sum
             return (direct_sum(a[0], b[0]), a[1] + b[1])
         return None
 
@@ -717,15 +718,12 @@ def _equivariant_complement_exists(group: FGAbelianGroup, torsion_map: IntMatrix
 def _free_colimit(free_map: IntMatrix) -> ColimitDescription:
     """colim(Z^r, M) for an injective M: Z^r itself when |det M| = 1, else
     the localized tower.  |det M| = |f(0)| for the characteristic
-    polynomial f kept with the matrix, which also decides injectivity, so
-    the tower skips the check of `ColimitDescription.localized`."""
-    det = _charpoly_of(free_map)[0]
-    if det == 0:
-        raise ValueError("localized tower needs an injective matrix")
-    if abs(det) == 1:
+    polynomial f kept with the matrix, which the tower's injectivity check
+    reads too."""
+    if abs(_charpoly_of(free_map)[0]) == 1:
         free_group = FGAbelianGroup.free(free_map.rows)
         return ColimitDescription.finite(free_group, GroupHom(free_group, free_group, free_map))
-    return ColimitDescription(tag=TAG_LOCALIZED, loc_rank=free_map.rows, loc_matrix=free_map)
+    return ColimitDescription.localized(free_map)
 
 
 def _classify_injective(group: FGAbelianGroup, endo: GroupHom) -> ColimitDescription:
@@ -767,8 +765,6 @@ def ker_coker_one_minus(problem: DilationProblem
     pointwise, so the kernel tower is constant and its colimit is the
     kernel itself, with the identity action.
     """
-    from .abelian import _cokernel_with_maps
-
     base, f = problem.base, problem.endo
     one_minus = GroupHom.identity(base) - f
     ker_group, _ = kernel(one_minus)

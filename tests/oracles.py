@@ -429,10 +429,7 @@ def kernel_via_smith_lattice(f: GroupHom) -> tuple[FGAbelianGroup, GroupHom]:
     quotient of that basis by those coordinates.
     """
     domain, n = f.domain, f.domain.num_generators
-    combined = f.matrix.hstack(f.codomain.relation_rows().transpose())
-    snf = smith_normal_form(combined)
-    gens = [g for g in (snf.V.column(j)[:n] for j in range(snf.rank(), combined.cols))
-            if any(g)]
+    gens = _kernel_lattice_generators(f)
     lattice = smith_normal_form(IntMatrix.from_rows(gens, cols=n).transpose(),
                                 with_inverse=True)
     diag = [d for d in lattice.diagonal() if d]

@@ -118,6 +118,38 @@ class TestEventualKernel:
         assert group == Z
         assert index == 1
 
+    def test_long_chain_takes_one_generator_set_per_doubling(self, monkeypatch):
+        # t* = 4000: generators of ker f^(2^i) for i = 0..13, then the group
+        # from one kernel of f^4096
+        generator_sets, kernels = [], []
+        generators, kernel = colimit._kernel_lattice_generators, colimit.kernel
+        monkeypatch.setattr(colimit, "_kernel_lattice_generators",
+                            lambda f: generator_sets.append(f) or generators(f))
+        monkeypatch.setattr(colimit, "kernel", lambda f: kernels.append(f) or kernel(f))
+        eventual_kernel(cyclic_problem(2**4000, 2))
+        assert [f.matrix[0, 0] for f in generator_sets] == [2**(2**i) % 2**4000
+                                                          for i in range(14)]
+        assert len(kernels) == 1
+
+    @pytest.mark.parametrize("rows, printed, index", [
+        ([[2, 1, 1], [1, 3, 2], [3, 4, 3]], "colim(Z^2, [[0, -1], [9, 8]])", 1),
+        ([[1, 2, 3], [2, 5, 7], [3, 7, 10]], "colim(Z^2, [[3, 4], [9, 13]])", 1),
+        ([[0, 1, 1], [2, 1, 3], [2, 2, 4]], "colim(Z^2, [[0, 2], [3, 5]])", 1),
+        # quotienting by the columns of kernel()'s inclusion instead of the
+        # Smith-form generators prints this tower in another basis
+        ([[-3, 0, -2, 2, 1], [-3, 2, -2, 3, 1], [2, -1, 1, -3, 2], [2, 3, -3, 3, -2],
+          [3, -2, 2, -3, -1]],
+         "colim(Z^3, [[2021, -140, -41], [29317, -2031, -600], [-650, 45, 12]])", 2),
+    ])
+    def test_tower_printed_after_a_free_eventual_kernel(self, rows, printed, index):
+        base = FGAbelianGroup.free(len(rows))
+        problem = DilationProblem(base, GroupHom(base, base, IntMatrix.from_rows(rows)))
+        description = classify_colimit(problem)
+        assert description.pretty() == printed
+        assert description.localized_diagonal() is None
+        kernel_rank = len(rows) - description.loc_rank
+        assert eventual_kernel(problem) == (FGAbelianGroup.free(kernel_rank), index)
+
 
 class TestClassifyColimit:
     def test_z6_times_2_collapses_to_z3(self):
