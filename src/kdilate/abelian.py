@@ -25,12 +25,42 @@ class _Record:
     """Immutable value compared, hashed and printed by its fields.
 
     A subclass lists its two or more fields in constructor order in
-    `_fields`, and its own __init__ sets them with object.__setattr__.
-    Equality holds only between values of exactly the same class, and the
-    hash is that of the tuple of fields.
+    `_fields`, and a value is built from them by position or by keyword.
+    `_defaults` maps the fields a caller may leave out to their values; a
+    missing, unknown or surplus field raises TypeError.  A subclass that
+    checks or normalizes its arguments keeps its own __init__ and passes
+    the stored values, in field order, to `super().__init__`, the one
+    place where fields are set.  Equality holds only between values of
+    exactly the same class, and the hash is that of the tuple of fields.
     """
 
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._field_values(args, kwargs)
+        self.__dict__.update(zip(fields, args))
+
+    @classmethod
+    def _field_values(cls, args: tuple, kwargs: dict) -> list:
+        """Every field's value, in order, from the arguments and `_defaults`."""
+        name, fields = cls.__qualname__, cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields, {len(args)} given")
+        values = {**cls._defaults, **kwargs}
+        for field, value in zip(fields, args):
+            if field in kwargs:
+                raise TypeError(f"{name}() got field {field!r} twice")
+            values[field] = value
+        try:
+            ordered = [values.pop(field) for field in fields]
+        except KeyError as missing:
+            raise TypeError(f"{name}() missing field {missing}") from None
+        if values:
+            raise TypeError(f"{name}() got an unknown field {next(iter(values))!r}")
+        return ordered
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -67,9 +97,7 @@ class IntMatrix(_Record):
     _fields = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        super().__init__(rows, cols, entries)
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimension")
         if len(entries) != rows:
@@ -100,9 +128,7 @@ class IntMatrix(_Record):
         """The matrix of rows the caller has already checked: tuples of
         exactly cols ints each, no bools among them."""
         matrix = object.__new__(cls)
-        object.__setattr__(matrix, "rows", len(entries))
-        object.__setattr__(matrix, "cols", cols)
-        object.__setattr__(matrix, "entries", entries)
+        _Record.__init__(matrix, len(entries), cols, entries)
         return matrix
 
     @classmethod
@@ -236,13 +262,7 @@ class SNFResult(_Record):
     """
 
     _fields = ("U", "S", "V", "U_inv")
-
-    def __init__(self, U: IntMatrix, S: IntMatrix, V: IntMatrix,
-                 U_inv: IntMatrix | None = None):
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "U_inv", U_inv)
+    _defaults = {"U_inv": None}
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.S[i, i] for i in range(min(self.S.rows, self.S.cols)))
@@ -525,8 +545,7 @@ class FGAbelianGroup(_Record):
 
     def __init__(self, free_rank: int, invariant_factors: tuple[int, ...] = ()):
         factors = tuple(int(d) for d in invariant_factors)
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "invariant_factors", factors)
+        super().__init__(free_rank, factors)
         if free_rank < 0:
             raise ValueError("negative free rank")
         for i, d in enumerate(factors):
@@ -686,9 +705,7 @@ class GroupHom(_Record):
         cod_orders = codomain.generator_orders()
         reduced = tuple(tuple(x % d if d else x for x in row)
                         for row, d in zip(m.entries, cod_orders))
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "matrix", IntMatrix(m.rows, m.cols, reduced))
+        super().__init__(domain, codomain, IntMatrix(m.rows, m.cols, reduced))
         for j, dj in enumerate(domain.generator_orders()):
             if dj == 0:
                 continue

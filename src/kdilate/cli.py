@@ -102,18 +102,12 @@ def _as_count(value, where: str) -> int:
 
 def _as_row(row: list | tuple, where: str) -> list | tuple:
     # a tuple row comes from _GraphDecoder, which checked it already.  A
-    # row of JSON numbers within range needs no per-entry check.  bytes()
-    # probes the range in one pass when every entry is in 0..255, as in
-    # most graph rows; the type check comes first, since bytes() takes bools
+    # row of ints (the type set is checked first, so no bools) within the
+    # JSON range needs no per-entry check
     if type(row) is tuple:
         return row
-    if set(map(type, row)) == _INT:
-        try:
-            bytes(row)
-            return row
-        except ValueError:
-            if -_MAX_JSON_INT <= min(row) and max(row) <= _MAX_JSON_INT:
-                return row
+    if set(map(type, row)) == _INT and -_MAX_JSON_INT <= min(row) and max(row) <= _MAX_JSON_INT:
+        return row
     return [_as_int(x, f"{where}[{j}]") for j, x in enumerate(row)]
 
 
@@ -560,7 +554,11 @@ def _with_condition_k(graph: Graph, result: tuple[dict, list[str] | None, str | 
 
 def _cmd_graph_lattice(args):
     graph = _load_graph(args.input)
-    return _with_condition_k(graph, _poset_payload(ideal_lattice_hasse(graph), args.format))
+    try:
+        poset = ideal_lattice_hasse(graph)
+    except ValueError as exc:
+        raise InputError(f"{args.input}: {exc}") from exc
+    return _with_condition_k(graph, _poset_payload(poset, args.format))
 
 
 def _cmd_graph_prim(args):

@@ -35,12 +35,12 @@ from .abelian import (
     _kernel_lattice_generators,
     _quotient_with_maps,
     block_diagonal,
+    cokernel,
     direct_sum,
     direct_sum_endo,
     element_is_zero,
     integer_kernel_basis,
     kernel,
-    solve_integer_system,
 )
 
 TAG_FINITE = "finite_or_fg"
@@ -55,8 +55,7 @@ class DilationProblem(_Record):
     _fields = ("base", "endo")
 
     def __init__(self, base: FGAbelianGroup, endo: GroupHom):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "endo", endo)
+        super().__init__(base, endo)
         if endo.domain != base or endo.codomain != base:
             raise IncompatibleShapesError("endomorphism must map the base group to itself")
 
@@ -73,8 +72,7 @@ class ColimElement(_Record):
     def __init__(self, level: int, coords: tuple[int, ...]):
         if level < 0:
             raise ValueError("negative tower level")
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "coords", tuple(int(x) for x in coords))
+        super().__init__(level, tuple(int(x) for x in coords))
 
 
 # ---------------------------------------------------------------------------
@@ -95,21 +93,7 @@ class ColimitDescription(_Record):
 
     _fields = ("tag", "fg_part", "action", "loc_rank", "loc_matrix", "sub", "quot",
                "resolved")
-
-    def __init__(self, tag: str, fg_part: FGAbelianGroup | None = None,
-                 action: GroupHom | None = None, loc_rank: int | None = None,
-                 loc_matrix: IntMatrix | None = None,
-                 sub: ColimitDescription | None = None,
-                 quot: ColimitDescription | None = None,
-                 resolved: bool | None = None):
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "fg_part", fg_part)
-        object.__setattr__(self, "action", action)
-        object.__setattr__(self, "loc_rank", loc_rank)
-        object.__setattr__(self, "loc_matrix", loc_matrix)
-        object.__setattr__(self, "sub", sub)
-        object.__setattr__(self, "quot", quot)
-        object.__setattr__(self, "resolved", resolved)
+    _defaults = dict.fromkeys(_fields[1:])
 
     @classmethod
     def finite(cls, group: FGAbelianGroup, action: GroupHom | None = None) -> "ColimitDescription":
@@ -685,34 +669,23 @@ def _injective_quotient(problem: DilationProblem) -> tuple[FGAbelianGroup, Group
 
 def _equivariant_complement_exists(group: FGAbelianGroup, torsion_map: IntMatrix,
                                    mixing: IntMatrix, free_map: IntMatrix) -> bool:
-    """Whether the free part admits an invariant complement: solve
-    A u - u D = -B over the torsion congruences, u a torsion x free matrix."""
+    """Whether the free part admits an invariant complement: whether
+    A u - u D = -B for some torsion x free matrix u with row i in Z/d_i.
+    Those matrices form the canonical group with factors d_i repeated r
+    times (entry (i, l) at coordinate i r + l), u -> A u - u D is an
+    endomorphism of it, and B (in its image exactly when -B is) must
+    vanish in its cokernel."""
     t, r = group.torsion_count, group.free_rank
-    orders = group.invariant_factors
-    n_unknowns = 2 * t * r  # u entries plus one slack per congruence
-    rows = []
-    rhs = []
+    matrices = FGAbelianGroup(0, tuple(d for d in group.invariant_factors for _ in range(r)))
+    phi = [[0] * (t * r) for _ in range(t * r)]
     for i in range(t):
         for l in range(r):
-            coeff = [0] * n_unknowns
             for k in range(t):
-                coeff[k * r + l] += torsion_map[i, k]
+                phi[i * r + l][k * r + l] += torsion_map[i, k]
             for k in range(r):
-                coeff[i * r + k] -= free_map[k, l]
-            coeff[t * r + i * r + l] = orders[i]
-            rows.append(coeff)
-            rhs.append(-mixing[i, l])
-    system = IntMatrix.from_rows(rows, cols=n_unknowns)
-    solution = solve_integer_system(system, rhs)
-    if solution is None:
-        return False
-    u = IntMatrix.from_rows([[solution[i * r + l] for l in range(r)]
-                             for i in range(t)], cols=r)
-    residue = torsion_map @ u - u @ free_map + mixing
-    for i in range(t):
-        if any(x % orders[i] != 0 for x in residue.row(i)):
-            raise RuntimeError("complement solver returned an invalid solution")
-    return True
+                phi[i * r + l][i * r + k] -= free_map[k, l]
+    coker, projection = cokernel(GroupHom(matrices, matrices, IntMatrix.from_rows(phi)))
+    return element_is_zero(coker, projection.apply([x for row in mixing.entries for x in row]))
 
 
 def _free_colimit(free_map: IntMatrix) -> ColimitDescription:

@@ -71,8 +71,7 @@ class Graph(_Record):
 
     def __init__(self, vertices: tuple[str, ...], adjacency: IntMatrix):
         vertices = tuple(str(v) for v in vertices)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "adjacency", adjacency)
+        super().__init__(vertices, adjacency)
         n = len(vertices)
         if len(set(vertices)) != n:
             raise ValueError("duplicate vertex names")
@@ -302,21 +301,20 @@ class PosetDiagram(_Record):
     _fields = ("elements", "covers")
 
     def __init__(self, elements: tuple[str, ...], covers: tuple[tuple[str, str], ...]):
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "covers", covers)
+        super().__init__(elements, covers)
         self.__post_init__()
 
     def __post_init__(self):
         # A method of its own, called by name, so that tracing can wrap the
         # validation apart from the construction.
         # names are copied through str() only when one is not a str already
-        if type(self.elements) is not tuple or not _all_str(self.elements):
-            object.__setattr__(self, "elements", tuple(map(str, self.elements)))
-        if (type(self.covers) is not tuple
-                or not all(type(c) is tuple and len(c) == 2 and _all_str(c)
-                           for c in self.covers)):
-            object.__setattr__(self, "covers",
-                               tuple((str(a), str(b)) for a, b in self.covers))
+        elements, covers = self.elements, self.covers
+        if type(elements) is not tuple or not _all_str(elements):
+            elements = tuple(map(str, elements))
+        if (type(covers) is not tuple
+                or not all(type(c) is tuple and len(c) == 2 and _all_str(c) for c in covers)):
+            covers = tuple((str(a), str(b)) for a, b in covers)
+        _Record.__init__(self, elements, covers)
         index = {e: i for i, e in enumerate(self.elements)}
         if len(index) != len(self.elements):
             raise ValueError("duplicate poset elements")

@@ -41,10 +41,7 @@ class KTheoryData(_Record):
 
     def __init__(self, k0: FGAbelianGroup, k1: FGAbelianGroup, map0: GroupHom,
                  map1: GroupHom):
-        object.__setattr__(self, "k0", k0)
-        object.__setattr__(self, "k1", k1)
-        object.__setattr__(self, "map0", map0)
-        object.__setattr__(self, "map1", map1)
+        super().__init__(k0, k1, map0, map1)
         if map0.domain != k0 or map0.codomain != k0:
             raise IncompatibleShapesError("map0 must be an endomorphism of k0")
         if map1.domain != k1 or map1.codomain != k1:
@@ -78,18 +75,6 @@ class CrossedProductK(_Record):
 
     _fields = ("k0_sub", "k0_quot", "k1_sub", "k1_quot", "k0_resolved", "k1_resolved",
                "resolution_reason")
-
-    def __init__(self, k0_sub: ColimitDescription, k0_quot: ColimitDescription,
-                 k1_sub: ColimitDescription, k1_quot: ColimitDescription,
-                 k0_resolved: ColimitDescription | None,
-                 k1_resolved: ColimitDescription | None, resolution_reason: str):
-        object.__setattr__(self, "k0_sub", k0_sub)
-        object.__setattr__(self, "k0_quot", k0_quot)
-        object.__setattr__(self, "k1_sub", k1_sub)
-        object.__setattr__(self, "k1_quot", k1_quot)
-        object.__setattr__(self, "k0_resolved", k0_resolved)
-        object.__setattr__(self, "k1_resolved", k1_resolved)
-        object.__setattr__(self, "resolution_reason", resolution_reason)
 
     @property
     def fully_resolved(self) -> bool:
@@ -180,15 +165,7 @@ class CuntzClosedForm(_Record):
     def __init__(self, n: int | None, m: int, k: int | None, order_gcd: int | None,
                  order_quotient: int | None, k0: FGAbelianGroup, k1: FGAbelianGroup,
                  label: str, emitted: str = "gcd"):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "order_gcd", order_gcd)
-        object.__setattr__(self, "order_quotient", order_quotient)
-        object.__setattr__(self, "k0", k0)
-        object.__setattr__(self, "k1", k1)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "emitted", emitted)
+        super().__init__(n, m, k, order_gcd, order_quotient, k0, k1, label, emitted)
         if n is not None:
             expected = bracket(gcd(n - 1, m), n - 1)
             if k != expected:

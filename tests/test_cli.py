@@ -564,6 +564,20 @@ class TestInputHandling:
         code, _, err = run(capsys, "graph-hs", "--input", str(doc))
         assert code == 2 and "emits no edges" in err
 
+    @pytest.mark.parametrize("command, vertices, adjacency", [
+        # {a, b} and the vertex set {"a,b"} both print as {a,b}
+        ("graph-lattice", ["a", "b", "a,b"], [[2, 0, 0], [0, 2, 0], [0, 0, 2]]),
+        # the 2-cycle a <-> b prints as {a,b}, the name of the looped vertex
+        ("graph-prim", ["{a,b}", "a", "b"], [[1, 0, 0], [0, 0, 1], [0, 1, 0]]),
+    ])
+    def test_colliding_labels_exit_2(self, capsys, tmp_path, command, vertices, adjacency):
+        doc = tmp_path / "collide.json"
+        doc.write_text(json.dumps({"kind": "graph", "vertices": vertices,
+                                   "adjacency": adjacency}))
+        code, out, err = run(capsys, command, "--input", str(doc))
+        assert code == 2 and out == ""
+        assert err == f"error: {doc}: duplicate poset elements\n"
+
     def test_dot_unavailable_outside_posets(self, capsys, fixtures_dir):
         code, _, err = run(capsys, "graph-hs", "--format", "dot",
                            "--input", str(fixtures_dir / "E.json"))

@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import product
 from math import gcd
 
 import pytest
@@ -240,6 +241,33 @@ class TestClassifyColimit:
             assert outcome is True or outcome is None  # None only for non-diagonal towers
             if description.tag == TAG_EXTENSION:
                 assert description.resolved
+
+    def test_complement_exists_exactly_when_a_search_finds_a_splitting(self):
+        # u splits the extension when A u - u D + B = 0 with row i in Z/d_i;
+        # the search tries every u whose row i has entries in [0, d_i)
+        rng = random.Random(53)
+        orders = (2, 3, 4, 6, 8, 9)
+        chains = [(d,) for d in orders] + [c for c in product(orders, repeat=2)
+                                           if c[1] % c[0] == 0]
+        outcomes = set()
+        for _ in range(120):
+            factors, r = rng.choice(chains), rng.randint(1, 2)
+            t = len(factors)
+            group = FGAbelianGroup(r, factors)
+            a = random_endomorphism(rng, group.torsion_part()).matrix
+            d = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(r)] for _ in range(r)])
+            b = IntMatrix.from_rows([[rng.randrange(di) for _ in range(r)] for di in factors])
+
+            def solves(entries):
+                u = IntMatrix.from_rows([entries[i * r:(i + 1) * r] for i in range(t)])
+                residue = a @ u - u @ d + b
+                return all(x % di == 0 for di, row in zip(factors, residue.entries) for x in row)
+
+            splits = any(map(solves, product(*(range(di) for di in factors for _ in range(r)))))
+            assert colimit._equivariant_complement_exists(group, a, b, d) is splits, \
+                (factors, a, b, d)
+            outcomes.add(splits)
+        assert outcomes == {True, False}
 
 
 class TestKerCokerOneMinus:

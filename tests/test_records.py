@@ -2,6 +2,7 @@
 the fields, exact class matching, immutability, constructor defaults and
 validation messages."""
 
+import ast
 import json
 import os
 import random
@@ -102,6 +103,16 @@ class TestValueSemantics:
                 assert copy is not value
                 assert copy == value and hash(copy) == hash(value)
                 assert {copy: 1}[value] == 1
+
+    def test_a_missing_unknown_or_surplus_field_raises(self, values):
+        value = values[0]
+        cls, fields = type(value), _fields(value)
+        with pytest.raises(TypeError):  # the first field never has a default
+            cls(**dict(zip(cls._fields[1:], fields[1:])))
+        with pytest.raises(TypeError):
+            cls(*fields, unknown=None)
+        with pytest.raises(TypeError):
+            cls(*fields, None)
 
     def test_another_class_with_equal_fields_is_unequal(self, values):
         value = values[0]
@@ -214,6 +225,32 @@ def test_poset_construction_calls_post_init_by_name(monkeypatch):
     diagram = PosetDiagram(["a", 1], [("a", 1)])
     assert calls == [diagram]
     assert diagram.elements == ("a", "1") and diagram.covers == (("a", "1"),)
+
+
+def _record_classes(tree):
+    """(class node, its _fields) for each class that assigns _fields."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if (isinstance(stmt, ast.Assign)
+                        and [ast.unparse(t) for t in stmt.targets] == ["_fields"]):
+                    yield node, ast.literal_eval(stmt.value)
+
+
+def test_fields_are_set_only_by_the_record_constructor():
+    # object.__setattr__(x, "<field>", ...) in a record class would store
+    # one of its fields outside _Record.__init__
+    records, found = set(), []
+    for path in sorted((SRC / "kdilate").glob("*.py")):
+        for cls, fields in _record_classes(ast.parse(path.read_text(), str(path))):
+            records.add(cls.name)
+            found += [(path.name, cls.name, call.lineno) for call in ast.walk(cls)
+                      if isinstance(call, ast.Call)
+                      and ast.unparse(call.func) == "object.__setattr__"
+                      and isinstance(call.args[1], ast.Constant)
+                      and call.args[1].value in fields]
+    assert records == {cls.__name__ for cls in RECORDS}
+    assert found == []
 
 
 def test_cli_import_loads_no_introspection_modules():
