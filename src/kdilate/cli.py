@@ -27,6 +27,7 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterable
 from itertools import compress
 from json.decoder import WHITESPACE, JSONArray
 from json.encoder import encode_basestring_ascii
@@ -421,17 +422,17 @@ def _description_status(desc: ColimitDescription) -> str:
     return "ok"
 
 
-def _poset_payload(poset, fmt: str) -> tuple[dict, list[str] | None, str | None]:
+def _poset_payload(poset, fmt: str) -> tuple[dict, Iterable[str] | None, str | None]:
     """The payload, with the text lines or the DOT text only when fmt
     prints them."""
     payload = {"elements": poset.elements, "covers": poset.covers, "status": "ok"}
     lines = dot = None
     if fmt == "dot":
         dot = poset.to_dot()
+    elif fmt == "text" and poset.covers:  # each line is made as it is printed
+        lines = (f"{lower} < {upper}" for lower, upper in poset.covers)
     elif fmt == "text":
-        lines = [f"{lower} < {upper}" for lower, upper in poset.covers]
-        if not lines:
-            lines = [f"single element: {e}" for e in poset.elements] or ["empty poset"]
+        lines = [f"single element: {e}" for e in poset.elements] or ["empty poset"]
     return payload, lines, dot
 
 
@@ -538,7 +539,7 @@ def _cmd_graph_hs(args):
     return payload, map(graph.format_mask, masks), None
 
 
-def _with_condition_k(graph: Graph, result: tuple[dict, list[str] | None, str | None]):
+def _with_condition_k(graph: Graph, result: tuple[dict, Iterable[str] | None, str | None]):
     """Add the Condition (K) fields to a poset payload, with a note on
     stderr when (K) fails: the poset then describes the gauge-invariant
     ideals only."""

@@ -22,19 +22,22 @@ fails it exactly when it is a bare cycle, with as many internal edges,
 counted with multiplicity, as vertices.  Without (K) the sets and posets
 here describe the gauge-invariant ideals only.
 
-The family of hereditary saturated sets and the covers of its lattice come
-from one join search.  Starting from the empty set, it joins each set
-found with the closure of every vertex outside it.  A union of hereditary
-sets is hereditary, so saturation alone closes the join; saturation adds
-only vertices without a loop, so joins are saturated only when the graph
-has some.  The search reaches every set, since each is the join of the
-closures of its vertices, and the sets covering a set are the minimal
-ones among its joins.  It yields each set with its joins: the lattice
-keeps only the minimal joins, its covers, while the family alone
-(`hereditary_saturated_masks`, which `graph-hs` prints from) keeps only
-the sets.  Both sort the sets as bitmasks by one integer key (size, then
-the bit-reversed complement; see `_family_key`), and a set is named only
-when it is labelled or printed.
+The family of hereditary saturated sets comes from one binary partition
+(`_binary_partition`).  A state is a set found so far, which is
+hereditary and saturated, and the vertices decided, in it or excluded;
+each step decides the lowest undecided vertex v.  Excluding v excludes
+every vertex whose closure holds v.  Including v joins the set with the
+closure of v: a union of hereditary sets is hereditary, so saturation
+alone closes the join, and it runs only when the graph has vertices
+without a loop, the only ones it adds.  A join that takes in an excluded
+vertex ends its branch.  Every set is reached once, on the branch that
+includes exactly its own vertices, and every state leads to a set, so the
+search costs O(n) steps per set.  Taking the inclusion first, the sets
+come out in the lexicographic order of their index tuples, and one stable
+sort by size gives the family order, size then vertex order.  The covers
+of a set a are the joins j of a with one vertex closure that every vertex
+of j outside a gives (see `ideal_lattice_hasse`), n joins per set.  A set
+stays a bitmask until it is labelled or printed.
 """
 
 from __future__ import annotations
@@ -234,48 +237,44 @@ def _strong_components(out: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(components)
 
 
-def _family_key(n: int):
-    """The sort key of the family order on masks over n vertices: size,
-    then index tuples in lexicographic order, as one integer.
-
-    Of two sets of one size, the one holding the lowest index where they
-    differ comes first.  Reversing the n-bit string of the complement puts
-    index 0 at the top bit, where that set has a 0 and the other a 1.
-
-    >>> sorted([0b011, 0b100, 0b101, 0b000], key=_family_key(3))
-    [0, 4, 3, 5]
-    """
-    width, full = f"0{n}b", (1 << n) - 1
-
-    def key(mask: int) -> int:
-        return mask.bit_count() << n | int(format(full ^ mask, width)[::-1], 2)
-    return key
-
-
-def _join_search(graph: Graph):
-    """Yield every hereditary and saturated set (as a mask) with the set of
-    its joins with the vertex closures it does not already contain (see
-    the module docstring)."""
-    atoms = {_closure_mask(graph, 1 << v) for v in range(len(graph.vertices))}
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        current = frontier.pop()
-        above = {current | atom for atom in atoms if atom & ~current}
-        if graph._unlooped:  # saturation adds only vertices without a loop
-            above = {_saturate(graph, joined) for joined in above}
-        yield current, above
-        for joined in above:
-            if joined not in seen:
-                seen.add(joined)
-                frontier.append(joined)
+def _binary_partition(graph: Graph) -> tuple[list[int], list[int]]:
+    """The closure of each vertex, and the family as masks in family order
+    (see the module docstring)."""
+    n = len(graph.vertices)
+    closures = [_closure_mask(graph, 1 << v) for v in range(n)]
+    up = [0] * n  # up[v]: the vertices whose closure holds v
+    for u, closure in enumerate(closures):
+        for v in compress(range(n), bit_selector(closure)):
+            up[v] |= 1 << u
+    full, unlooped = (1 << n) - 1, graph._unlooped
+    found, stack = [], [(0, 0)]
+    while stack:
+        inside, decided = stack.pop()
+        while decided != full:
+            v = (~decided & (decided + 1)).bit_length() - 1  # lowest undecided
+            joined = inside | closures[v]
+            if unlooped:  # saturation adds only vertices without a loop
+                joined = _saturate(graph, joined)
+            if joined & decided & ~inside:  # v brings in an excluded vertex
+                decided |= up[v]
+                continue
+            stack.append((inside, decided | up[v]))  # exclude v, later
+            inside, decided = joined, decided | joined
+        found.append(inside)
+    found.sort(key=int.bit_count)
+    return closures, found
 
 
 def hereditary_saturated_masks(graph: Graph) -> list[int]:
     """All hereditary and saturated subsets as vertex masks (bit i for
-    vertex i), sorted by size then vertex order."""
-    return sorted((mask for mask, _ in _join_search(graph)),
-                  key=_family_key(len(graph.vertices)))
+    vertex i), sorted by size then vertex order: of two sets of one size,
+    the one holding the lowest vertex where they differ comes first.
+
+    >>> isolated = Graph.from_adjacency(["a", "b", "c"], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    >>> [isolated.format_mask(m) for m in hereditary_saturated_masks(isolated)]
+    ['{}', '{a}', '{b}', '{c}', '{a,b}', '{a,c}', '{b,c}', '{a,b,c}']
+    """
+    return _binary_partition(graph)[1]
 
 
 def enumerate_hereditary_saturated(graph: Graph) -> list[VertexSet]:
@@ -295,7 +294,8 @@ class PosetDiagram(_Record):
     """Hasse diagram: elements plus the covering pairs (lower, upper).
 
     Construction validates that the covers are acyclic and free of
-    transitive shortcuts, so the diagram really is a transitive reduction.
+    transitive shortcuts, so the diagram really is a transitive reduction;
+    `_of_covers` skips that check for covers built as covers.
     """
 
     _fields = ("elements", "covers")
@@ -353,6 +353,18 @@ class PosetDiagram(_Record):
             if beyond[index[lower]] >> index[upper] & 1:
                 raise ValueError(f"cover ({lower}, {upper}) is a transitive edge")
 
+    @classmethod
+    def _of_covers(cls, elements: tuple[str, ...],
+                   covers: tuple[tuple[str, str], ...]) -> "PosetDiagram":
+        """The diagram of str elements and the (lower, upper) pairs of them
+        that the caller built as covers: only the elements are checked, for
+        two that print alike."""
+        if len(set(elements)) != len(elements):
+            raise ValueError("duplicate poset elements")
+        diagram = object.__new__(cls)
+        _Record.__init__(diagram, elements, covers)
+        return diagram
+
     def undirected_cover_edges(self) -> frozenset:
         return frozenset(frozenset(pair) for pair in self.covers)
 
@@ -379,15 +391,27 @@ def ideal_lattice_hasse(graph: Graph) -> PosetDiagram:
     the lattice of gauge-invariant ideals (of all ideals when Condition (K)
     holds; see condition_k_failures).
 
-    The sets covering a are the minimal ones among its joins: a cover b
-    is the join of a with the closure of any vertex of b outside a, and
-    nothing lies strictly between a and a minimal join."""
-    covering = {a: [b for b in joins if not any(c != b and c & ~b == 0 for c in joins)]
-                for a, joins in _join_search(graph)}  # the sets covering each set
-    label = {m: graph.format_mask(m)
-             for m in sorted(covering, key=_family_key(len(graph.vertices)))}
-    covers = sorted((label[a], label[b]) for a, above in covering.items() for b in above)
-    return PosetDiagram(tuple(label.values()), tuple(covers))
+    Call the join of a with the closure of a vertex outside a that
+    vertex's join.  A set j covers a exactly when j is the join of every
+    vertex of j outside a: a set strictly between a and j would be the
+    join of its own vertices outside a.  So the covers of a come from
+    grouping the vertices outside a by their join, and are covers by
+    construction."""
+    closures, family = _binary_partition(graph)
+    full, unlooped = (1 << len(closures)) - 1, graph._unlooped
+    labels = tuple(map(graph.format_mask, family))
+    label = dict(zip(family, labels))
+    covers = []
+    for a, lower in zip(family, labels):
+        givers: dict[int, int] = {}  # each join -> the vertices giving it
+        for v in compress(range(len(closures)), bit_selector(full ^ a)):
+            joined = a | closures[v]
+            if unlooped:
+                joined = _saturate(graph, joined)
+            givers[joined] = givers.get(joined, 0) | 1 << v
+        covers.extend((lower, label[j]) for j, vs in givers.items() if vs == j ^ a)
+    covers.sort()
+    return PosetDiagram._of_covers(labels, tuple(covers))
 
 
 def _component_mask(members: tuple[int, ...]) -> int:

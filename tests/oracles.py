@@ -182,23 +182,60 @@ def brute_one_minus_ker_coker(orders, action_rows) -> tuple[tuple[int, ...], tup
             quotient_invariant_factors(orders, image))
 
 
+def _out_masks_by_scan(graph: Graph) -> list[int]:
+    n = len(graph.vertices)
+    return [sum(1 << j for j in range(n) if graph.adjacency[i, j] > 0) for i in range(n)]
+
+
+def _is_hereditary_saturated_by_definition(outs: list[int], mask: int) -> bool:
+    vertices = range(len(outs))
+    hereditary = all(not (mask >> v & 1) or outs[v] & ~mask == 0 for v in vertices)
+    saturated = all((mask >> v & 1) or outs[v] & ~mask != 0 for v in vertices)
+    return hereditary and saturated
+
+
 def brute_hereditary_saturated(graph: Graph) -> list[frozenset]:
     """All hereditary and saturated subsets by scanning all 2^|V| masks."""
-    n = len(graph.vertices)
-    outs = []
-    for i in range(n):
-        mask = 0
-        for j in range(n):
-            if graph.adjacency[i, j] > 0:
-                mask |= 1 << j
-        outs.append(mask)
-    family = []
-    for mask in range(1 << n):
-        hereditary = all(not (mask >> v & 1) or outs[v] & ~mask == 0 for v in range(n))
-        saturated = all((mask >> v & 1) or outs[v] & ~mask != 0 for v in range(n))
-        if hereditary and saturated:
-            family.append(frozenset(graph.vertices[v] for v in range(n) if mask >> v & 1))
-    return family
+    outs = _out_masks_by_scan(graph)
+    n = len(outs)
+    return [frozenset(graph.vertices[v] for v in range(n) if mask >> v & 1)
+            for mask in range(1 << n) if _is_hereditary_saturated_by_definition(outs, mask)]
+
+
+def random_graph_beside_a_path(rng, path_length: int) -> tuple[Graph, set[int]]:
+    """A random_graph of at most 6 vertices, some edges from it into a
+    looped path (each vertex with an edge to the next), on shuffled vertex
+    order, with its family as masks.  The path part of a hereditary set is a suffix of the path,
+    so the family comes from scanning every subset of the small graph with
+    every suffix."""
+    small = random_graph(rng, max_vertices=6)
+    h = len(small.vertices)
+    n = h + path_length
+    rows = [[0] * n for _ in range(n)]
+    for i in range(h):
+        for j in range(h):
+            rows[i][j] = small.adjacency[i, j]
+        for j in range(h, n):
+            rows[i][j] = int(rng.random() < 0.05)
+    for i in range(h, n):
+        rows[i][i] = 2
+        if i + 1 < n:
+            rows[i][i + 1] = 1
+    perm = list(range(n))  # vertex i of the graph is vertex perm[i] above
+    rng.shuffle(perm)
+    graph = Graph.from_adjacency([f"x{i}" for i in range(n)],
+                                 [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+    bit = [0] * n  # the bit of each vertex above in the graph
+    for new, old in enumerate(perm):
+        bit[old] = 1 << new
+    suffixes = [sum(bit[start:]) for start in range(h, n + 1)]
+    outs = _out_masks_by_scan(graph)
+    family = set()
+    for small_part in range(1 << h):
+        inside = sum(b for v, b in enumerate(bit[:h]) if small_part >> v & 1)
+        family.update(inside | suffix for suffix in suffixes
+                      if _is_hereditary_saturated_by_definition(outs, inside | suffix))
+    return graph, family
 
 
 def reachable_sets(graph: Graph) -> list[set[int]]:
@@ -548,6 +585,24 @@ def random_graph(rng, max_vertices=8, loops_everywhere=False) -> Graph:
         if sum(rows[i]) == 0:
             rows[i][rng.randrange(n)] = 1
     return Graph.from_adjacency(names, rows)
+
+
+def random_sparse_graph(rng, max_vertices=10, p=0.1) -> Graph:
+    """About half the vertices emit exactly two edges, to two other
+    vertices, and have no loop; the rest have a loop and edges with
+    probability p.  A vertex of the first kind can have its two edges land
+    in two different closures, so that their join needs saturation."""
+    n = rng.randint(1, max_vertices)
+    rows = [[int(rng.random() < p) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        if len(others) >= 2 and rng.random() < 0.5:
+            rows[i] = [0] * n
+            for j in rng.sample(others, 2):
+                rows[i][j] = 1
+        else:
+            rows[i][i] = 1
+    return Graph.from_adjacency([f"w{i}" for i in range(n)], rows)
 
 
 def random_looped_graph(rng, n: int, p: float) -> Graph:

@@ -344,6 +344,45 @@ class TestGraphCommands:
         proc.stderr.close()
         assert code == 1 and "Traceback" not in err and "Exception" not in err
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="VmHWM is read from /proc")
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_lattice_of_sixteen_isolated_loops_stays_under_100_mb(self, tmp_path, fmt):
+        # 2^16 sets and 16 * 2^15 covers.  The child limits its own address
+        # space, so that a lattice taking far more memory fails this test
+        # rather than exhausting the machine, and reports its peak resident
+        # set (VmHWM) on stderr after the result is written.
+        n = 16
+        path = tmp_path / "isolated.json"
+        path.write_text(json.dumps({"kind": "graph", "vertices": [f"v{i}" for i in range(n)],
+                                    "adjacency": [[2 * (i == j) for j in range(n)]
+                                                  for i in range(n)]}))
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                 "from kdilate.cli import main\n"
+                 "code = main(sys.argv[1:])\n"
+                 "with open('/proc/self/status') as status:\n"
+                 "    sys.stderr.write(next(l for l in status if l.startswith('VmHWM:')))\n"
+                 "sys.exit(code)\n")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", child, "graph-lattice", "--format", fmt,
+             "--input", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)))
+        try:
+            # a text cover is one line; a JSON cover opens with "[" at depth 2
+            cover = (lambda line: " < " in line) if fmt == "text" else "    [\n".__eq__
+            covers = sum(map(cover, proc.stdout))
+            code = proc.wait(timeout=120)
+            err = proc.stderr.read()
+        finally:
+            proc.kill()
+            proc.stdout.close()
+            proc.stderr.close()
+        assert code == 0, err
+        assert covers == n * 2 ** (n - 1) == 524_288
+        peak_kb = int(err.split()[-2])
+        assert peak_kb < 100 * 1024
+
     def test_prim_text(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "graph-prim", "--input", str(fixtures_dir / "E.json"))
         assert code == 0

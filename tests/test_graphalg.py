@@ -26,7 +26,9 @@ from oracles import (
     poset_validation_error,
     random_dag_covers,
     random_graph,
+    random_graph_beside_a_path,
     random_looped_graph,
+    random_sparse_graph,
     rank_over_q,
     reachable_sets,
 )
@@ -132,28 +134,31 @@ class TestEnumeration:
         sizes = [len(s) for s in family]
         assert sizes == sorted(sizes)
 
-    def test_family_key_orders_by_size_then_index_tuple(self):
-        # the integer key against the order it stands for, computed directly
+    def test_family_order_is_size_then_index_tuple(self):
+        # the family of an exhaustive scan, in the order computed directly
+        # from each set's indices, on small graphs and on graphs of more
+        # than 64 vertices with small families
         rng = random.Random(53)
-        for n in (0, 1, 2, 3, 8, 31, 32, 33, 63, 64, 65, 70):
-            full = (1 << n) - 1
-            masks = {0, full}
-            for _ in range(300):
-                k = rng.choice([rng.randint(0, n), min(n, 2), max(n - 2, 0)])
-                masks.add(sum(1 << i for i in rng.sample(range(n), k)))
-                masks.add(rng.getrandbits(n))
-            masks = list(masks)
-            rng.shuffle(masks)
-            key = graphalg._family_key(n)
-            assert len({key(m) for m in masks}) == len(masks)
-            indices = {m: tuple(i for i in range(n) if m >> i & 1) for m in masks}
-            assert (sorted(masks, key=key)
-                    == sorted(masks, key=lambda m: (len(indices[m]), indices[m])))
+        cases = []
+        for k in range(120):
+            graph = (random_graph if k % 2 else random_sparse_graph)(rng, max_vertices=10)
+            cases.append((graph, {graph.mask_of(s) for s in brute_hereditary_saturated(graph)}))
+        # a union of two sets that is not saturated
+        assert sum(any(a | b not in family for a in family for b in family)
+                   for _, family in cases) >= 10
+        cases += [random_graph_beside_a_path(rng, rng.randint(64, 80)) for _ in range(6)]
+        assert sum(len(graph.vertices) > 64 for graph, _ in cases) == 6
+        for graph, family in cases:
+            n = len(graph.vertices)
+            masks = hereditary_saturated_masks(graph)
+            assert masks == sorted(family, key=lambda m: (
+                m.bit_count(), tuple(i for i in range(n) if m >> i & 1)))
 
     def test_no_saturation_when_every_vertex_has_a_loop(self, monkeypatch):
-        # saturation adds only vertices without a loop, so the family search
-        # behind graph-hs and graph-lattice saturates only the closure of
-        # each vertex, never a join, on such graphs
+        # saturation adds only vertices without a loop, so on such graphs
+        # the binary partition behind graph-hs and graph-lattice saturates
+        # only the closure of each vertex, once each, and the lattice
+        # saturates none of its joins
         calls = []
         saturate = graphalg._saturate
 
@@ -195,15 +200,26 @@ class TestIdealLattice:
                                      ("{a}", "{a,b}"), ("{b}", "{a,b}")}
 
     def test_covers_match_the_definition_on_random_graphs(self):
+        # the whole diagram, in order, against the covers of the exhaustive
+        # scan's family by definition; the diagram, built without the
+        # validation, also passes it
         rng = random.Random(37)
-        for _ in range(40):
-            graph = random_graph(rng, max_vertices=8)
-            family = brute_hereditary_saturated(graph)
-            expected = {(graph.format_set(a), graph.format_set(b))
-                        for a, b in covers_by_definition(family, lambda a, b: a < b)}
+        saturating = 0
+        for k in range(120):
+            graph = (random_graph if k % 2 else random_sparse_graph)(rng, max_vertices=8)
+            order = {v: i for i, v in enumerate(graph.vertices)}
+            family = sorted(brute_hereditary_saturated(graph),
+                            key=lambda s: (len(s), sorted(map(order.get, s))))
+            members = set(family)  # a union of two sets that is not saturated
+            saturating += any(a | b not in members for a in family for b in family)
+            labels = tuple(map(graph.format_set, family))
+            expected = sorted((graph.format_set(a), graph.format_set(b))
+                              for a, b in covers_by_definition(family, lambda a, b: a < b))
             poset = ideal_lattice_hasse(graph)
-            assert set(poset.elements) == {graph.format_set(s) for s in family}
-            assert set(poset.covers) == expected
+            assert poset.elements == labels
+            assert poset.covers == tuple(expected)
+            assert PosetDiagram(poset.elements, poset.covers) == poset
+        assert saturating >= 10
 
     def test_covers_at_four_thousand_sets_within_two_seconds(self):
         # a looped graph like the benchmark's lattice inputs, drawn until
