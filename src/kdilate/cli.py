@@ -6,10 +6,13 @@ number within +-2^53 or a decimal string of ASCII digits (arbitrary
 precision).  Results render as text, canonical JSON (sorted keys,
 two-space indent, no floats), or DOT for the two poset subcommands.
 
-Graph files are decoded by `_GraphDecoder`, which reads an adjacency row
-of single digits (the small multiplicities most graphs have) straight
-from its text, as a tuple of ints; any file with a fault in it is read
-again by `json.loads`, so that every diagnostic stays that route's.
+Graph files are decoded by `_GraphDecoder`, which reads an adjacency
+matrix of single digits (the small multiplicities most graphs have)
+straight from its text, row by row, as the bytes of each row's
+multiplicities.  A graph read that way keeps those rows, and builds its
+matrix of ints only if asked for it; any other graph goes through
+`_as_matrix`, and any file with a fault in it is read again by
+`json.loads`, so that every diagnostic stays that route's.
 `graph-hs` puts its family into the payload as a `VertexSets` view of
 bitmasks, which the JSON writer names set by set from vertex names it
 encodes once.
@@ -29,7 +32,7 @@ import re
 import sys
 from collections.abc import Iterable
 from itertools import compress
-from json.decoder import WHITESPACE, JSONArray
+from json.decoder import WHITESPACE
 from json.encoder import encode_basestring_ascii
 from json.scanner import py_make_scanner
 from types import SimpleNamespace
@@ -68,8 +71,9 @@ _MAX_JSON_INT = 2**53
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 _STR, _INT = {str}, {int}
 _KINDS = ("group_endo", "k_data", "cuntz", "graph")
-_JSON_SPACE = str.maketrans("", "", " \t\n\r")
+_JSON_SPACE = b" \t\n\r"
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+_skip_space = WHITESPACE.match
 
 
 class InputError(Exception):
@@ -101,12 +105,10 @@ def _as_count(value, where: str) -> int:
     return n
 
 
-def _as_row(row: list | tuple, where: str) -> list | tuple:
-    # a tuple row comes from _GraphDecoder, which checked it already.  A
-    # row of ints (the type set is checked first, so no bools) within the
-    # JSON range needs no per-entry check
-    if type(row) is tuple:
-        return row
+def _as_row(row: list | bytes, where: str) -> list | bytes:
+    # a row of ints (the type set is checked first, so no bools) within the
+    # JSON range needs no per-entry check; a bytes row from _GraphDecoder
+    # reads as one
     if set(map(type, row)) == _INT and -_MAX_JSON_INT <= min(row) and max(row) <= _MAX_JSON_INT:
         return row
     return [_as_int(x, f"{where}[{j}]") for j, x in enumerate(row)]
@@ -117,7 +119,7 @@ def _as_matrix(value, where: str, cols: int | None = None,
     """The matrix of a decoded JSON list of rows.  Each row is replaced in
     value by its tuple as it is read, so the decoded lists do not stay
     alive beside the matrix."""
-    if not isinstance(value, list) or any(not isinstance(r, (list, tuple)) for r in value):
+    if not isinstance(value, list) or any(not isinstance(r, (list, bytes)) for r in value):
         raise InputError(f"{where}: expected a list of rows")
     # every entry is checked before the shape, so a bad entry anywhere is
     # reported before a ragged row, a wrong width or a wrong row count
@@ -224,38 +226,64 @@ def _load_k_data(path: str) -> KTheoryData:
                        problems[0].endo, problems[1].endo)
 
 
+def _digit_row(text: str) -> bytes | None:
+    """The bytes of the digit values of the text inside a row's brackets,
+    when it is single ASCII digits and commas, JSON whitespace aside."""
+    if not text.isascii():
+        return None
+    row = text.encode().strip(_JSON_SPACE)
+    size, count = len(row), len(row) // 3
+    if size % 3 == 1 and row[1::3] == b"," * count and row[2::3] == b" " * count:
+        digits = row[::3]  # json.dumps's ", " between entries
+    else:  # any other spacing: a digit at every even place, commas between
+        row = row.translate(None, _JSON_SPACE)
+        if not len(row) & 1 or row.count(b",") != len(row) >> 1:
+            return None
+        digits = row[::2]
+    return digits.translate(_DIGIT_VALUES) if digits.isdigit() else None
+
+
+def _digit_matrix(s: str, pos: int) -> tuple[list[bytes], int] | None:
+    """(rows, end) for the array whose first row opens at s[pos], when each
+    of its rows is a _digit_row: the first ']' after a row's '[' closes that
+    row or something in it, so the text is read no further than the array."""
+    rows = []
+    while True:
+        close = s.find("]", pos)
+        row = _digit_row(s[pos + 1:close]) if close > 0 else None
+        if row is None:
+            return None
+        rows.append(row)
+        if s.startswith(", [", close + 1):  # json.dumps's separator
+            pos = close + 3
+            continue
+        pos = _skip_space(s, close + 1).end()
+        if s.startswith("]", pos):
+            return rows, pos + 1
+        if not s.startswith(",", pos):
+            return None
+        pos = _skip_space(s, pos + 1).end()
+        if not s.startswith("[", pos):
+            return None
+
+
 class _GraphDecoder(json.JSONDecoder):
-    """json.loads's decoder, but for one kind of array: one whose text up
-    to the next ']', JSON whitespace aside, alternates single ASCII digits
-    and commas (an adjacency row of small multiplicities) becomes a tuple
-    of ints straight from that text.  An array that opens another array
-    is read element by element, so that each row of a matrix can take that
-    path; any other array goes to the C scanner whole.  No JSON decodes to
-    a tuple, so a tuple row is one this decoder checked."""
+    """json.loads's decoder, but for one kind of array: a matrix whose rows
+    each hold single ASCII digits and commas, JSON whitespace aside (an
+    adjacency matrix of small multiplicities), becomes a list with the
+    bytes of each row's digit values, read straight from its text.  Any
+    other array goes to the C scanner whole.  No JSON decodes to bytes, so
+    a bytes row is one this decoder checked."""
 
     def __init__(self):
         super().__init__()
         scan_whole = self.scan_once  # the C scanner, where there is one
-        skip = WHITESPACE.match
 
         def parse_array(s_and_end, scan_once):
             s, end = s_and_end
-            first = skip(s, end).end()
-            if s.startswith("[", first):
-                return JSONArray(s_and_end, scan_once)
-            # only an array that starts with a digit is looked at up to the
-            # next ']', so the text is scanned once however arrays nest
-            close = s.find("]", first) if "0" <= s[first:first + 1] <= "9" else -1
-            if close > 0:
-                row = s[first:close].translate(_JSON_SPACE)
-                digits = row[::2]
-                if len(row) & 1 and digits.isascii():
-                    # digits at every even place, and so commas at every odd
-                    # one when there are as many commas as odd places
-                    digits = digits.encode()
-                    if digits.isdigit() and row.count(",") == len(row) >> 1:
-                        return tuple(digits.translate(_DIGIT_VALUES)), close + 1
-            return scan_whole(s, end - 1)
+            first = _skip_space(s, end).end()
+            matrix = _digit_matrix(s, first) if s.startswith("[", first) else None
+            return matrix or scan_whole(s, end - 1)
 
         self.parse_array = parse_array
         self.scan_once = py_make_scanner(self)
@@ -267,10 +295,14 @@ def _graph_of(doc: dict, path: str) -> Graph:
     if (not isinstance(vertices, list)
             or any(not isinstance(v, str) or not v for v in vertices)):
         raise InputError(f"{path}: vertices must be a list of nonempty strings")
-    adjacency = _as_matrix(doc["adjacency"], f"{path}: adjacency",
-                           cols=len(vertices), rows=len(vertices))
+    n, rows = len(vertices), doc["adjacency"]
+    if (type(rows) is list and len(rows) == n
+            and all(type(row) is bytes and len(row) == n for row in rows)):
+        make, rows = Graph._of_digit_rows, tuple(rows)
+    else:
+        make, rows = Graph, _as_matrix(rows, f"{path}: adjacency", cols=n, rows=n)
     try:
-        return Graph(tuple(vertices), adjacency)
+        return make(tuple(vertices), rows)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -422,22 +454,21 @@ def _description_status(desc: ColimitDescription) -> str:
     return "ok"
 
 
-def _poset_payload(poset, fmt: str) -> tuple[dict, Iterable[str] | None, str | None]:
-    """The payload, with the text lines or the DOT text only when fmt
-    prints them."""
+def _poset_payload(poset, fmt: str) -> tuple[dict, Iterable[str] | None]:
+    """The payload, with the text or DOT lines only when fmt prints them."""
     payload = {"elements": poset.elements, "covers": poset.covers, "status": "ok"}
-    lines = dot = None
-    if fmt == "dot":
-        dot = poset.to_dot()
-    elif fmt == "text" and poset.covers:  # each line is made as it is printed
+    lines = None
+    if fmt == "dot":  # each line is made as it is printed
+        lines = poset.dot_lines()
+    elif fmt == "text" and poset.covers:
         lines = (f"{lower} < {upper}" for lower, upper in poset.covers)
     elif fmt == "text":
         lines = [f"single element: {e}" for e in poset.elements] or ["empty poset"]
-    return payload, lines, dot
+    return payload, lines
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (payload, text lines, dot or None)
+# Subcommand handlers: each returns (payload, the lines text or dot prints)
 # ---------------------------------------------------------------------------
 
 def _cmd_snf(args):
@@ -447,7 +478,7 @@ def _cmd_snf(args):
     payload = {"S": result.S.to_lists(), "U": result.U.to_lists(),
                "V": result.V.to_lists(), "status": "ok"}
     lines = [f"S = {result.S}", f"U = {result.U}", f"V = {result.V}"]
-    return payload, lines, None
+    return payload, lines
 
 
 def _problem_from_args(args) -> DilationProblem:
@@ -464,7 +495,7 @@ def _cmd_colim(args):
     status = _description_status(desc)
     payload = {"base": _group_json(problem.base), "colimit": _description_json(desc),
                "status": status}
-    return payload, [f"colimit = {desc.pretty()}", f"status = {status}"], None
+    return payload, [f"colimit = {desc.pretty()}", f"status = {status}"]
 
 
 def _cmd_kercoker(args):
@@ -478,7 +509,7 @@ def _cmd_kercoker(args):
     lines = [f"ker(1 - f) = {ker_desc.pretty()}",
              f"coker(1 - f) = {cok_desc.pretty()}",
              f"status = {status}"]
-    return payload, lines, None
+    return payload, lines
 
 
 def _cmd_pv(args):
@@ -494,7 +525,7 @@ def _cmd_pv(args):
                "reason": result.resolution_reason, "status": status}
     lines = [f"K0 = {k0.pretty()}", f"K1 = {k1.pretty()}",
              f"reason: {result.resolution_reason}", f"status = {status}"]
-    return payload, lines, None
+    return payload, lines
 
 
 def _cmd_cuntz(args):
@@ -528,7 +559,7 @@ def _cmd_cuntz(args):
     if form.k is not None:
         lines.append(f"k = {form.k}, torsion order = {form.order_gcd} "
                      f"(gcd form; quotient form {form.order_quotient} recorded)")
-    return payload, lines, None
+    return payload, lines
 
 
 def _cmd_graph_hs(args):
@@ -536,10 +567,10 @@ def _cmd_graph_hs(args):
     masks = hereditary_saturated_masks(graph)
     # each set's names are made only as the set is written
     payload = {"subsets": VertexSets(graph, masks), "status": "ok"}
-    return payload, map(graph.format_mask, masks), None
+    return payload, map(graph.format_mask, masks)
 
 
-def _with_condition_k(graph: Graph, result: tuple[dict, Iterable[str] | None, str | None]):
+def _with_condition_k(graph: Graph, result: tuple[dict, Iterable[str] | None]):
     """Add the Condition (K) fields to a poset payload, with a note on
     stderr when (K) fails: the poset then describes the gauge-invariant
     ideals only."""
@@ -585,7 +616,7 @@ def _cmd_graph_k(args):
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     payload = {"k0": _group_json(k0), "k1": _group_json(k1), "status": "ok"}
-    return payload, [f"K0 = {k0}, K1 = {k1}"], None
+    return payload, [f"K0 = {k0}, K1 = {k1}"]
 
 
 def _cmd_graph_crossed_k(args):
@@ -601,7 +632,7 @@ def _cmd_graph_crossed_k(args):
     payload = {"k0": _description_json(d0), "k1": _description_json(d1),
                "status": status}
     lines = [f"K0 = {d0.pretty()}", f"K1 = {d1.pretty()}", f"status = {status}"]
-    return payload, lines, None
+    return payload, lines
 
 
 class _Subcommand:
@@ -757,18 +788,15 @@ def _main(argv) -> int:
         print("error: dot format is not available for this subcommand", file=sys.stderr)
         return 2
     try:
-        payload, lines, dot = spec.handler(args)
+        payload, lines = spec.handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "dot":
-        sys.stdout.write(dot)
-    elif args.format == "json":
+    if args.format == "json":
         render_json(payload, sys.stdout.write)
         sys.stdout.write("\n")
     else:
-        for line in lines:
-            print(line)
+        sys.stdout.writelines(line + "\n" for line in lines)
     return 3 if payload.get("status") == "unresolved" else 0
 
 

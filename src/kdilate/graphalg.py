@@ -68,21 +68,45 @@ def bit_selector(mask: int) -> bytes:
 
 
 class Graph(_Record):
-    """Directed multigraph: adjacency[v][w] counts the edges from v to w."""
+    """Directed multigraph: adjacency[v][w] counts the edges from v to w.
+
+    A graph keeps its adjacency rows as they came: the IntMatrix's tuples,
+    or one bytes row of multiplicities per vertex from `_of_digit_rows`.
+    The algorithms read the rows and the out-neighbour bitmasks made from
+    them; the adjacency matrix of a bytes-row graph is built on first
+    access (by equality, hash and repr too) and then kept.
+    """
 
     _fields = ("vertices", "adjacency")
 
     def __init__(self, vertices: tuple[str, ...], adjacency: IntMatrix):
         vertices = tuple(str(v) for v in vertices)
         super().__init__(vertices, adjacency)
-        n = len(vertices)
-        if len(set(vertices)) != n:
+        self._keep_rows(adjacency.entries, adjacency.cols)
+
+    @classmethod
+    def _of_digit_rows(cls, vertices: tuple[str, ...], rows: tuple[bytes, ...]) -> "Graph":
+        """The graph of str vertex names and one bytes row per vertex, each
+        holding len(vertices) multiplicities in 0..9, as the CLI's reader
+        decodes them: only the names, the number of rows and the sinks are
+        checked.  The other field, adjacency, is left to its
+        cached_property."""
+        graph = object.__new__(cls)
+        graph.__dict__["vertices"] = vertices
+        graph._keep_rows(rows, len(vertices))
+        return graph
+
+    def _keep_rows(self, rows, width: int) -> None:
+        """Store the rows, each of width entries, and the out-neighbour
+        bitmask of each vertex, refusing duplicate names, a shape that does
+        not match the names, negative multiplicities and sinks."""
+        n = len(self.vertices)
+        if len(set(self.vertices)) != n:
             raise ValueError("duplicate vertex names")
-        if (adjacency.rows, adjacency.cols) != (n, n):
+        if (len(rows), width) != (n, n):
             raise ValueError("adjacency matrix shape does not match the vertex list")
-        bits = [1 << j for j in range(n)]
-        out = []  # out-neighbour bitmask of each vertex
-        for name, row in zip(vertices, adjacency.entries):
+        out = []
+        for name, row in zip(self.vertices, rows):
             # the nonzero multiplicities are the edges: with every entry in
             # 0..255, the row's bytes give them as a bit string (bit 0 last)
             try:
@@ -90,11 +114,16 @@ class Graph(_Record):
             except ValueError:
                 if min(row) < 0:
                     raise ValueError(f"negative edge multiplicity at vertex {name}") from None
-                mask = sum(compress(bits, row))
+                mask = sum(1 << j for j, x in enumerate(row) if x)
             if not mask:
                 raise ValueError(f"vertex {name} emits no edges (sinks are not supported)")
             out.append(mask)
-        object.__setattr__(self, "_out_masks", tuple(out))
+        self.__dict__.update(_rows=rows, _out_masks=tuple(out))
+
+    @cached_property
+    def adjacency(self) -> IntMatrix:
+        # only a graph of bytes rows gets here: __init__ stores its matrix
+        return IntMatrix._of_checked_rows(len(self._rows), tuple(map(tuple, self._rows)))
 
     @classmethod
     def from_adjacency(cls, vertices: Iterable[str], rows) -> "Graph":
@@ -376,14 +405,14 @@ class PosetDiagram(_Record):
         lowers = {a for a, _ in self.covers}
         return tuple(e for e in self.elements if e not in lowers)
 
-    def to_dot(self) -> str:
-        lines = ["digraph {"]
+    def dot_lines(self):
+        """The lines of the diagram's DOT text, each made as it is read."""
+        yield "digraph {"
         for e in sorted(self.elements):
-            lines.append(f'  "{e}";')
+            yield f'  "{e}";'
         for lower, upper in sorted(self.covers):
-            lines.append(f'  "{lower}" -> "{upper}";')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+            yield f'  "{lower}" -> "{upper}";'
+        yield "}"
 
 
 def ideal_lattice_hasse(graph: Graph) -> PosetDiagram:
@@ -466,7 +495,9 @@ def prim_poset(graph: Graph) -> PosetDiagram:
             covers.append((label[w], label[first]))
             rest &= ~mask[w]
     firsts = sorted(c[0] for c in components)
-    return PosetDiagram(tuple(label[v] for v in firsts), tuple(sorted(covers)))
+    # each component's covers are its successors below no other successor:
+    # a transitive reduction by construction
+    return PosetDiagram._of_covers(tuple(label[v] for v in firsts), tuple(sorted(covers)))
 
 
 def condition_k_failures(graph: Graph) -> tuple[str, ...]:
@@ -479,13 +510,13 @@ def condition_k_failures(graph: Graph) -> tuple[str, ...]:
     edge, of multiplicity one, and a single return path, where (K) asks
     for two.
     """
-    failures = []
+    failures, rows = [], graph._rows
     for members in sorted(graph._components):
         inside_mask = _component_mask(members)
         for v in members:
             inside = graph._out_masks[v] & inside_mask
             if (not inside or inside & (inside - 1)
-                    or graph.adjacency[v, inside.bit_length() - 1] != 1):
+                    or rows[v][inside.bit_length() - 1] != 1):
                 break
         else:
             failures.append(_component_label(graph, members))
@@ -522,9 +553,10 @@ def subquotient_k(graph: Graph, zset: Iterable[str],
     the kernel of A_X^T - I acting on Z^X.
     """
     indices = _checked_nested_pair(graph, zset, yset)
-    size = len(indices)
-    restricted = graph.adjacency.select_rows(indices).select_columns(indices)
-    relations = restricted - IntMatrix.identity(size)  # rows of (A_X^T - I)^T
+    size, rows = len(indices), graph._rows
+    # rows of (A_X^T - I)^T, read from the X x X block of the rows
+    relations = IntMatrix._of_checked_rows(size, tuple(
+        tuple(rows[i][j] - (i == j) for j in indices) for i in indices))
     k0 = group_from_presentation(size, relations)
     # the kernel and cokernel of one square matrix have the same rank
     return k0, FGAbelianGroup.free(k0.free_rank)

@@ -314,13 +314,29 @@ class TestGraphCommands:
     @pytest.mark.parametrize("fmt, dots", [("json", 0), ("text", 0), ("dot", 1)])
     def test_dot_is_built_only_when_printed(self, capsys, monkeypatch, fixtures_dir,
                                             command, fmt, dots):
-        calls = []
-        to_dot = PosetDiagram.to_dot
-        monkeypatch.setattr(PosetDiagram, "to_dot",
-                            lambda poset: calls.append(poset) or to_dot(poset))
+        # every DOT line is made after the handler returns, as it is printed
+        made, made_by_handler = [], []
+        dot_lines = PosetDiagram.dot_lines
+
+        def recording(poset):
+            for line in dot_lines(poset):
+                made.append(line)
+                yield line
+
+        spec = cli._SUBCOMMANDS[command]
+        handler = spec.handler
+
+        def handled(args):
+            result = handler(args)
+            made_by_handler.append(len(made))
+            return result
+
+        monkeypatch.setattr(PosetDiagram, "dot_lines", recording)
+        monkeypatch.setattr(spec, "handler", handled)
         code, out, _ = run(capsys, command, "--format", fmt,
                            "--input", str(fixtures_dir / "E.json"))
-        assert code == 0 and out and len(calls) == dots
+        assert code == 0 and out and made_by_handler == [0]
+        assert made == (out.splitlines() if dots else [])
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_closed_stdout_ends_quietly(self, tmp_path, fmt):
@@ -345,7 +361,7 @@ class TestGraphCommands:
         assert code == 1 and "Traceback" not in err and "Exception" not in err
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="VmHWM is read from /proc")
-    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
     def test_lattice_of_sixteen_isolated_loops_stays_under_100_mb(self, tmp_path, fmt):
         # 2^16 sets and 16 * 2^15 covers.  The child limits its own address
         # space, so that a lattice taking far more memory fails this test
@@ -369,8 +385,9 @@ class TestGraphCommands:
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             env=dict(os.environ, PYTHONPATH=str(SRC)))
         try:
-            # a text cover is one line; a JSON cover opens with "[" at depth 2
-            cover = (lambda line: " < " in line) if fmt == "text" else "    [\n".__eq__
+            # a text or DOT cover is one line; a JSON cover opens with "[" at depth 2
+            cover = {"text": lambda line: " < " in line, "dot": lambda line: " -> " in line,
+                     "json": "    [\n".__eq__}[fmt]
             covers = sum(map(cover, proc.stdout))
             code = proc.wait(timeout=120)
             err = proc.stderr.read()
