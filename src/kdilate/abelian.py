@@ -228,8 +228,7 @@ class IntMatrix(_Record):
         if n == 0:
             return 1
         a = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
+        sign = prev = 1
         for k in range(n - 1):
             if a[k][k] == 0:
                 pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
@@ -237,11 +236,13 @@ class IntMatrix(_Record):
                     return 0
                 a[k], a[pivot] = a[pivot], a[k]
                 sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
+            p, tail = a[k][k], a[k][k + 1:]
+            for row in a[k + 1:]:
+                f = row[k]
+                # a row with f = 0 is rescaled by p / prev, so kept when p = prev
+                if f or p != prev:
+                    row[k + 1:] = [(x * p - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+            prev = p
         return sign * a[n - 1][n - 1]
 
     def to_lists(self) -> list[list[int]]:
@@ -276,7 +277,37 @@ def smith_normal_form(m: IntMatrix, with_inverse: bool = False) -> SNFResult:
 
     The diagonal of S is nonnegative and each entry divides the next, which
     makes S unique for a given input.  Works for any rectangular shape,
-    including matrices with zero rows or columns.
+    including matrices with zero rows or columns.  U^{-1} is tracked with
+    `with_inverse`.  `_quotient_with_maps` runs the same engine, `_smith`,
+    with U and U^{-1} only, and `_kernel_lattice_generators` with V only.
+
+    Entry size: each Hermite form is reduced, so its entries above a pivot
+    are below that pivot, and the product of the pivots is a gcd of minors.
+    On seeded square inputs with n = 4..40 and b-bit entries (dense, sparse
+    and singular) the entries of U, V and U^{-1} stay within
+    2 * n * (b + log2(n) + 1) bits, a bound the tests check.  On wide or
+    rank-deficient inputs the kernel columns of V can grow by about one
+    maximal minor's size per kernel vector.
+    """
+    nrows, ncols = m.rows, m.cols
+    diag, u, u_inv, v_cols = _smith([list(r) for r in m.entries], ncols, _identity_rows(nrows),
+                                    _identity_rows(nrows) if with_inverse else None,
+                                    _identity_rows(ncols))
+    s = [[0] * ncols for _ in range(nrows)]
+    for i, d in enumerate(diag):
+        s[i][i] = d
+    return SNFResult(U=IntMatrix.from_rows(u, nrows),
+                     S=IntMatrix.from_rows(s, ncols),
+                     V=IntMatrix.from_rows(_transpose(v_cols, ncols), ncols),
+                     U_inv=None if u_inv is None else
+                     IntMatrix.from_rows(_transpose(u_inv, nrows), nrows))
+
+
+def _smith(a, ncols, u, u_inv, v_cols):
+    """Smith diagonal of the rows `a` (each ncols long), and the transforms:
+    rows of U in `u`, columns of U^{-1} in `u_inv` and of V in `v_cols`,
+    all stored as rows.  Each starts as identity rows, or is None and is
+    skipped, which changes no step.
 
     Algorithm (Kannan-Bachem, SIAM J. Comput. 8, 1979; Cohen, GTM 138,
     section 2.4): alternate a row Hermite form and a column Hermite form
@@ -288,28 +319,11 @@ def smith_normal_form(m: IntMatrix, with_inverse: bool = False) -> SNFResult:
     pivot by g.  After every row the entries above each pivot are reduced
     into [0, pivot).  Then the diagonal is sorted (nonzero ascending, zeros
     last) and the divisibility chain is fixed by the 2x2 step taking
-    diag(a, b) to diag(gcd, lcm).
-
-    Entry size: each Hermite form is reduced, so its entries above a pivot
-    are below that pivot, and the product of the pivots is a gcd of minors.
-    On seeded square inputs with n = 4..40 and b-bit entries (dense, sparse
-    and singular) the entries of U, V and U^{-1} stay within
-    2 * n * (b + log2(n) + 1) bits, a bound the tests check.  On wide or
-    rank-deficient inputs the kernel columns of V can grow by about one
-    maximal minor's size per kernel vector.
-
-    With `with_inverse`, U^{-1} is kept up to date alongside U: each row
-    step E applied to U is undone by the column step E^{-1} on U^{-1}, e.g.
-    [[x, y], [-b/g, a/g]] by [[a/g, -y], [b/g, x]], so no second
-    elimination is needed.
+    diag(a, b) to diag(gcd, lcm).  Each row step E on U is undone by the
+    column step E^{-1} on U^{-1}, e.g. [[x, y], [-b/g, a/g]] by
+    [[a/g, -y], [b/g, x]], so no second elimination is needed.
     """
-    nrows, ncols = m.rows, m.cols
-    a = [list(r) for r in m.entries]
-    u = _identity_rows(nrows)
-    # columns of U^{-1} and of V, stored as rows so that column operations
-    # are row operations
-    u_inv = _identity_rows(nrows) if with_inverse else None
-    v_cols = _identity_rows(ncols)
+    nrows = len(a)
     while True:
         a, u, u_inv = _row_hermite(a, u, u_inv)
         if _is_diagonal(a):
@@ -322,10 +336,9 @@ def smith_normal_form(m: IntMatrix, with_inverse: bool = False) -> SNFResult:
     k = min(nrows, ncols)
     order = sorted(range(k), key=lambda i: (a[i][i] == 0, a[i][i]))
     diag = [a[i][i] for i in order]
-    u[:k] = [u[i] for i in order]
-    if u_inv is not None:
-        u_inv[:k] = [u_inv[i] for i in order]
-    v_cols[:k] = [v_cols[i] for i in order]
+    for rows in (u, u_inv, v_cols):
+        if rows is not None:
+            rows[:k] = [rows[i] for i in order]
     # The last nonzero place takes the lcm of all, the place before it the
     # lcm of the rest, and so on; runs of equal entries then need no step.
     for j in reversed(range(k - diag.count(0))):
@@ -336,17 +349,9 @@ def smith_normal_form(m: IntMatrix, with_inverse: bool = False) -> SNFResult:
             g, x, y = _xgcd(p, q)
             # [[x, y], [-q/g, p/g]] diag(p, q) [[1, -y*q/g], [1, x*p/g]] = diag(g, lcm)
             _step(u, u_inv, i, j, x, y, -q // g, p // g)
-            _combine(v_cols, i, j, 1, 1, -y * q // g, x * p // g)
+            _step(v_cols, None, i, j, 1, 1, -y * q // g, x * p // g)
             diag[i], diag[j] = g, p // g * q
-
-    s = [[0] * ncols for _ in range(nrows)]
-    for i, d in enumerate(diag):
-        s[i][i] = d
-    return SNFResult(U=IntMatrix.from_rows(u, nrows),
-                     S=IntMatrix.from_rows(s, ncols),
-                     V=IntMatrix.from_rows(_transpose(v_cols, ncols), ncols),
-                     U_inv=None if u_inv is None else
-                     IntMatrix.from_rows(_transpose(u_inv, nrows), nrows))
+    return diag, u, u_inv, v_cols
 
 
 def _identity_rows(n: int) -> list[list[int]]:
@@ -386,10 +391,11 @@ def _combine(rows, i, j, x, y, z, w, start=0) -> None:
 
 
 def _step(rows, inv_cols, i, j, x, y, z, w) -> None:
-    """Apply E = [[x, y], [z, w]] (det 1) to rows i, j, and E^{-1} =
-    [[w, -y], [-z, x]] to columns i, j of the inverse, whose columns
-    `inv_cols` holds as rows (skipped when None)."""
-    _combine(rows, i, j, x, y, z, w)
+    """Apply E = [[x, y], [z, w]] to rows i, j, and E^{-1} = [[w, -y],
+    [-z, x]] (det E = 1) to columns i, j of the inverse, whose columns
+    `inv_cols` holds as rows; either is skipped when None."""
+    if rows is not None:
+        _combine(rows, i, j, x, y, z, w)
     if inv_cols is not None:
         _combine(inv_cols, i, j, w, -z, -y, x)
 
@@ -407,14 +413,15 @@ def _row_hermite(a, t, t_inv):
     """Reduced row Hermite form of the rows `a`, by unimodular row steps.
 
     Each step is also applied to the rows of `t`, and its inverse to the
-    columns of t^{-1}, stored as the rows of `t_inv` (skipped when None).
-    Returns the three lists reordered: the pivot rows by pivot column
-    (pivots positive, the entries above each pivot in [0, pivot)), then the
-    zero rows in input order.
+    columns of t^{-1}, stored as the rows of `t_inv`; either is skipped
+    when None.  Returns the three lists reordered (None stays None): the
+    pivot rows by pivot column (pivots positive, the entries above each
+    pivot in [0, pivot)), then the zero rows in input order.
     """
     def add(dst, src, q, start):  # row dst += q * row src
         _add_row(a, dst, src, q, start)
-        _add_row(t, dst, src, q)
+        if t is not None:
+            _add_row(t, dst, src, q)
         if t_inv is not None:
             _add_row(t_inv, src, dst, -q)
 
@@ -481,8 +488,7 @@ def _row_hermite(a, t, t_inv):
                     add(l, i, -q, c)
                     dirty.add(l)
     order = [pivot_of[c] for c in columns] + zero_rows
-    return ([a[i] for i in order], [t[i] for i in order],
-            None if t_inv is None else [t_inv[i] for i in order])
+    return tuple(None if rows is None else [rows[i] for i in order] for rows in (a, t, t_inv))
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
@@ -662,15 +668,16 @@ def _quotient_with_maps(num_generators: int,
     if not relation_rows.rows:
         identity = IntMatrix.identity(num_generators)
         return FGAbelianGroup.free(num_generators), identity, identity
-    snf = smith_normal_form(relation_rows.transpose(), with_inverse=True)
-    diag = snf.diagonal()
+    diag, u, u_inv, _ = _smith(_transpose(relation_rows.entries, num_generators),
+                               relation_rows.rows, _identity_rows(num_generators),
+                               _identity_rows(num_generators), None)
     rank = sum(1 for d in diag if d != 0)
     torsion_idx = [i for i in range(rank) if diag[i] > 1]
     kept = torsion_idx + list(range(rank, num_generators))
     group = FGAbelianGroup(free_rank=num_generators - rank,
                            invariant_factors=tuple(diag[i] for i in torsion_idx))
-    projection = snf.U.select_rows(kept)
-    lift = snf.U_inv.select_columns(kept)
+    projection = IntMatrix.from_rows([u[i] for i in kept], num_generators)
+    lift = IntMatrix.from_rows(_transpose([u_inv[i] for i in kept], num_generators), len(kept))
     return group, projection, lift
 
 
@@ -769,8 +776,9 @@ def _kernel_lattice_generators(f: GroupHom) -> list[tuple[int, ...]]:
     """
     n = f.domain.num_generators
     combined = f.matrix.hstack(f.codomain.relation_rows().transpose())
-    snf = smith_normal_form(combined)
-    gens = [snf.V.column(j)[:n] for j in range(snf.rank(), combined.cols)]
+    diag, _, _, v_cols = _smith([list(r) for r in combined.entries], combined.cols,
+                                None, None, _identity_rows(combined.cols))
+    gens = (tuple(v[:n]) for v in v_cols[len(diag) - diag.count(0):])
     return [g for g in gens if any(g)]
 
 

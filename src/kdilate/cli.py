@@ -31,7 +31,7 @@ import os
 import re
 import sys
 from collections.abc import Iterable
-from itertools import compress
+from itertools import chain, compress
 from json.decoder import WHITESPACE
 from json.encoder import encode_basestring_ascii
 from json.scanner import py_make_scanner
@@ -42,7 +42,6 @@ from .abelian import (
     GroupHom,
     IntMatrix,
     _quotient_with_maps,
-    element_is_zero,
     smith_normal_form,
 )
 from .colimit import (
@@ -69,7 +68,7 @@ from .kcrossed import KTheoryData, cuntz_closed_form, pv_crossed_product
 
 _MAX_JSON_INT = 2**53
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
-_STR, _INT = {str}, {int}
+_STR, _INT, _LISTS = {str}, {int}, {list, tuple}
 _KINDS = ("group_endo", "k_data", "cuntz", "graph")
 _JSON_SPACE = b" \t\n\r"
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
@@ -191,10 +190,11 @@ def _endo_on_presentation(generators: int, relations: IntMatrix, endo: IntMatrix
     if not relations.rows:  # a free group, with identity maps
         return DilationProblem(group, GroupHom(group, group, endo))
     induced = projection @ endo
-    # endo preserves the relation lattice exactly when it sends every
-    # relation to zero in the quotient group
+    # endo preserves the relation lattice exactly when each row of the
+    # relations' images is 0 modulo its generator's order, or 0 if free
     images = induced @ relations.transpose()
-    if not all(element_is_zero(group, images.column(j)) for j in range(images.cols)):
+    if any(any(x % d for x in row) if d else any(row)
+           for row, d in zip(images.entries, group.generator_orders())):
         raise InputError(f"{where}: endomorphism does not preserve the relation lattice")
     return DilationProblem(group, GroupHom(group, group, induced @ lift))
 
@@ -357,15 +357,14 @@ class VertexSets:
         return map(self.graph.names_of, self.masks)
 
 
-def _write_vertex_sets(sets: VertexSets, write, indent: str, lead: str) -> None:
-    """_write_json's pieces for a nonempty VertexSets view: one per set,
-    joined from the encoded names its selector picks."""
+def _write_string_lists(lists, write, indent: str, lead: str) -> None:
+    """_write_json's pieces for a nonempty list of lists, each given by its
+    items already encoded as JSON strings: one piece per list, one join."""
     inner, leaf = indent + "  ", indent + "    "
-    encoded = list(map(encode_basestring_ascii, sets.graph.vertices))
     join = (",\n" + leaf).join
     separator = lead + "[\n" + inner
-    for selector in map(_bit_selector, sets.masks):
-        names = join(compress(encoded, selector))
+    for items in lists:
+        names = join(items)
         write(separator + ("[\n" + leaf + names + "\n" + inner + "]" if names else "[]"))
         separator = ",\n" + inner
     write("\n" + indent + "]")
@@ -375,19 +374,26 @@ def _write_json(obj, write, indent: str, lead: str = "") -> None:
     """Write lead, then the text json.dumps(obj, indent=2, sort_keys=True)
     gives at this depth, with integers beyond 2^53 as decimal strings and a
     VertexSets view as the list of its sets' names: one piece per scalar,
-    flat list or vertex set, with the separator and key before it, and one
-    per closing bracket."""
+    flat list (also each one in a list of flat lists of strings) or vertex
+    set, with the separator and key before it, and one per closing bracket."""
     if isinstance(obj, str):
         write(lead + encode_basestring_ascii(obj))
     elif isinstance(obj, (list, tuple, VertexSets)):
         if not obj:
             write(lead + "[]")
             return
-        if type(obj) is VertexSets:
-            _write_vertex_sets(obj, write, indent, lead)
+        if type(obj) is VertexSets:  # names encoded once, picked per set
+            encoded = list(map(encode_basestring_ascii, obj.graph.vertices))
+            lists = (compress(encoded, s) for s in map(_bit_selector, obj.masks))
+            _write_string_lists(lists, write, indent, lead)
             return
         inner = indent + "  "
         types = set(map(type, obj))
+        if types <= _LISTS and set(map(type, chain.from_iterable(obj))) <= _STR:
+            # a list of flat lists of strings, such as a poset's covers
+            _write_string_lists((map(encode_basestring_ascii, item) for item in obj),
+                                write, indent, lead)
+            return
         if types == _STR:  # a flat list is written in one join
             items = map(encode_basestring_ascii, obj)
         elif types == _INT and -_MAX_JSON_INT <= min(obj) and max(obj) <= _MAX_JSON_INT:

@@ -661,9 +661,10 @@ def _random_string(rng) -> str:
 
 
 def random_payload(rng, depth: int = 4):
-    """A nested payload of dicts, lists, tuples, lists of strings, integers
-    on both sides of 2^53, bools and None."""
-    kind = rng.randrange(8 if depth else 4)
+    """A nested payload of dicts, lists, tuples, lists of strings, lists of
+    flat string lists or tuples (some empty, many pairs, as a poset's
+    covers), integers on both sides of 2^53, bools and None."""
+    kind = rng.randrange(9 if depth else 4)
     if kind == 0:
         return rng.choice(_EDGE_INTS) if rng.random() < 0.6 else rng.randint(-2**60, 2**60)
     if kind == 1:
@@ -677,6 +678,10 @@ def random_payload(rng, depth: int = 4):
                 for _ in range(rng.randint(0, 4))}
     if kind == 5:
         return [_random_string(rng) for _ in range(rng.randint(0, 4))]
+    if kind == 8:
+        return [rng.choice((list, tuple))(_random_string(rng)
+                                          for _ in range(rng.choice((0, 1, 2, 2, 3))))
+                for _ in range(rng.randint(1, 4))]
     items = [random_payload(rng, depth - 1) for _ in range(rng.randint(0, 4))]
     return items if kind == 6 else tuple(items)
 

@@ -14,7 +14,11 @@ from kdilate.abelian import (
     direct_sum,
     element_is_zero,
     _identity_rows,
+    _kernel_lattice_generators,
+    _quotient_with_maps,
     _row_hermite,
+    _smith,
+    _transpose,
     group_from_presentation,
     integer_kernel_basis,
     is_isomorphic,
@@ -24,11 +28,14 @@ from kdilate.abelian import (
     unimodular_inverse,
 )
 from oracles import (
+    cofactor_det,
     kernel_via_smith_lattice,
     random_endomorphism,
     random_finite_group,
     random_group,
     random_hom,
+    random_matrix,
+    random_unimodular,
     rank_over_q,
     smith_diagonal_by_divisors,
 )
@@ -219,6 +226,60 @@ class TestSmithNormalForm:
             result = smith_normal_form(m, with_inverse=True)
             assert result.U @ result.U_inv == IntMatrix.identity(m.rows)
 
+    def test_engine_returns_exactly_the_transforms_it_tracks(self):
+        # With U and U^{-1} only, or V only, the engine returns exactly the
+        # diagonal and transforms of smith_normal_form(m, with_inverse=True),
+        # and so do the quotient and kernel-generator callers built on it.
+        rng = random.Random(29)
+        cases = []
+        for k in range(520):
+            kind = k % 4
+            if kind == 0:
+                m = random_matrix(rng)
+            elif kind == 1:  # a padded presentation's transpose: 6 x 64
+                base = [[rng.randint(-2, 2) for _ in range(6)] for _ in range(6)]
+                rows = base + [[sum(c * r[j] for c, r in zip(coeffs, base)) for j in range(6)]
+                               for coeffs in ([rng.randint(-1, 1) for _ in range(6)]
+                                              for _ in range(rng.choice((10, 58))))]
+                rng.shuffle(rows)
+                m = IntMatrix.from_rows(rows).transpose()
+            elif kind == 2:  # rank at most r
+                r, c, inner = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 3)
+                left = [[rng.randint(-4, 4) for _ in range(inner)] for _ in range(r)]
+                right = [[rng.randint(-4, 4) for _ in range(c)] for _ in range(inner)]
+                m = IntMatrix.from_rows(left) @ IntMatrix.from_rows(right)
+            else:  # zero rows and columns, and empty shapes
+                r, c = rng.randint(0, 6), rng.randint(0, 6)
+                zero_row, zero_col = rng.randrange(r + 1), rng.randrange(c + 1)
+                m = IntMatrix.from_rows(
+                    [[0 if i == zero_row or j == zero_col else rng.randint(-30, 30)
+                      for j in range(c)] for i in range(r)], cols=c)
+            cases.append(m)
+        assert sum(m.rows == 6 and m.cols >= 16 for m in cases) >= 100
+        assert sum(m.rows * m.cols == 0 for m in cases) >= 20
+        for m in cases:
+            full = smith_normal_form(m, with_inverse=True)
+            rows = [list(r) for r in m.entries]
+            diag, u, u_inv, v_cols = _smith([r[:] for r in rows], m.cols, _identity_rows(m.rows),
+                                            _identity_rows(m.rows), None)
+            assert v_cols is None and tuple(diag) == full.diagonal()
+            assert IntMatrix.from_rows(u, m.rows) == full.U
+            assert IntMatrix.from_rows(_transpose(u_inv, m.rows), m.rows) == full.U_inv
+            diag, u, u_inv, v_cols = _smith(rows, m.cols, None, None, _identity_rows(m.cols))
+            assert u is None and u_inv is None and tuple(diag) == full.diagonal()
+            assert IntMatrix.from_rows(_transpose(v_cols, m.cols), m.cols) == full.V
+            if m.cols:  # the quotient of Z^rows by the columns of m
+                group, projection, lift = _quotient_with_maps(m.rows, m.transpose())
+                rank = full.rank()
+                kept = [i for i in range(rank) if full.diagonal()[i] > 1] + list(range(rank, m.rows))
+                assert group.num_generators == len(kept)
+                assert projection == full.U.select_rows(kept)
+                assert lift == full.U_inv.select_columns(kept)
+            if m.rows:  # the kernel of m on Z^cols, into Z^rows
+                f = GroupHom(FGAbelianGroup.free(m.cols), FGAbelianGroup.free(m.rows), m)
+                gens = [full.V.column(j) for j in range(full.rank(), m.cols)]
+                assert _kernel_lattice_generators(f) == [g for g in gens if any(g)]
+
 
 def hermite_basis(vectors):
     """Reduced row Hermite form of the lattice the vectors span: equal
@@ -266,6 +327,42 @@ class TestIntMatrix:
         assert m.determinant() == 30
         assert IntMatrix.identity(0).determinant() == 1
         assert IntMatrix.from_rows([[1, 2], [2, 4]]).determinant() == 0
+
+    def test_determinant_against_cofactor_expansion(self):
+        rng = random.Random(37)
+        zero_pivot = singular = unimodular = 0
+        for k in range(360):
+            n = rng.randint(1, 6)
+            if k % 3 == 0:  # det +-1, entries mostly 0 and pivots +-1
+                rows = random_unimodular(rng, n, steps=rng.randint(0, 8), max_factor=2)[0]
+                rows = [rows[i] for i in rng.sample(range(n), n)]
+                unimodular += 1
+            else:
+                density = rng.choice((0.3, 0.7, 1.0))
+                rows = [[rng.randint(-9, 9) if rng.random() < density else 0
+                         for _ in range(n)] for _ in range(n)]
+            if k % 5 == 1 and n > 1:  # one row a combination of two others
+                i, j, l = (rng.sample(range(n), 3) if n > 2 else (0, 1, 1))
+                rows[l] = [2 * x - y for x, y in zip(rows[i], rows[j])]
+            zero_pivot += rows[0][0] == 0
+            expected = cofactor_det(rows)
+            singular += expected == 0
+            assert IntMatrix.from_rows(rows).determinant() == expected, rows
+        assert min(zero_pivot, singular, unimodular) >= 60
+
+    def test_determinant_matches_sympy_on_large_matrices(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(41)
+        for n in (20, 27, 34):
+            p, p_inv = random_unimodular(rng, n, steps=4 * n, max_factor=2)
+            diag = [[rng.choice((1, -1, 2, 3)) if i == j else 0 for j in range(n)]
+                    for i in range(n)]
+            sparse = [[sum(a * b for a, b in zip(row, col)) for col in zip(*p_inv)]
+                      for row in [[sum(a * b for a, b in zip(row, col)) for col in zip(*diag)]
+                                  for row in p]]
+            dense = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            for rows in (sparse, dense) if n == 20 else (sparse,):
+                assert IntMatrix.from_rows(rows).determinant() == int(sympy.Matrix(rows).det())
 
     def test_unimodular_inverse(self):
         m = IntMatrix.from_rows([[2, 1], [1, 1]])

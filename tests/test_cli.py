@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import os
@@ -5,12 +6,13 @@ import random
 import subprocess
 import sys
 import time
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 from kdilate import abelian, cli, colimit
-from kdilate.abelian import GroupHom, IntMatrix, _quotient_with_maps
+from kdilate.abelian import GroupHom, IntMatrix, _quotient_with_maps, element_is_zero
 from kdilate.cli import main, render_json
 from kdilate.graphalg import Graph, PosetDiagram, hereditary_saturated_masks
 from oracles import (
@@ -60,20 +62,19 @@ def rendered(payload) -> str:
     return "".join(pieces)
 
 
-def smith_form_inputs(monkeypatch) -> list:
-    """The matrices of every Smith form taken from now on, counted in every
-    kdilate namespace that binds the function."""
-    snf = abelian.smith_normal_form
-    inputs = []
+def smith_form_shapes(monkeypatch) -> list:
+    """The shape (rows, columns) of every Smith form taken from now on.
+    Each one, smith_normal_form's and those of the callers that track only
+    some transforms, runs abelian._smith, which is counted."""
+    engine = abelian._smith
+    shapes = []
 
-    def counted(m, *args, **kwargs):
-        inputs.append(m)
-        return snf(m, *args, **kwargs)
+    def counted(a, ncols, *transforms):
+        shapes.append((len(a), ncols))
+        return engine(a, ncols, *transforms)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("kdilate") and getattr(module, "smith_normal_form", None) is snf:
-            monkeypatch.setattr(module, "smith_normal_form", counted)
-    return inputs
+    monkeypatch.setattr(abelian, "_smith", counted)
+    return shapes
 
 
 class TestCuntzCommand:
@@ -94,17 +95,17 @@ class TestCuntzCommand:
         assert "torsion order = 1 (gcd form; quotient form 3 recorded)" in out
 
     def test_o2_by_o2_takes_at_most_13_smith_forms(self, capsys, monkeypatch):
-        calls = smith_form_inputs(monkeypatch)
+        calls = smith_form_shapes(monkeypatch)
         code, out, _ = run(capsys, "cuntz", "7", "2")
         assert code == 0 and "label = O_2 x O_2" in out
         assert len(calls) <= 13
 
     def test_o2_by_o2_takes_no_smith_form_of_an_empty_matrix(self, capsys, monkeypatch):
         # its trivial groups are quotients by no relations
-        calls = smith_form_inputs(monkeypatch)
+        calls = smith_form_shapes(monkeypatch)
         code, out, _ = run(capsys, "cuntz", "7", "2")
         assert code == 0 and "label = O_2 x O_2" in out
-        assert calls and all(m.rows and m.cols for m in calls)
+        assert calls and all(rows and cols for rows, cols in calls)
 
     def test_file_input(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "cuntz", "--input",
@@ -233,7 +234,7 @@ class TestColimKercokerCommands:
 
     def test_free_tower_takes_no_smith_form_and_one_polynomial(self, capsys, tmp_path,
                                                                 monkeypatch):
-        calls = smith_form_inputs(monkeypatch)
+        calls = smith_form_shapes(monkeypatch)
         computed = []
         charpoly = colimit._charpoly
         monkeypatch.setattr(colimit, "_charpoly", lambda m: computed.append(m) or charpoly(m))
@@ -613,6 +614,45 @@ class TestInputHandling:
             assert code == 2 and out == ""
             assert "preserve the relation lattice" in err
 
+    def test_lattice_check_agrees_with_the_per_column_rule(self):
+        # The loader checks each row of projection @ endo @ relations^T
+        # against its generator's order; the rule it replaces checks that
+        # each column is zero in the quotient group.
+        rng = random.Random(53)
+        outcomes = {True: 0, False: 0}
+        mixed = 0
+        for _ in range(560):
+            n = rng.randint(1, 5)
+            orders = [rng.choice((0, 0, 1, 2, 3, 4, 6, 12)) for _ in range(n)]
+            p, p_inv = random_unimodular(rng, n, steps=rng.randint(0, 8), max_factor=2)
+            # the lattice P (sum of d_i Z e_i), given redundantly
+            rows = [[d * row[i] for row in p] for i, d in enumerate(orders) if d]
+            for _ in range(rng.randint(0, 2) if rows else 0):
+                coeffs = [rng.randint(-2, 2) for _ in rows]
+                rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)])
+            rng.shuffle(rows)
+            relations = IntMatrix.from_rows(rows, cols=n)
+            # P B P^-1 with B preserving the diagonal lattice, sometimes nudged
+            b = [[rng.randint(-3, 3) * (di // gcd(di, dj)) if di else 0 if dj else
+                  rng.randint(-3, 3) for dj in orders] for di in orders]
+            endo = conjugate(p, b, p_inv).to_lists()
+            if rng.random() < 0.5:
+                endo[rng.randrange(n)][rng.randrange(n)] += rng.choice((-1, 1, 2))
+            endo = IntMatrix.from_rows(endo)
+            group, projection, _ = _quotient_with_maps(n, relations)
+            images = projection @ endo @ relations.transpose()
+            expected = all(element_is_zero(group, images.column(j)) for j in range(images.cols))
+            try:
+                cli._endo_on_presentation(n, relations, endo, "doc")
+                preserved = True
+            except cli.InputError as exc:
+                assert str(exc) == "doc: endomorphism does not preserve the relation lattice"
+                preserved = False
+            assert preserved == expected, (rows, endo)
+            outcomes[preserved] += 1
+            mixed += bool(group.invariant_factors) and group.free_rank > 0
+        assert min(outcomes.values()) >= 150 and mixed >= 100
+
     def test_graph_with_sink_rejected(self, capsys, tmp_path):
         doc = tmp_path / "sink.json"
         doc.write_text(json.dumps({"kind": "graph", "vertices": ["a", "b"],
@@ -869,12 +909,78 @@ class TestJsonCanonicalisation:
     def test_renderer_matches_json_dumps_on_seeded_payloads(self):
         rng = random.Random(61)
         seen = set()
+        string_lists = 0
         for _ in range(3000):
             payload = random_payload(rng)
             assert rendered(payload) == json.dumps(json_safe(payload), indent=2,
                                                    sort_keys=True)
             seen.update(map(repr, payload if isinstance(payload, (list, tuple)) else ()))
+            string_lists += (type(payload) is list and bool(payload) and all(
+                type(item) in (list, tuple) and all(type(x) is str for x in item)
+                for item in payload))
+        # lists of flat string lists, as a poset's covers, took their own path
+        assert string_lists >= 300
         # the boundary integers and the awkward scalars all turned up
         for value in (2**53 + 1, -(2**53 + 1), 2**53, -(2**53), True, False, None,
                       "\ud800", "caf\u00e9", (), [], {}):
             assert repr(value) in seen
+
+
+SPANS = Path(__file__).resolve().parent.parent / "kbench" / "spans.py"
+# (subcommand, fixture, exit code) for the Smith-form commands
+SMITH_FORM_RUNS = [
+    ("snf", "mixed_unresolved.json", 0), ("snf", "z_times_3.json", 0), ("snf", "zero.json", 0),
+    ("colim", "mixed_unresolved.json", 3), ("colim", "z_times_3.json", 0),
+    ("kercoker", "mixed_unresolved.json", 0), ("kercoker", "z_times_3.json", 0),
+    ("pv", "kdata_trivial_circle.json", 0), ("pv", "kdata_unresolved.json", 3),
+]
+
+
+class TestSmithFormCallers:
+    def outcomes(self, capsys, fixtures_dir, commands):
+        """(code, stdout, stderr) of each run of the commands, in text and
+        JSON, through cli.main as the module binds it now."""
+        results = []
+        for command, fixture, _ in SMITH_FORM_RUNS:
+            if command in commands:
+                for fmt in ("text", "json"):
+                    code = cli.main([command, "--format", fmt, "--input", str(fixtures_dir / fixture)])
+                    results.append((code,) + tuple(capsys.readouterr()))
+        return results
+
+    def test_pv_and_colim_take_no_public_smith_form(self, capsys, fixtures_dir, monkeypatch):
+        # their quotients and kernel generators run the engine with only
+        # the transforms they read
+        expected = self.outcomes(capsys, fixtures_dir, ("pv", "colim"))
+        snf = abelian.smith_normal_form
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("smith_normal_form called")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("kdilate") and getattr(module, "smith_normal_form", None) is snf:
+                monkeypatch.setattr(module, "smith_normal_form", refuse)
+        assert self.outcomes(capsys, fixtures_dir, ("pv", "colim")) == expected
+        assert [code for code, _, _ in expected] == [
+            code for command, _, code in SMITH_FORM_RUNS if command in ("pv", "colim")
+            for _ in range(2)]
+
+    def test_benchmark_tracer_around_main(self, capsys, fixtures_dir):
+        # kbench/spans.py wraps smith_normal_form and reads the U, S and V
+        # of every result; the traced commands must end as untraced ones do
+        spec = importlib.util.spec_from_file_location("kbench_spans", SPANS)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        commands = ("snf", "colim", "kercoker", "pv")
+        expected = self.outcomes(capsys, fixtures_dir, commands)
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            traced = self.outcomes(capsys, fixtures_dir, commands)
+        finally:
+            tracer.uninstall()
+        assert traced == expected
+        assert [code for code, _, _ in traced] == [
+            code for _, _, code in SMITH_FORM_RUNS for _ in range(2)]
+        assert tracer.calls("cli.main") == len(traced)
+        assert tracer.calls("abelian.smith_normal_form") == 6 and tracer.snf_max_bits > 0
