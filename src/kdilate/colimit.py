@@ -9,8 +9,8 @@ an invariant free complement exists; otherwise the result is reported as
 an unresolved extension rather than guessed.
 
 Kernel/cokernel of (1 - fbar) never touch the colimit directly: filtered
-colimits are exact, so both are computed at level zero and the induced
-system is classified.
+colimits are exact, so both are the colimits of their level-zero towers,
+and f acts on each as the identity, so both are plain groups.
 
 The chain ker(f^t) stabilizes at t* <= r + Omega(|T|) for K of rank r and
 torsion T, Omega counting prime factors with multiplicity: f is nilpotent
@@ -31,13 +31,11 @@ from .abelian import (
     IncompatibleShapesError,
     IntMatrix,
     _Record,
-    _cokernel_with_maps,
     _kernel_lattice_generators,
     _quotient_with_maps,
     block_diagonal,
     cokernel,
     direct_sum,
-    direct_sum_endo,
     element_is_zero,
     integer_kernel_basis,
     kernel,
@@ -46,7 +44,6 @@ from .abelian import (
 TAG_FINITE = "finite_or_fg"
 TAG_LOCALIZED = "localized_free"
 TAG_EXTENSION = "extension"
-TAG_UNRESOLVED = "unresolved"
 
 
 class DilationProblem(_Record):
@@ -88,7 +85,6 @@ class ColimitDescription(_Record):
     the injective matrix M = `loc_matrix` (which is also the action).
     tag "extension": finite `sub` by free/localized `quot`; `resolved` is
     True when the extension is a known direct sum.
-    tag "unresolved": shape outside the handled algebra.
     """
 
     _fields = ("tag", "fg_part", "action", "loc_rank", "loc_matrix", "sub", "quot",
@@ -115,10 +111,6 @@ class ColimitDescription(_Record):
     def extension(cls, sub: "ColimitDescription", quot: "ColimitDescription",
                   resolved: bool) -> "ColimitDescription":
         return cls(tag=TAG_EXTENSION, sub=sub, quot=quot, resolved=resolved)
-
-    @classmethod
-    def unresolved(cls) -> "ColimitDescription":
-        return cls(tag=TAG_UNRESOLVED)
 
     # -- structure queries ---------------------------------------------------
 
@@ -196,9 +188,6 @@ class ColimitDescription(_Record):
             unmatched.remove(match)
         return True
 
-    def isomorphic_to_group(self, group: FGAbelianGroup) -> bool | None:
-        return self.isomorphic(ColimitDescription.finite(group))
-
     def pretty(self) -> str:
         if self.tag == TAG_FINITE:
             return str(self.fg_part)
@@ -207,12 +196,10 @@ class ColimitDescription(_Record):
             if diag is None:
                 return f"colim(Z^{self.loc_rank}, {self.loc_matrix})"
             return _format_localized_terms(diag)
-        if self.tag == TAG_EXTENSION:
-            if self.resolved:
-                return f"{self.sub.pretty()} + {self.quot.pretty()}"
-            return (f"extension 0 -> {self.sub.pretty()} -> ? -> "
-                    f"{self.quot.pretty()} -> 0 (unresolved)")
-        return "unresolved"
+        if self.resolved:
+            return f"{self.sub.pretty()} + {self.quot.pretty()}"
+        return (f"extension 0 -> {self.sub.pretty()} -> ? -> "
+                f"{self.quot.pretty()} -> 0 (unresolved)")
 
     def __str__(self):
         return self.pretty()
@@ -549,71 +536,6 @@ def _integer_roots(g: list[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Description algebra
-# ---------------------------------------------------------------------------
-
-def _split_parts(d: ColimitDescription):
-    """(finite torsion description, localized matrix or None), or None."""
-    if d.tag == TAG_FINITE:
-        group = d.fg_part
-        t, r = group.torsion_count, group.free_rank
-        torsion = group.torsion_part()
-        act = d.action.matrix
-        torsion_desc = ColimitDescription.finite(
-            torsion, GroupHom(torsion, torsion,
-                              act.select_rows(range(t)).select_columns(range(t))))
-        free_block = act.select_rows(range(t, t + r)).select_columns(range(t, t + r))
-        return torsion_desc, (free_block if r else None)
-    if d.tag == TAG_LOCALIZED:
-        return ColimitDescription.finite(FGAbelianGroup.trivial()), d.loc_matrix
-    if d.tag == TAG_EXTENSION and d.resolved:
-        sp = _split_parts(d.sub)
-        qp = _split_parts(d.quot)
-        if sp is None or qp is None:
-            return None
-        fin = _sum_finite(sp[0], qp[0])
-        loc = _sum_loc(sp[1], qp[1])
-        return fin, loc
-    return None
-
-
-def _sum_finite(a: ColimitDescription, b: ColimitDescription) -> ColimitDescription:
-    group, endo = direct_sum_endo(a.fg_part, a.action, b.fg_part, b.action)
-    return ColimitDescription.finite(group, endo)
-
-
-def _sum_loc(a: IntMatrix | None, b: IntMatrix | None) -> IntMatrix | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return block_diagonal(a, b)
-
-
-def direct_sum_descriptions(a: ColimitDescription, b: ColimitDescription) -> ColimitDescription:
-    """Direct sum in the description algebra (used for split extensions)."""
-    if a.tag == TAG_FINITE and a.fg_part.is_trivial:
-        return b
-    if b.tag == TAG_FINITE and b.fg_part.is_trivial:
-        return a
-    if a.tag == TAG_FINITE and b.tag == TAG_FINITE:
-        return _sum_finite(a, b)
-    if a.tag == TAG_LOCALIZED and b.tag == TAG_LOCALIZED:
-        return ColimitDescription.localized(block_diagonal(a.loc_matrix, b.loc_matrix))
-    pa, pb = _split_parts(a), _split_parts(b)
-    if pa is None or pb is None:
-        return ColimitDescription.unresolved()
-    fin = _sum_finite(pa[0], pb[0])
-    loc = _sum_loc(pa[1], pb[1])
-    if loc is None or loc.rows == 0:
-        return fin
-    loc_desc = ColimitDescription.localized(loc)
-    if fin.fg_part.is_trivial:
-        return loc_desc
-    return ColimitDescription.extension(fin, loc_desc, resolved=True)
-
-
-# ---------------------------------------------------------------------------
 # Core operations
 # ---------------------------------------------------------------------------
 
@@ -709,12 +631,14 @@ def _classify_injective(group: FGAbelianGroup, endo: GroupHom) -> ColimitDescrip
     torsion_map = m.select_rows(range(t)).select_columns(range(t))
     mixing = m.select_rows(range(t)).select_columns(range(t, t + r))
     free_map = m.select_rows(range(t, t + r)).select_columns(range(t, t + r))
+    quot = _free_colimit(free_map)
+    split = _equivariant_complement_exists(group, torsion_map, mixing, free_map)
+    if split and quot.tag == TAG_FINITE:
+        return ColimitDescription.finite(
+            group, GroupHom(group, group, block_diagonal(torsion_map, free_map)))
     torsion = group.torsion_part()
     sub = ColimitDescription.finite(torsion, GroupHom(torsion, torsion, torsion_map))
-    quot = _free_colimit(free_map)
-    if _equivariant_complement_exists(group, torsion_map, mixing, free_map):
-        return direct_sum_descriptions(sub, quot)
-    return ColimitDescription.extension(sub, quot, resolved=False)
+    return ColimitDescription.extension(sub, quot, resolved=split)
 
 
 def classify_colimit(problem: DilationProblem) -> ColimitDescription:
@@ -734,19 +658,14 @@ def ker_coker_one_minus(problem: DilationProblem
     """Kernel and cokernel of (1 - fbar) on the colimit.
 
     Filtered colimits are exact, so ker(1 - fbar) = colim(ker(1 - f), f) and
-    coker(1 - fbar) = colim(coker(1 - f), induced f); f fixes ker(1 - f)
-    pointwise, so the kernel tower is constant and its colimit is the
-    kernel itself, with the identity action.
+    coker(1 - fbar) = colim(coker(1 - f), induced f).  f fixes ker(1 - f)
+    pointwise, and induces the identity on coker(1 - f), since
+    f(x) = x - (1 - f)(x); so both towers are constant, and each end is the
+    level-zero group itself, with the identity action.
     """
-    base, f = problem.base, problem.endo
-    one_minus = GroupHom.identity(base) - f
-    ker_group, _ = kernel(one_minus)
-    ker_desc = ColimitDescription.finite(ker_group)
-
-    cok_group, projection, lift = _cokernel_with_maps(one_minus)
-    cok_endo = GroupHom(cok_group, cok_group, projection.matrix @ f.matrix @ lift)
-    cok_desc = classify_colimit(DilationProblem(cok_group, cok_endo))
-    return ker_desc, cok_desc
+    one_minus = GroupHom.identity(problem.base) - problem.endo
+    return (ColimitDescription.finite(kernel(one_minus)[0]),
+            ColimitDescription.finite(cokernel(one_minus)[0]))
 
 
 def colim_element_is_zero(problem: DilationProblem, element: ColimElement) -> bool:

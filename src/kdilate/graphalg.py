@@ -174,9 +174,6 @@ class Graph(_Record):
     def format_mask(self, mask: int) -> str:
         return "{" + ",".join(self.names_of(mask)) + "}"
 
-    def format_set(self, subset: Iterable[str]) -> str:
-        return self.format_mask(self.mask_of(subset))
-
 
 def _saturate(graph: Graph, mask: int) -> int:
     """Add every vertex whose emitted edges all land inside, to a fixpoint."""

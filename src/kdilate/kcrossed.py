@@ -21,15 +21,8 @@ from __future__ import annotations
 
 from math import gcd
 
-from .abelian import FGAbelianGroup, GroupHom, IncompatibleShapesError, _Record
-from .colimit import (
-    ColimitDescription,
-    DilationProblem,
-    TAG_FINITE,
-    bracket,
-    direct_sum_descriptions,
-    ker_coker_one_minus,
-)
+from .abelian import FGAbelianGroup, GroupHom, IncompatibleShapesError, _Record, direct_sum
+from .colimit import ColimitDescription, DilationProblem, TAG_FINITE, bracket, ker_coker_one_minus
 
 INFINITY = None  # the Cuntz parameter n = infinity is a distinguished symbol
 
@@ -108,8 +101,9 @@ def _resolve_extension(sub: ColimitDescription,
         return sub, "kernel end vanishes"
     if sub.is_trivial:
         return quot, "cokernel end vanishes"
-    if quot.tag == TAG_FINITE and quot.fg_part.is_free:
-        return direct_sum_descriptions(sub, quot), "free kernel end splits the extension"
+    if quot.fg_part.is_free:
+        group = direct_sum(sub.fg_part, quot.fg_part)
+        return ColimitDescription.finite(group), "free kernel end splits the extension"
     return None, "kernel end is not free; extension left unresolved"
 
 

@@ -6,7 +6,14 @@ from math import gcd
 import pytest
 
 from kdilate import colimit
-from kdilate.abelian import FGAbelianGroup, GroupHom, IntMatrix, direct_sum, element_is_zero
+from kdilate.abelian import (
+    FGAbelianGroup,
+    GroupHom,
+    IntMatrix,
+    _cokernel_with_maps,
+    direct_sum,
+    element_is_zero,
+)
 from kdilate.colimit import (
     ColimElement,
     ColimitDescription,
@@ -16,7 +23,6 @@ from kdilate.colimit import (
     TAG_LOCALIZED,
     classify_colimit,
     colim_element_is_zero,
-    direct_sum_descriptions,
     eventual_kernel,
     ker_coker_one_minus,
 )
@@ -232,11 +238,12 @@ class TestClassifyColimit:
             rows += [[0] * t + list(free_map.row(i)) for i in range(r)]
             endo = GroupHom(base, base, IntMatrix.from_rows(rows, cols=t + r))
             description = classify_colimit(DilationProblem(base, endo))
-            split_parts = direct_sum_descriptions(
+            split_parts = ColimitDescription.extension(
                 classify_colimit(DilationProblem(torsion, GroupHom(torsion, torsion, torsion_map))),
                 classify_colimit(DilationProblem(FGAbelianGroup.free(r),
                                                  GroupHom(FGAbelianGroup.free(r),
-                                                          FGAbelianGroup.free(r), free_map))))
+                                                          FGAbelianGroup.free(r), free_map))),
+                resolved=True)
             outcome = description.isomorphic(split_parts)
             assert outcome is True or outcome is None  # None only for non-diagonal towers
             if description.tag == TAG_EXTENSION:
@@ -307,7 +314,7 @@ class TestKerCokerOneMinus:
             # equal orders on a finite base
             assert ker_desc.fg_part.order() == cok_desc.fg_part.order()
 
-    def test_one_classification_for_the_cokernel_end_only(self, monkeypatch):
+    def test_no_classification_for_either_end(self, monkeypatch):
         classified = []
         classify = colimit.classify_colimit
         monkeypatch.setattr(colimit, "classify_colimit",
@@ -315,9 +322,26 @@ class TestKerCokerOneMinus:
                             classify(problem))
         base = FGAbelianGroup.from_orders([2, 0, 0])
         endo = GroupHom(base, base, IntMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 2]]))
-        ker_desc, _ = ker_coker_one_minus(DilationProblem(base, endo))
-        assert len(classified) == 1
+        ker_desc, cok_desc = ker_coker_one_minus(DilationProblem(base, endo))
+        assert classified == []
         assert ker_desc == ColimitDescription.finite(FGAbelianGroup.from_orders([2, 0]))
+        assert cok_desc == ColimitDescription.finite(Z)
+
+    def test_cokernel_end_is_the_constant_tower(self):
+        # f induces the identity on coker(1 - f), since f(x) = x - (1 - f)(x),
+        # so classifying its tower changes nothing
+        rng = random.Random(23)
+        mixed = 0
+        for _ in range(240):
+            base = random_group(rng)
+            f = random_endomorphism(rng, base)
+            cok, projection, lift = _cokernel_with_maps(GroupHom.identity(base) - f)
+            induced = GroupHom(cok, cok, projection.matrix @ f.matrix @ lift)
+            assert induced == GroupHom.identity(cok)
+            _, cok_desc = ker_coker_one_minus(DilationProblem(base, f))
+            assert cok_desc == classify_colimit(DilationProblem(cok, induced))
+            mixed += base.free_rank > 0 and base.torsion_count > 0
+        assert mixed >= 40
 
     def test_kernel_end_is_the_classified_constant_tower(self):
         # f fixes ker(1 - f) pointwise, so classifying its tower changes nothing
@@ -379,7 +403,8 @@ class TestDescriptionAlgebra:
         for left, right in cases:
             summed_group, summed_endo = _sum_problem(left, right)
             combined = classify_colimit(DilationProblem(summed_group, summed_endo))
-            parts = direct_sum_descriptions(classify_colimit(left), classify_colimit(right))
+            parts = ColimitDescription.extension(classify_colimit(left), classify_colimit(right),
+                                                 resolved=True)
             assert combined.isomorphic(parts) is True, (combined.pretty(), parts.pretty())
 
     def test_localized_isomorphism_uses_prime_support(self):
@@ -551,8 +576,8 @@ class TestIntegerEigenvalues:
         description = classify_colimit(DilationProblem(mixed, GroupHom(mixed, mixed, endo)))
         assert description.resolved is False
         assert computed[1:] == [IntMatrix.diagonal([3])]
-        # a split mixed colimit: direct_sum_descriptions rebuilds the localized
-        # end from the same block, and tests its injectivity with the kept f(0)
+        # a split mixed colimit: its localized end is built from the same
+        # block, and tests its injectivity with the kept f(0)
         del computed[:]
         split = FGAbelianGroup(2, (2,))  # Z/2 + Z^2
         endo = IntMatrix.from_rows([[1, 1, 0], [0, 2, 1], [0, 1, 3]])

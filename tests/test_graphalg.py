@@ -6,6 +6,7 @@ import pytest
 
 from kdilate import graphalg
 from kdilate.abelian import FGAbelianGroup, IntMatrix, direct_sum, is_isomorphic
+from kdilate.colimit import ColimitDescription
 from kdilate.graphalg import (
     Graph,
     PosetDiagram,
@@ -212,8 +213,9 @@ class TestIdealLattice:
                             key=lambda s: (len(s), sorted(map(order.get, s))))
             members = set(family)  # a union of two sets that is not saturated
             saturating += any(a | b not in members for a in family for b in family)
-            labels = tuple(map(graph.format_set, family))
-            expected = sorted((graph.format_set(a), graph.format_set(b))
+            labels = tuple(graph.format_mask(graph.mask_of(s)) for s in family)
+            label_of = dict(zip(family, labels))
+            expected = sorted((label_of[a], label_of[b])
                               for a, b in covers_by_definition(family, lambda a, b: a < b))
             poset = ideal_lattice_hasse(graph)
             assert poset.elements == labels
@@ -565,5 +567,5 @@ class TestCrossedSubquotientK:
                     continue
                 k0, _ = subquotient_k(graph_e, upper, lower)
                 d0, d1 = crossed_subquotient_k(graph_e, upper, lower)
-                assert d0.isomorphic_to_group(k0) is True
-                assert d1.isomorphic_to_group(k0) is True
+                assert d0.isomorphic(ColimitDescription.finite(k0)) is True
+                assert d1.isomorphic(ColimitDescription.finite(k0)) is True

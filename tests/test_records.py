@@ -156,9 +156,9 @@ class TestDefaults:
         assert result.U_inv is None
 
     def test_description_defaults_to_none(self):
-        desc = ColimitDescription(tag="unresolved")
-        assert desc == ColimitDescription.unresolved()
-        assert _fields(desc) == ("unresolved",) + (None,) * 7
+        desc = ColimitDescription(tag="extension")
+        assert desc == ColimitDescription(tag="extension", sub=None, quot=None, resolved=None)
+        assert _fields(desc) == ("extension",) + (None,) * 7
 
     def test_closed_form_emits_gcd_by_default(self):
         form = cuntz_closed_form(7, 2)
