@@ -4,67 +4,50 @@ Integer linear algebra (Smith normal form, presentations, kernels and
 cokernels), dilation colimits of group endomorphisms, crossed-product
 K-theory through the six-term sequence, and the ideal/K-theory
 combinatorics of finite graph algebras.
+
+The package loads no layer when imported.  Each name in `__all__` is
+looked up in the module that defines it on first access (PEP 562), so
+`import kdilate.cli` loads `matrix`, `graphalg` and `cli` only, and a
+caller of the group layers loads just the layers it uses.
 """
 
-from .abelian import (
-    FGAbelianGroup,
-    GroupHom,
-    IncompatibleShapesError,
-    IntMatrix,
-    SNFResult,
-    cokernel,
-    compose,
-    direct_sum,
-    element_is_zero,
-    group_from_presentation,
-    is_isomorphic,
-    kernel,
-    smith_normal_form,
-)
-from .colimit import (
-    ColimElement,
-    ColimitDescription,
-    DilationProblem,
-    classify_colimit,
-    colim_element_is_zero,
-    eventual_kernel,
-    ker_coker_one_minus,
-)
-from .graphalg import (
-    Graph,
-    PosetDiagram,
-    condition_k_failures,
-    crossed_subquotient_k,
-    enumerate_hereditary_saturated,
-    hereditary_saturated_closure,
-    ideal_lattice_hasse,
-    prim_poset,
-    subquotient_k,
-)
-from .kcrossed import (
-    CrossedProductK,
-    CuntzClosedForm,
-    KTheoryData,
-    bracket,
-    cuntz_closed_form,
-    pv_crossed_product,
-    pv_verify_exactness,
-    scale_k_map,
-)
+from importlib import import_module
 
-__all__ = [
-    "FGAbelianGroup", "GroupHom", "IncompatibleShapesError", "IntMatrix",
-    "SNFResult", "cokernel", "compose", "direct_sum", "element_is_zero",
-    "group_from_presentation", "is_isomorphic", "kernel", "smith_normal_form",
-    "ColimElement", "ColimitDescription", "DilationProblem",
-    "classify_colimit", "colim_element_is_zero", "eventual_kernel",
-    "ker_coker_one_minus",
-    "Graph", "PosetDiagram", "condition_k_failures", "crossed_subquotient_k",
-    "enumerate_hereditary_saturated", "hereditary_saturated_closure",
-    "ideal_lattice_hasse", "prim_poset", "subquotient_k",
-    "CrossedProductK", "CuntzClosedForm", "KTheoryData", "bracket",
-    "cuntz_closed_form", "pv_crossed_product", "pv_verify_exactness",
-    "scale_k_map",
-]
+# each public name and the module that defines it
+_HOMES = {
+    "FGAbelianGroup": "abelian", "GroupHom": "abelian",
+    "IncompatibleShapesError": "matrix", "IntMatrix": "matrix",
+    "SNFResult": "abelian", "cokernel": "abelian", "compose": "abelian",
+    "direct_sum": "abelian", "element_is_zero": "abelian",
+    "group_from_presentation": "abelian", "is_isomorphic": "abelian",
+    "kernel": "abelian", "smith_normal_form": "abelian",
+    "ColimElement": "colimit", "ColimitDescription": "colimit",
+    "DilationProblem": "colimit", "classify_colimit": "colimit",
+    "colim_element_is_zero": "colimit", "eventual_kernel": "colimit",
+    "ker_coker_one_minus": "colimit",
+    "Graph": "graphalg", "PosetDiagram": "graphalg", "condition_k_failures": "graphalg",
+    "crossed_subquotient_k": "graphalg", "enumerate_hereditary_saturated": "graphalg",
+    "hereditary_saturated_closure": "graphalg", "ideal_lattice_hasse": "graphalg",
+    "prim_poset": "graphalg", "subquotient_k": "graphalg",
+    "CrossedProductK": "kcrossed", "CuntzClosedForm": "kcrossed",
+    "KTheoryData": "kcrossed", "bracket": "colimit", "cuntz_closed_form": "kcrossed",
+    "pv_crossed_product": "kcrossed", "pv_verify_exactness": "kcrossed",
+    "scale_k_map": "kcrossed",
+}
+
+__all__ = list(_HOMES)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

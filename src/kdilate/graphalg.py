@@ -38,6 +38,10 @@ sort by size gives the family order, size then vertex order.  The covers
 of a set a are the joins j of a with one vertex closure that every vertex
 of j outside a gives (see `ideal_lattice_hasse`), n joins per set.  A set
 stays a bitmask until it is labelled or printed.
+
+The module loads only `kdilate.matrix`.  `subquotient_k` imports the
+group layer, and `crossed_subquotient_k` the six-term layer, when first
+called, so that the ideal combinatorics load neither.
 """
 
 from __future__ import annotations
@@ -46,14 +50,7 @@ from collections.abc import Iterable
 from functools import cached_property
 from itertools import compress
 
-from .abelian import (
-    FGAbelianGroup,
-    IntMatrix,
-    _Record,
-    group_from_presentation,
-)
-from .colimit import ColimitDescription
-from .kcrossed import KTheoryData, pv_crossed_product
+from .matrix import IntMatrix, _Record
 
 VertexSet = frozenset
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
@@ -549,6 +546,8 @@ def subquotient_k(graph: Graph, zset: Iterable[str],
     With A_X the vertex matrix restricted to X, K0 is the cokernel and K1
     the kernel of A_X^T - I acting on Z^X.
     """
+    from .abelian import FGAbelianGroup, group_from_presentation
+
     indices = _checked_nested_pair(graph, zset, yset)
     size, rows = len(indices), graph._rows
     # rows of (A_X^T - I)^T, read from the X x X block of the rows
@@ -570,6 +569,8 @@ def crossed_subquotient_k(graph: Graph, zset: Iterable[str], yset: Iterable[str]
     vanishes; when K0 has torsion and K1 does not vanish, the crossed K1 is
     left an unresolved extension.  For loop-rich graphs K1 vanishes and the
     result is (K0, K0)."""
+    from .kcrossed import KTheoryData, pv_crossed_product
+
     k0, k1 = subquotient_k(graph, zset, yset)
     result = pv_crossed_product(KTheoryData.with_identity_maps(k0, k1))
     return result.k0_description(), result.k1_description()

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from kdilate import abelian, cli, colimit
+from kdilate import abelian, cli, colimit, group_commands
 from kdilate.abelian import GroupHom, IntMatrix, _quotient_with_maps, element_is_zero
 from kdilate.cli import main, render_json
 from kdilate.graphalg import Graph, PosetDiagram, hereditary_saturated_masks
@@ -643,7 +643,7 @@ class TestInputHandling:
             images = projection @ endo @ relations.transpose()
             expected = all(element_is_zero(group, images.column(j)) for j in range(images.cols))
             try:
-                cli._endo_on_presentation(n, relations, endo, "doc")
+                group_commands._endo_on_presentation(n, relations, endo, "doc")
                 preserved = True
             except cli.InputError as exc:
                 assert str(exc) == "doc: endomorphism does not preserve the relation lattice"

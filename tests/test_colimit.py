@@ -11,6 +11,8 @@ from kdilate.abelian import (
     GroupHom,
     IntMatrix,
     _cokernel_with_maps,
+    _direct_sum_with_maps,
+    block_diagonal,
     direct_sum,
     element_is_zero,
 )
@@ -464,8 +466,11 @@ class TestDescriptionAlgebra:
 
 
 def _sum_problem(left: DilationProblem, right: DilationProblem):
-    from kdilate.abelian import direct_sum_endo
-    return direct_sum_endo(left.base, left.endo, right.base, right.endo)
+    """The block-diagonal endomorphism of the two on the canonical direct
+    sum of their bases, through the maps `direct_sum` takes its form by."""
+    group, projection, lift = _direct_sum_with_maps(left.base, right.base)
+    block = block_diagonal(left.endo.matrix, right.endo.matrix)
+    return group, GroupHom(group, group, projection @ block @ lift)
 
 
 class TestProblemValidation:
