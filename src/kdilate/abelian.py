@@ -4,8 +4,9 @@ Everything here runs on Python's native arbitrary-precision integers; no
 floating point, no fixed-width arithmetic.  The central tool is the Smith
 normal form, from which presentations, kernels and cokernels of maps
 between finitely generated abelian groups are computed exactly.  The
-matrix type and the record base come from `kdilate.matrix` and are
-re-exported here, so `kdilate.abelian.IntMatrix` is the same class.
+matrix type comes from `kdilate.matrix` and is re-exported here, so
+`kdilate.abelian.IntMatrix` is the same class; the record base of the
+value classes is `kdilate.record`'s.
 
 All values are immutable after construction and every function is pure,
 so the module is safe for unsynchronized concurrent use.
@@ -18,7 +19,8 @@ from itertools import product
 import math
 from operator import mul
 
-from .matrix import IncompatibleShapesError, IntMatrix, _Record
+from .matrix import IncompatibleShapesError, IntMatrix
+from .record import _Record
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +481,10 @@ class GroupHom(_Record):
                 f"matrix shape {m.rows}x{m.cols} does not match codomain x domain "
                 f"({codomain.num_generators}x{domain.num_generators})")
         cod_orders = codomain.generator_orders()
-        reduced = tuple(tuple(x % d if d else x for x in row)
-                        for row, d in zip(m.entries, cod_orders))
-        super().__init__(domain, codomain, IntMatrix(m.rows, m.cols, reduced))
+        if not codomain.is_free:  # rows over torsion generators are reduced
+            m = IntMatrix(m.rows, m.cols, tuple(tuple(x % d if d else x for x in row)
+                                                for row, d in zip(m.entries, cod_orders)))
+        super().__init__(domain, codomain, m)
         for j, dj in enumerate(domain.generator_orders()):
             if dj == 0:
                 continue

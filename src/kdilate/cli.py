@@ -6,24 +6,16 @@ number within +-2^53 or a decimal string of ASCII digits (arbitrary
 precision).  Results render as text, canonical JSON (sorted keys,
 two-space indent, no floats), or DOT for the two poset subcommands.
 
-Importing this module loads `kdilate.matrix` and `kdilate.graphalg` and
-no other layer, which is all the graph subcommands need (`graph-k` adds
-`kdilate.abelian` when it runs).  The group subcommands, snf, colim,
-kercoker, pv, cuntz and graph-crossed-k, have their handlers in
-`kdilate.group_commands`; the grammar names them, and that module, which
-loads the group, colimit and six-term layers at its top, is imported
-only when one of them runs.
-
-Graph files are decoded by `_GraphDecoder`, which reads an adjacency
-matrix of single digits (the small multiplicities most graphs have)
-straight from its text, row by row, as the bytes of each row's
-multiplicities.  A graph read that way keeps those rows, and builds its
-matrix of ints only if asked for it; any other graph goes through
-`_as_matrix`, and any file with a fault in it is read again by
-`json.loads`, so that every diagnostic stays that route's.
-`graph-hs` puts its family into the payload as a `VertexSets` view of
-bitmasks, which the JSON writer names set by set from vertex names it
-encodes once.
+This module holds the grammar, the readers of documents, integers and
+matrices, the JSON writer and `main`, and imports no layer of kdilate:
+`_as_matrix` imports `kdilate.matrix` when called.  Each row of the
+grammar names the module of its handler, which `main` imports when that
+subcommand runs.  `kdilate.graph_commands` holds graph-hs, graph-lattice,
+graph-prim and graph-k and the graph reader, and loads `kdilate.graphalg`
+and its record base; on a graph file of single-digit multiplicities the
+first three load nothing more.  `kdilate.group_commands` holds snf,
+colim, kercoker, pv, cuntz and graph-crossed-k, and loads the group,
+colimit, six-term and graph layers at its top.
 
 Exit codes: 0 success, 2 input/schema errors (diagnostic on stderr; this
 includes files that are not UTF-8 and JSON nested too deeply to decode),
@@ -38,31 +30,15 @@ import json
 import os
 import re
 import sys
-from collections.abc import Iterable
-from itertools import chain, compress
-from json.decoder import WHITESPACE
+from importlib import import_module
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from json.scanner import py_make_scanner
 from types import SimpleNamespace
-
-from .graphalg import (
-    Graph,
-    bit_selector as _bit_selector,
-    condition_k_failures,
-    hereditary_saturated_masks,
-    ideal_lattice_hasse,
-    prim_poset,
-    subquotient_k,
-)
-from .matrix import IntMatrix
 
 _MAX_JSON_INT = 2**53
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 _STR, _INT, _LISTS = {str}, {int}, {list, tuple}
 _KINDS = ("group_endo", "k_data", "cuntz", "graph")
-_JSON_SPACE = b" \t\n\r"
-_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
-_skip_space = WHITESPACE.match
 
 
 class InputError(Exception):
@@ -96,8 +72,8 @@ def _as_count(value, where: str) -> int:
 
 def _as_row(row: list | bytes, where: str) -> list | bytes:
     # a row of ints (the type set is checked first, so no bools) within the
-    # JSON range needs no per-entry check; a bytes row from _GraphDecoder
-    # reads as one
+    # JSON range needs no per-entry check; a bytes row from the graph
+    # reader's decoder reads as one
     if set(map(type, row)) == _INT and -_MAX_JSON_INT <= min(row) and max(row) <= _MAX_JSON_INT:
         return row
     return [_as_int(x, f"{where}[{j}]") for j, x in enumerate(row)]
@@ -108,6 +84,8 @@ def _as_matrix(value, where: str, cols: int | None = None,
     """The matrix of a decoded JSON list of rows.  Each row is replaced in
     value by its tuple as it is read, so the decoded lists do not stay
     alive beside the matrix."""
+    from .matrix import IntMatrix
+
     if not isinstance(value, list) or any(not isinstance(r, (list, bytes)) for r in value):
         raise InputError(f"{where}: expected a list of rows")
     # every entry is checked before the shape, so a bad entry anywhere is
@@ -166,129 +144,9 @@ def _check_fields(doc: dict, where: str, required: set, optional: set = frozense
             raise InputError(f"{where}: missing field {key!r}")
 
 
-def _digit_row(text: str) -> bytes | None:
-    """The bytes of the digit values of the text inside a row's brackets,
-    when it is single ASCII digits and commas, JSON whitespace aside."""
-    if not text.isascii():
-        return None
-    row = text.encode().strip(_JSON_SPACE)
-    size, count = len(row), len(row) // 3
-    if size % 3 == 1 and row[1::3] == b"," * count and row[2::3] == b" " * count:
-        digits = row[::3]  # json.dumps's ", " between entries
-    else:  # any other spacing: a digit at every even place, commas between
-        row = row.translate(None, _JSON_SPACE)
-        if not len(row) & 1 or row.count(b",") != len(row) >> 1:
-            return None
-        digits = row[::2]
-    return digits.translate(_DIGIT_VALUES) if digits.isdigit() else None
-
-
-def _digit_matrix(s: str, pos: int) -> tuple[list[bytes], int] | None:
-    """(rows, end) for the array whose first row opens at s[pos], when each
-    of its rows is a _digit_row: the first ']' after a row's '[' closes that
-    row or something in it, so the text is read no further than the array."""
-    rows = []
-    while True:
-        close = s.find("]", pos)
-        row = _digit_row(s[pos + 1:close]) if close > 0 else None
-        if row is None:
-            return None
-        rows.append(row)
-        if s.startswith(", [", close + 1):  # json.dumps's separator
-            pos = close + 3
-            continue
-        pos = _skip_space(s, close + 1).end()
-        if s.startswith("]", pos):
-            return rows, pos + 1
-        if not s.startswith(",", pos):
-            return None
-        pos = _skip_space(s, pos + 1).end()
-        if not s.startswith("[", pos):
-            return None
-
-
-class _GraphDecoder(json.JSONDecoder):
-    """json.loads's decoder, but for one kind of array: a matrix whose rows
-    each hold single ASCII digits and commas, JSON whitespace aside (an
-    adjacency matrix of small multiplicities), becomes a list with the
-    bytes of each row's digit values, read straight from its text.  Any
-    other array goes to the C scanner whole.  No JSON decodes to bytes, so
-    a bytes row is one this decoder checked."""
-
-    def __init__(self):
-        super().__init__()
-        scan_whole = self.scan_once  # the C scanner, where there is one
-
-        def parse_array(s_and_end, scan_once):
-            s, end = s_and_end
-            first = _skip_space(s, end).end()
-            matrix = _digit_matrix(s, first) if s.startswith("[", first) else None
-            return matrix or scan_whole(s, end - 1)
-
-        self.parse_array = parse_array
-        self.scan_once = py_make_scanner(self)
-
-
-def _graph_of(doc: dict, path: str) -> Graph:
-    _check_fields(doc, path, {"vertices", "adjacency"})
-    vertices = doc["vertices"]
-    if (not isinstance(vertices, list)
-            or any(not isinstance(v, str) or not v for v in vertices)):
-        raise InputError(f"{path}: vertices must be a list of nonempty strings")
-    n, rows = len(vertices), doc["adjacency"]
-    if (type(rows) is list and len(rows) == n
-            and all(type(row) is bytes and len(row) == n for row in rows)):
-        make, rows = Graph._of_digit_rows, tuple(rows)
-    else:
-        make, rows = Graph, _as_matrix(rows, f"{path}: adjacency", cols=n, rows=n)
-    try:
-        return make(tuple(vertices), rows)
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
-def _load_graph(path: str) -> Graph:
-    text = _read_text(path)
-    try:
-        return _graph_of(_load_document(path, "graph", text, _GraphDecoder().decode), path)
-    except InputError:
-        # a decoding error comes here as an InputError too.  The document
-        # is read again by json.loads, so that every diagnostic is the one
-        # it has always been, whichever decoder met the fault first
-        return _graph_of(_load_document(path, "graph", text), path)
-
-
-def _parse_vertex_set(arg: str, where: str) -> list[str]:
-    if arg in ("", "-"):
-        return []
-    names = [part.strip() for part in arg.split(",")]
-    if any(not name for name in names):
-        raise InputError(f"{where}: empty vertex name in {arg!r}")
-    return names
-
-
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
-
-class VertexSets:
-    """The vertex sets of graph given by masks, as a sized, re-iterable
-    view that reads as each set's names_of list.  render_json writes it
-    from the vertex names encoded once, naming each set as it is written,
-    so a payload can hold a long family without its names."""
-
-    __slots__ = ("graph", "masks")
-
-    def __init__(self, graph: Graph, masks):
-        self.graph = graph
-        self.masks = masks
-
-    def __len__(self) -> int:
-        return len(self.masks)
-
-    def __iter__(self):
-        return map(self.graph.names_of, self.masks)
-
 
 def _write_string_lists(lists, write, indent: str, lead: str) -> None:
     """_write_json's pieces for a nonempty list of lists, each given by its
@@ -306,19 +164,15 @@ def _write_string_lists(lists, write, indent: str, lead: str) -> None:
 def _write_json(obj, write, indent: str, lead: str = "") -> None:
     """Write lead, then the text json.dumps(obj, indent=2, sort_keys=True)
     gives at this depth, with integers beyond 2^53 as decimal strings and a
-    VertexSets view as the list of its sets' names: one piece per scalar,
-    flat list (also each one in a list of flat lists of strings) or vertex
-    set, with the separator and key before it, and one per closing bracket."""
+    sized view with encoded_lists (graph-hs's VertexSets) as the list of
+    the lists it gives: one piece per scalar, flat list (also each one in a
+    list of flat lists of strings) or vertex set, with the separator and
+    key before it, and one per closing bracket."""
     if isinstance(obj, str):
         write(lead + encode_basestring_ascii(obj))
-    elif isinstance(obj, (list, tuple, VertexSets)):
+    elif isinstance(obj, (list, tuple)):
         if not obj:
             write(lead + "[]")
-            return
-        if type(obj) is VertexSets:  # names encoded once, picked per set
-            encoded = list(map(encode_basestring_ascii, obj.graph.vertices))
-            lists = (compress(encoded, s) for s in map(_bit_selector, obj.masks))
-            _write_string_lists(lists, write, indent, lead)
             return
         inner = indent + "  "
         types = set(map(type, obj))
@@ -353,6 +207,11 @@ def _write_json(obj, write, indent: str, lead: str = "") -> None:
         write(lead + _JSON_CONSTANTS[obj])
     elif isinstance(obj, int):
         write(lead + (f'"{obj}"' if abs(obj) > _MAX_JSON_INT else int.__repr__(obj)))
+    elif hasattr(obj, "encoded_lists"):  # its lists' items come encoded
+        if len(obj):
+            _write_string_lists(obj.encoded_lists(), write, indent, lead)
+        else:
+            write(lead + "[]")
     else:
         write(lead + json.dumps(obj))
 
@@ -364,95 +223,21 @@ def render_json(payload: dict, write) -> None:
     _write_json(payload, write, "")
 
 
-def _group_json(group: FGAbelianGroup) -> dict:
+def _group_json(group) -> dict:
     return {"free_rank": group.free_rank,
             "invariant_factors": list(group.invariant_factors),
             "pretty": str(group)}
 
 
-def _poset_payload(poset, fmt: str) -> tuple[dict, Iterable[str] | None]:
-    """The payload, with the text or DOT lines only when fmt prints them."""
-    payload = {"elements": poset.elements, "covers": poset.covers, "status": "ok"}
-    lines = None
-    if fmt == "dot":  # each line is made as it is printed
-        lines = poset.dot_lines()
-    elif fmt == "text" and poset.covers:
-        lines = (f"{lower} < {upper}" for lower, upper in poset.covers)
-    elif fmt == "text":
-        lines = [f"single element: {e}" for e in poset.elements] or ["empty poset"]
-    return payload, lines
-
-
-# ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (payload, the lines text or dot prints).
-# The group subcommands' handlers are in kdilate.group_commands.
-# ---------------------------------------------------------------------------
-
-def _cmd_graph_hs(args):
-    graph = _load_graph(args.input)
-    masks = hereditary_saturated_masks(graph)
-    # each set's names are made only as the set is written
-    payload = {"subsets": VertexSets(graph, masks), "status": "ok"}
-    return payload, map(graph.format_mask, masks)
-
-
-def _with_condition_k(graph: Graph, result: tuple[dict, Iterable[str] | None]):
-    """Add the Condition (K) fields to a poset payload, with a note on
-    stderr when (K) fails: the poset then describes the gauge-invariant
-    ideals only."""
-    failures = condition_k_failures(graph)
-    payload = result[0]
-    payload["condition_k"] = not failures
-    payload["condition_k_failures"] = list(failures)
-    if failures:
-        print(f"note: condition (K) fails at {', '.join(failures)}; "
-              "the result describes the gauge-invariant ideals only", file=sys.stderr)
-    return result
-
-
-def _cmd_graph_lattice(args):
-    graph = _load_graph(args.input)
-    try:
-        poset = ideal_lattice_hasse(graph)
-    except ValueError as exc:
-        raise InputError(f"{args.input}: {exc}") from exc
-    return _with_condition_k(graph, _poset_payload(poset, args.format))
-
-
-def _cmd_graph_prim(args):
-    graph = _load_graph(args.input)
-    try:
-        poset = prim_poset(graph)
-    except ValueError as exc:
-        raise InputError(f"{args.input}: {exc}") from exc
-    return _with_condition_k(graph, _poset_payload(poset, args.format))
-
-
-def _graph_k_sets(args):
-    zset = _parse_vertex_set(args.zset, "Z")
-    yset = _parse_vertex_set(args.yset, "Y")
-    return zset, yset
-
-
-def _cmd_graph_k(args):
-    graph = _load_graph(args.input)
-    zset, yset = _graph_k_sets(args)
-    try:
-        k0, k1 = subquotient_k(graph, zset, yset)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    payload = {"k0": _group_json(k0), "k1": _group_json(k1), "status": "ok"}
-    return payload, [f"K0 = {k0}, K1 = {k1}"]
-
-
 class _Subcommand:
     """One row of the command-line grammar."""
 
-    __slots__ = ("handler", "help", "needs_input", "positionals", "dot")
+    __slots__ = ("module", "handler", "help", "needs_input", "positionals", "dot")
 
-    def __init__(self, handler, help_text: str, needs_input: bool = True,
+    def __init__(self, module: str, handler: str, help_text: str, needs_input: bool = True,
                  positionals: tuple = (), dot: bool = False):
-        # a function, or the name of one in kdilate.group_commands
+        # the name of the handler, and of its module in kdilate
+        self.module = module
         self.handler = handler
         self.help = help_text
         self.needs_input = needs_input
@@ -462,33 +247,35 @@ class _Subcommand:
 
 
 _OPTIONAL_Y = ("yset", "Y", "?", "", "comma-separated vertex names (default empty)")
+_GROUP, _GRAPH = "group_commands", "graph_commands"
 
 # The whole grammar: _scan reads well-formed command lines from it, and
 # build_parser builds argparse's parser from it for everything else.
 _SUBCOMMANDS = {
     "snf": _Subcommand(
-        "_cmd_snf", "Smith normal form of the relations matrix of a group_endo file"),
+        _GROUP, "_cmd_snf", "Smith normal form of the relations matrix of a group_endo file"),
     "colim": _Subcommand(
-        "_cmd_colim", "classify the dilation colimit of a group endomorphism"),
+        _GROUP, "_cmd_colim", "classify the dilation colimit of a group endomorphism"),
     "kercoker": _Subcommand(
-        "_cmd_kercoker", "kernel and cokernel of (1 - fbar) on the dilation colimit"),
-    "pv": _Subcommand("_cmd_pv", "crossed-product K-theory from a k_data file"),
+        _GROUP, "_cmd_kercoker", "kernel and cokernel of (1 - fbar) on the dilation colimit"),
+    "pv": _Subcommand(_GROUP, "_cmd_pv", "crossed-product K-theory from a k_data file"),
     "cuntz": _Subcommand(
-        "_cmd_cuntz", "closed-form table entry for the Cuntz family", needs_input=False,
+        _GROUP, "_cmd_cuntz", "closed-form table entry for the Cuntz family", needs_input=False,
         positionals=(("n", None, "?", None, "'inf' or an integer >= 2"),
                      ("m", None, "?", None, "positive integer"))),
     "graph-hs": _Subcommand(
-        _cmd_graph_hs, "hereditary and saturated vertex sets of a graph"),
+        _GRAPH, "_cmd_graph_hs", "hereditary and saturated vertex sets of a graph"),
     "graph-lattice": _Subcommand(
-        _cmd_graph_lattice, "Hasse diagram of the ideal lattice of a graph", dot=True),
-    "graph-prim": _Subcommand(_cmd_graph_prim, "primitive-ideal poset of a graph", dot=True),
+        _GRAPH, "_cmd_graph_lattice", "Hasse diagram of the ideal lattice of a graph", dot=True),
+    "graph-prim": _Subcommand(
+        _GRAPH, "_cmd_graph_prim", "primitive-ideal poset of a graph", dot=True),
     "graph-k": _Subcommand(
-        _cmd_graph_k, "K-groups of the subquotient on Z minus Y",
+        _GRAPH, "_cmd_graph_k", "K-groups of the subquotient on Z minus Y",
         positionals=(("zset", "Z", None, None,
                       "comma-separated vertex names ('' or '-' for empty)"),
                      _OPTIONAL_Y)),
     "graph-crossed-k": _Subcommand(
-        "_cmd_graph_crossed_k", "crossed-product K-groups of the subquotient",
+        _GROUP, "_cmd_graph_crossed_k", "crossed-product K-groups of the subquotient",
         positionals=(("zset", "Z", None, None, "comma-separated vertex names"),
                      _OPTIONAL_Y)),
 }
@@ -598,10 +385,8 @@ def _main(argv) -> int:
     if args.format == "dot" and not spec.dot:
         print("error: dot format is not available for this subcommand", file=sys.stderr)
         return 2
-    handler = spec.handler
-    if isinstance(handler, str):  # the group layers load with its module
-        from . import group_commands
-        handler = getattr(group_commands, handler)
+    # the handler's module loads the layers of its family
+    handler = getattr(import_module(f"{__package__}.{spec.module}"), spec.handler)
     try:
         payload, lines = handler(args)
     except InputError as exc:
@@ -616,9 +401,9 @@ def _main(argv) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    # Run as python -m kdilate.cli, this file is __main__, and
-    # kdilate.group_commands would import a second copy of it as
-    # kdilate.cli, with an InputError of its own.  The package's copy runs
+    # Run as python -m kdilate.cli, this file is __main__, and the
+    # handlers' modules would import a second copy of it as kdilate.cli,
+    # with an InputError of its own.  The package's copy runs
     # the call, so that the handlers and main share one InputError.
     from kdilate.cli import main as _main_of_package
 

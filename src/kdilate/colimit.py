@@ -30,7 +30,6 @@ from .abelian import (
     GroupHom,
     IncompatibleShapesError,
     IntMatrix,
-    _Record,
     _kernel_lattice_generators,
     _quotient_with_maps,
     block_diagonal,
@@ -40,6 +39,7 @@ from .abelian import (
     integer_kernel_basis,
     kernel,
 )
+from .record import _Record
 
 TAG_FINITE = "finite_or_fg"
 TAG_LOCALIZED = "localized_free"
@@ -540,18 +540,17 @@ def _integer_roots(g: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def _stable_kernel_generators(problem: DilationProblem
-                              ) -> tuple[list[tuple[int, ...]], GroupHom]:
+                              ) -> tuple[list[tuple[int, ...]], GroupHom | None]:
     """Generators of the eventual kernel lattice, and a power f^a that
     kills it, for the first a in 0, 1, 2, 4, ... where f^a kills the
     generators of ker(f^max(1, 2a)): the chain only grows, so it has
     stabilized there.  On a free base, f(0) != 0 for the characteristic
     polynomial f of the matrix means f is injective, so a = 0 with no
-    kernel taken."""
+    kernel taken, and the power is None rather than an identity map."""
     base, f = problem.base, problem.endo
-    power = GroupHom.identity(base)
     if base.is_free and _charpoly_of(f.matrix)[0]:
-        return [], power
-    nxt = f
+        return [], None
+    power, nxt = GroupHom.identity(base), f
     while True:
         gens = _kernel_lattice_generators(nxt)
         if all(element_is_zero(base, power.matrix.apply(g)) for g in gens):
@@ -568,7 +567,7 @@ def eventual_kernel(problem: DilationProblem) -> tuple[FGAbelianGroup, int]:
     (FGAbelianGroup(free_rank=0, invariant_factors=(36893488147419103232,)), 65)
     """
     gens, power = _stable_kernel_generators(problem)
-    group, _ = kernel(power)
+    group = FGAbelianGroup.trivial() if power is None else kernel(power)[0]
     t_star, alive = 0, [g for g in map(problem.base.reduce, gens) if any(g)]
     while alive:
         alive = [g for g in map(problem.endo.apply, alive) if any(g)]
@@ -673,4 +672,5 @@ def colim_element_is_zero(problem: DilationProblem, element: ColimElement) -> bo
     power of the endomorphism, and so by the power that kills the eventual
     kernel."""
     _, power = _stable_kernel_generators(problem)
-    return element_is_zero(problem.base, power.apply(element.coords))
+    coords = element.coords if power is None else power.apply(element.coords)
+    return element_is_zero(problem.base, coords)

@@ -39,9 +39,12 @@ of a set a are the joins j of a with one vertex closure that every vertex
 of j outside a gives (see `ideal_lattice_hasse`), n joins per set.  A set
 stays a bitmask until it is labelled or printed.
 
-The module loads only `kdilate.matrix`.  `subquotient_k` imports the
-group layer, and `crossed_subquotient_k` the six-term layer, when first
-called, so that the ideal combinatorics load neither.
+The module loads only the record base, `kdilate.record`.  A graph
+builds its `IntMatrix` only when a caller asks for its adjacency matrix
+or builds it from one, `subquotient_k` imports the group layer, and
+`crossed_subquotient_k` the six-term layer, each when first called, so
+that the ideal combinatorics on a graph read as single-digit rows load
+neither `kdilate.matrix` nor a group layer.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from collections.abc import Iterable
 from functools import cached_property
 from itertools import compress
 
-from .matrix import IntMatrix, _Record
+from .record import _Record
 
 VertexSet = frozenset
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
@@ -120,10 +123,14 @@ class Graph(_Record):
     @cached_property
     def adjacency(self) -> IntMatrix:
         # only a graph of bytes rows gets here: __init__ stores its matrix
+        from .matrix import IntMatrix
+
         return IntMatrix._of_checked_rows(len(self._rows), tuple(map(tuple, self._rows)))
 
     @classmethod
     def from_adjacency(cls, vertices: Iterable[str], rows) -> "Graph":
+        from .matrix import IntMatrix
+
         vertices = tuple(vertices)
         return cls(vertices, IntMatrix.from_rows(rows, cols=len(vertices)))
 
@@ -546,7 +553,7 @@ def subquotient_k(graph: Graph, zset: Iterable[str],
     With A_X the vertex matrix restricted to X, K0 is the cokernel and K1
     the kernel of A_X^T - I acting on Z^X.
     """
-    from .abelian import FGAbelianGroup, group_from_presentation
+    from .abelian import FGAbelianGroup, IntMatrix, group_from_presentation
 
     indices = _checked_nested_pair(graph, zset, yset)
     size, rows = len(indices), graph._rows

@@ -3,15 +3,21 @@ and graph-crossed-k.
 
 Their problem files hold presentations and endomorphisms, and their
 results need the group, colimit and six-term layers.  This module imports
-all three at its top, and `kdilate.cli` imports it only when one of these
-subcommands runs, so that the graph subcommands load none of them.  The
-grammar, the readers of JSON and graphs, the JSON writer and the exit
-codes stay in `kdilate.cli`.
+all three at its top, with the graph layer for graph-crossed-k, and
+`kdilate.cli` imports it only when one of these subcommands runs, so that
+the graph subcommands load none of them.  The graph layer stays a top
+import although only graph-crossed-k calls it: the benchmark's tracer
+looks up `kdilate.graphalg` and `kdilate.kcrossed` in `sys.modules` after
+a round of group calls alone.  graph-crossed-k imports the graph reader
+from `kdilate.graph_commands` when it runs, so that the other group
+subcommands never load that module.  The grammar, the readers of
+documents and matrices, the JSON writer and the exit codes stay in
+`kdilate.cli`.
 """
 
 from __future__ import annotations
 
-from .abelian import GroupHom, IntMatrix, _quotient_with_maps, smith_normal_form
+from .abelian import FGAbelianGroup, GroupHom, IntMatrix, _quotient_with_maps, smith_normal_form
 from .colimit import (
     ColimitDescription,
     DilationProblem,
@@ -29,10 +35,8 @@ from .cli import (
     _as_int,
     _as_matrix,
     _check_fields,
-    _graph_k_sets,
     _group_json,
     _load_document,
-    _load_graph,
 )
 
 
@@ -50,9 +54,10 @@ def _load_presentation(doc: dict, where: str,
 
 def _endo_on_presentation(generators: int, relations: IntMatrix, endo: IntMatrix,
                           where: str) -> DilationProblem:
-    group, projection, lift = _quotient_with_maps(generators, relations)
-    if not relations.rows:  # a free group, with identity maps
+    if not relations.rows:  # a free group, on the given generators
+        group = FGAbelianGroup.free(generators)
         return DilationProblem(group, GroupHom(group, group, endo))
+    group, projection, lift = _quotient_with_maps(generators, relations)
     induced = projection @ endo
     # endo preserves the relation lattice exactly when each row of the
     # relations' images is 0 modulo its generator's order, or 0 if free
@@ -215,6 +220,8 @@ def _cmd_cuntz(args):
 
 
 def _cmd_graph_crossed_k(args):
+    from .graph_commands import _graph_k_sets, _load_graph
+
     graph = _load_graph(args.input)
     zset, yset = _graph_k_sets(args)
     try:

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from math import gcd
 
-from .abelian import FGAbelianGroup, GroupHom, IncompatibleShapesError, _Record, direct_sum
+from .abelian import FGAbelianGroup, GroupHom, IncompatibleShapesError, direct_sum
 from .colimit import ColimitDescription, DilationProblem, TAG_FINITE, bracket, ker_coker_one_minus
+from .record import _Record
 
 INFINITY = None  # the Cuntz parameter n = infinity is a distinguished symbol
 

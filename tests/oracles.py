@@ -34,7 +34,8 @@ from kdilate.abelian import (
     element_is_zero,
     smith_normal_form,
 )
-from kdilate.cli import InputError, VertexSets, _as_matrix, _check_fields
+from kdilate.cli import InputError, _as_matrix, _check_fields
+from kdilate.graph_commands import VertexSets
 from kdilate.graphalg import Graph
 
 
@@ -101,6 +102,33 @@ def rank_over_q(rows: list[list[int]]) -> int:
                 m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
         rank += 1
     return rank
+
+
+def lattice_member_by_residues(rows: list[list[int]], vector: list[int]) -> bool:
+    """Whether vector lies in the lattice L spanned by rows, with no Smith
+    form.  L has index e = d_r, the gcd of its r x r minors (r its rank), in
+    its saturation S, the integer points of its rational span; so eS lies
+    in L, and vector is in L exactly when it is in that span and its
+    residue mod e lies in the subgroup the rows generate in (Z/e)^n, found
+    by closing {0} under adding each row."""
+    r = rank_over_q(rows)
+    if rank_over_q(rows + [vector]) != r:
+        return False
+    e = 0
+    for ri in combinations(range(len(rows)), r):
+        for ci in combinations(range(len(vector)), r):
+            e = gcd(e, cofactor_det([[rows[i][j] for j in ci] for i in ri]))
+    residues = [tuple(x % e for x in row) for row in rows]
+    zero = (0,) * len(vector)
+    seen, frontier = {zero}, [zero]
+    while frontier:
+        point = frontier.pop()
+        for row in residues:
+            step = tuple((a + b) % e for a, b in zip(point, row))
+            if step not in seen:
+                seen.add(step)
+                frontier.append(step)
+    return tuple(x % e for x in vector) in seen
 
 
 def _invariants_from_counts(total: int, count_p_torsion) -> tuple[int, ...]:

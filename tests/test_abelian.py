@@ -23,6 +23,7 @@ from kdilate.abelian import (
     integer_kernel_basis,
     is_isomorphic,
     kernel,
+    lattice_contains,
     smith_normal_form,
     solve_integer_system,
     unimodular_inverse,
@@ -30,6 +31,7 @@ from kdilate.abelian import (
 from oracles import (
     cofactor_det,
     kernel_via_smith_lattice,
+    lattice_member_by_residues,
     random_endomorphism,
     random_finite_group,
     random_group,
@@ -317,6 +319,45 @@ class TestIntegerKernelBasis:
         assert integer_kernel_basis(IntMatrix.zeros(3, 0)) == []
 
 
+class TestLatticeContains:
+    def test_matches_membership_by_residues(self):
+        # seeded generator sets in Z^1..Z^3, among them empty, zero-row and
+        # rank-deficient ones; each asked about combinations of its rows
+        # (in the lattice), those plus a unit vector and random vectors
+        rng = random.Random(31)
+        outcomes, deficient, zero_rows = {True: 0, False: 0}, 0, 0
+        for _ in range(120):
+            n, k = rng.randint(1, 3), rng.randint(0, 4)
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+            if k and rng.random() < 0.3:  # a row a combination of the others
+                rows.append([sum(rng.randint(-2, 2) * x for x in col) for col in zip(*rows)])
+            if rng.random() < 0.2:
+                rows.insert(rng.randint(0, len(rows)), [0] * n)
+            deficient += rank_over_q(rows) < min(len(rows), n)
+            zero_rows += any(not any(row) for row in rows)
+            m = IntMatrix.from_rows(rows, cols=n)
+            vectors = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(3)]
+            for _ in range(3):
+                combination = [sum(c * x for c, x in zip(coefficients, col))
+                               for coefficients in [[rng.randint(-3, 3) for _ in rows]]
+                               for col in zip(*rows)] if rows else [0] * n
+                vectors.append(combination)
+                unit = rng.randrange(n)
+                vectors.append([x + (j == unit) for j, x in enumerate(combination)])
+            for vector in vectors:
+                expected = lattice_member_by_residues(rows, vector)
+                assert lattice_contains(m, vector) is expected, (rows, vector)
+                outcomes[expected] += 1
+        assert min(outcomes.values()) >= 200, outcomes
+        assert deficient >= 15 and zero_rows >= 15, (deficient, zero_rows)
+
+    def test_empty_lattice_holds_only_zero(self):
+        assert lattice_contains(IntMatrix.zeros(0, 2), (0, 0))
+        assert not lattice_contains(IntMatrix.zeros(0, 2), (0, 1))
+        assert not lattice_contains(IntMatrix.from_rows([[2, 4], [1, 2]]), (1, 3))
+        assert lattice_contains(IntMatrix.from_rows([[2, 4], [1, 2]]), (-3, -6))
+
+
 class TestIntMatrix:
     def test_shape_errors_say_incompatible(self):
         with pytest.raises(IncompatibleShapesError, match="incompatible"):
@@ -439,6 +480,18 @@ class TestHoms:
         g = FGAbelianGroup.cyclic(2)
         f = GroupHom(Z, g, IntMatrix.from_rows([[-1]]))
         assert f.matrix.to_lists() == [[1]]
+
+    def test_free_codomain_keeps_the_callers_matrix(self):
+        # nothing to reduce: the matrix given is the one stored, and the
+        # well-definedness check still runs
+        m = IntMatrix.from_rows([[-3, 5], [7, -1]])
+        free = FGAbelianGroup.free(2)
+        assert GroupHom(free, free, m).matrix is m
+        mixed = FGAbelianGroup(1, (4,))
+        on_mixed = IntMatrix.from_rows([[-3, 5], [0, -1]])
+        assert GroupHom(mixed, mixed, on_mixed).matrix.to_lists() == [[1, 1], [0, -1]]
+        with pytest.raises(ValueError, match="homomorphism"):
+            GroupHom(FGAbelianGroup(1, (2,)), free, IntMatrix.from_rows([[1, 0], [0, 1]]))
 
     def test_compose_and_shape_error(self):
         f = GroupHom.multiplication(Z, 2)

@@ -11,8 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from kdilate import abelian, cli, colimit, group_commands
-from kdilate.abelian import GroupHom, IntMatrix, _quotient_with_maps, element_is_zero
+from kdilate import abelian, cli, colimit, graph_commands, group_commands
+from kdilate.abelian import (
+    FGAbelianGroup,
+    GroupHom,
+    IntMatrix,
+    _quotient_with_maps,
+    element_is_zero,
+)
 from kdilate.cli import main, render_json
 from kdilate.graphalg import Graph, PosetDiagram, hereditary_saturated_masks
 from oracles import (
@@ -324,8 +330,8 @@ class TestGraphCommands:
                 made.append(line)
                 yield line
 
-        spec = cli._SUBCOMMANDS[command]
-        handler = spec.handler
+        name = cli._SUBCOMMANDS[command].handler
+        handler = getattr(graph_commands, name)
 
         def handled(args):
             result = handler(args)
@@ -333,7 +339,7 @@ class TestGraphCommands:
             return result
 
         monkeypatch.setattr(PosetDiagram, "dot_lines", recording)
-        monkeypatch.setattr(spec, "handler", handled)
+        monkeypatch.setattr(graph_commands, name, handled)
         code, out, _ = run(capsys, command, "--format", fmt,
                            "--input", str(fixtures_dir / "E.json"))
         assert code == 0 and out and made_by_handler == [0]
@@ -614,6 +620,22 @@ class TestInputHandling:
             assert code == 2 and out == ""
             assert "preserve the relation lattice" in err
 
+    def test_free_presentation_takes_no_quotient(self, capsys, tmp_path, monkeypatch):
+        # a presentation without relations is the free group on its
+        # generators, with no projection or lift to build
+        def refuse(*args):
+            raise AssertionError("_quotient_with_maps was called")
+        monkeypatch.setattr(group_commands, "_quotient_with_maps", refuse)
+        doc = tmp_path / "free.json"
+        doc.write_text(json.dumps({"kind": "group_endo", "generators": 2, "relations": [],
+                                   "endo": [[2, 1], [0, 3]]}))
+        code, out, _ = run(capsys, "colim", "--input", str(doc))
+        assert code == 0 and "status = ok" in out
+        problem = group_commands._endo_on_presentation(
+            2, IntMatrix.from_rows([], cols=2), IntMatrix.from_rows([[2, 1], [0, 3]]), "doc")
+        assert problem.base == FGAbelianGroup.free(2)
+        assert problem.endo.matrix.to_lists() == [[2, 1], [0, 3]]
+
     def test_lattice_check_agrees_with_the_per_column_rule(self):
         # The loader checks each row of projection @ endo @ relations^T
         # against its generator's order; the rule it replaces checks that
@@ -684,11 +706,11 @@ class TestInputHandling:
     def test_dot_refused_before_any_work(self, capsys, monkeypatch, fixtures_dir,
                                          format_args):
         calls = []
-        for name in ("graph-hs", "graph-lattice"):
-            spec = cli._SUBCOMMANDS[name]
-            monkeypatch.setattr(spec, "handler",
-                                lambda args, handler=spec.handler: calls.append(args)
-                                or handler(args))
+        for command in ("graph-hs", "graph-lattice"):
+            name = cli._SUBCOMMANDS[command].handler
+            monkeypatch.setattr(graph_commands, name,
+                                lambda args, handler=getattr(graph_commands, name):
+                                calls.append(args) or handler(args))
         graph = str(fixtures_dir / "E.json")
         assert run(capsys, "graph-hs", *format_args, "--input", graph) == (
             2, "", "error: dot format is not available for this subcommand\n")
@@ -881,14 +903,14 @@ class TestJsonCanonicalisation:
         path.write_text(json.dumps({"kind": "graph", "vertices": list(graph.vertices),
                                     "adjacency": graph.adjacency.to_lists()}))
         calls = 0
-        selector = cli._bit_selector
+        selector = graph_commands._bit_selector
 
         def counted(mask):
             nonlocal calls
             calls += 1
             return selector(mask)
         # the writer names a set by its bit selector over the encoded names
-        monkeypatch.setattr(cli, "_bit_selector", counted)
+        monkeypatch.setattr(graph_commands, "_bit_selector", counted)
         writes = []  # each piece, with the number of sets named before it
 
         class Sink(io.StringIO):

@@ -9,6 +9,7 @@ from kdilate import colimit
 from kdilate.abelian import (
     FGAbelianGroup,
     GroupHom,
+    IncompatibleShapesError,
     IntMatrix,
     _cokernel_with_maps,
     _direct_sum_with_maps,
@@ -114,6 +115,22 @@ class TestEventualKernel:
                     element_is_zero(base, power.apply(e))
             indices.add(index)
         assert indices >= set(range(8)) | {10}
+
+    def test_free_injective_tower_builds_no_identity_map(self, monkeypatch):
+        # the injective shortcut takes no power of f, so neither the
+        # eventual kernel nor a zero test builds the identity map
+        base = FGAbelianGroup.free(2)
+        problem = DilationProblem(base, GroupHom(base, base, IntMatrix.from_rows([[2, 1], [0, 3]])))
+
+        def refuse(group):
+            raise AssertionError("GroupHom.identity was called")
+        monkeypatch.setattr(GroupHom, "identity", refuse)
+        assert eventual_kernel(problem) == (FGAbelianGroup.trivial(), 0)
+        assert classify_colimit(problem).tag == TAG_LOCALIZED
+        assert not colim_element_is_zero(problem, ColimElement(4, (0, 5)))
+        assert colim_element_is_zero(problem, ColimElement(1, (0, 0)))
+        with pytest.raises(IncompatibleShapesError):
+            colim_element_is_zero(problem, ColimElement(0, (1,)))
 
     def test_zero_endomorphism_on_free_group(self):
         group, index = eventual_kernel(times_m_on_z(0))

@@ -1,11 +1,12 @@
 """The CLI's graph reader against the route it replaced, on seeded documents.
 
-`cli._load_graph` decodes graph files with `cli._GraphDecoder`, which reads
-an adjacency matrix of single digits straight from its text, and goes back
-to `json.loads` for the diagnostic when anything is wrong.  For every document
-here, well formed or not, it must return the same graph, or raise an
-InputError with the same text, as `oracles.reference_load_graph`: json.loads
-and the same checks.  The documents come in the three layouts json.dumps
+`graph_commands._load_graph` decodes graph files with
+`graph_commands._GraphDecoder`, which reads an adjacency matrix of single
+digits straight from its text, and goes back to `json.loads` for the
+diagnostic when anything is wrong.  For every document here, well formed
+or not, it must return the same graph, or raise an InputError with the
+same text, as `oracles.reference_load_graph`: json.loads and the same
+checks.  The documents come in the three layouts json.dumps
 writes (default, compact, indented), with and without a comment, with
 entries of every JSON type an adjacency row may hold, with empty, ragged
 and missing rows, and mutated by one character at seeded places.
@@ -31,7 +32,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
-from kdilate import cli
+from kdilate import cli, graph_commands
 from kdilate.graphalg import (
     Graph,
     condition_k_failures,
@@ -112,7 +113,7 @@ def test_reader_matches_the_reference_on_seeded_documents():
             for variant in [text] + [mutate(rng, text) for _ in range(3)]:
                 Path(path).write_text(variant, encoding="utf-8")
                 expected = outcome(reference_load_graph, path)
-                assert outcome(cli._load_graph, path) == expected, variant
+                assert outcome(graph_commands._load_graph, path) == expected, variant
                 counts[expected[0]] += 1
     # the sample reaches both outcomes
     assert counts["ok"] > 500 and counts["error"] > 500, counts
@@ -142,7 +143,7 @@ def test_single_digit_rows_arrive_as_bytes_and_build_no_matrix():
         _write_graph(path, names, rows)
         json.loads = refuse
         try:
-            graph = cli._load_graph(str(path))
+            graph = graph_commands._load_graph(str(path))
         finally:
             json.loads = loads
     assert [type(row) for row in graph._rows] == [bytes] * n
@@ -174,7 +175,7 @@ def test_a_digit_matrix_is_read_as_bytes_in_every_layout():
                 texts.append(spaced)
             for text in texts:
                 path.write_text(text)
-                graph = cli._load_graph(str(path))
+                graph = graph_commands._load_graph(str(path))
                 assert {type(row) for row in graph._rows} == {row_type}, text
                 assert graph == Graph.from_adjacency(names, rows), text
 
@@ -233,7 +234,7 @@ def test_reader_graphs_compute_as_matrix_graphs():
             rows = _reader_graph_rows(rng, kind)
             names = [f"v{i}" for i in range(len(rows))]
             _write_graph(path, names, rows)
-            loaded = cli._load_graph(str(path))
+            loaded = graph_commands._load_graph(str(path))
             built = Graph.from_adjacency(names, rows)
             row_type = tuple if kind == "wide" else bytes
             assert {type(row) for row in loaded._rows} == {row_type}, rows
