@@ -7,7 +7,7 @@ combinatorics of finite graph algebras.
 
 The package loads no layer when imported.  Each name in `__all__` is
 looked up in the module that defines it on first access (PEP 562), so
-`import kdilate.cli` loads `matrix`, `graphalg` and `cli` only, and a
+`import kdilate.cli` loads `kdilate` and `kdilate.cli` only, and a
 caller of the group layers loads just the layers it uses.
 """
 

@@ -50,7 +50,7 @@ def smith_normal_form(m: IntMatrix, with_inverse: bool = False) -> SNFResult:
     makes S unique for a given input.  Works for any rectangular shape,
     including matrices with zero rows or columns.  U^{-1} is tracked with
     `with_inverse`.  `_quotient_with_maps` runs the same engine, `_smith`,
-    with U and U^{-1} only, and `_kernel_lattice_generators` with V only.
+    with U and U^{-1} only.
 
     Entry size: each Hermite form is reduced, so its entries above a pivot
     are below that pivot, and the product of the pivots is a gcd of minors.
@@ -535,23 +535,6 @@ class GroupHom(_Record):
 def compose(f: GroupHom, g: GroupHom) -> GroupHom:
     """Composite f after g."""
     return f.compose(g)
-
-
-def _kernel_lattice_generators(f: GroupHom) -> list[tuple[int, ...]]:
-    """Generators of {x in Z^n : f(x) = 0 in the codomain}, as vectors.
-
-    Taken from the Smith form's V rather than a Hermite form: these vectors
-    fix the basis in which a tower that does not diagonalize is printed.
-    `kernel`'s inclusion spans the same lattice, but quotienting by its
-    columns instead prints some towers of rank 2 and 3 in another basis:
-    the same characteristic polynomial with other entries.
-    """
-    n = f.domain.num_generators
-    combined = f.matrix.hstack(f.codomain.relation_rows().transpose())
-    diag, _, _, v_cols = _smith([list(r) for r in combined.entries], combined.cols,
-                                None, None, _identity_rows(combined.cols))
-    gens = (tuple(v[:n]) for v in v_cols[len(diag) - diag.count(0):])
-    return [g for g in gens if any(g)]
 
 
 def kernel(f: GroupHom) -> tuple[FGAbelianGroup, GroupHom]:

@@ -6,7 +6,9 @@ The classification first quotients by the eventual kernel K, the union of
 ker(f^t), so the induced endomorphism is injective, then splits into the
 finite, free, and mixed cases.  Mixed groups are split equivariantly when
 an invariant free complement exists; otherwise the result is reported as
-an unresolved extension rather than guessed.
+an unresolved extension rather than guessed.  A free tower whose type is
+not decided prints in the reduced row Hermite basis of the free quotient
+of G/K, which the problem alone fixes.
 
 Kernel/cokernel of (1 - fbar) never touch the colimit directly: filtered
 colimits are exact, so both are the colimits of their level-zero towers,
@@ -30,8 +32,9 @@ from .abelian import (
     GroupHom,
     IncompatibleShapesError,
     IntMatrix,
-    _kernel_lattice_generators,
+    _identity_rows,
     _quotient_with_maps,
+    _row_hermite,
     block_diagonal,
     cokernel,
     direct_sum,
@@ -539,22 +542,23 @@ def _integer_roots(g: list[int]) -> list[int]:
 # Core operations
 # ---------------------------------------------------------------------------
 
-def _stable_kernel_generators(problem: DilationProblem
-                              ) -> tuple[list[tuple[int, ...]], GroupHom | None]:
-    """Generators of the eventual kernel lattice, and a power f^a that
-    kills it, for the first a in 0, 1, 2, 4, ... where f^a kills the
-    generators of ker(f^max(1, 2a)): the chain only grows, so it has
-    stabilized there.  On a free base, f(0) != 0 for the characteristic
-    polynomial f of the matrix means f is injective, so a = 0 with no
-    kernel taken, and the power is None rather than an identity map."""
+def _stable_kernel(problem: DilationProblem
+                   ) -> tuple[FGAbelianGroup, list[tuple[int, ...]], GroupHom | None]:
+    """The eventual kernel, its inclusion's columns as generators, and a
+    power f^a that kills it, for the first a in 0, 1, 2, 4, ... where f^a
+    kills ker(f^max(1, 2a)): the chain only grows, so it has stabilized
+    there.  On a free base, f(0) != 0 for the characteristic polynomial f
+    of the matrix means f is injective, so a = 0 with no kernel taken, and
+    the power is None rather than an identity map."""
     base, f = problem.base, problem.endo
     if base.is_free and _charpoly_of(f.matrix)[0]:
-        return [], None
+        return FGAbelianGroup.trivial(), [], None
     power, nxt = GroupHom.identity(base), f
     while True:
-        gens = _kernel_lattice_generators(nxt)
+        group, inclusion = kernel(nxt)
+        gens = [inclusion.matrix.column(j) for j in range(group.num_generators)]
         if all(element_is_zero(base, power.matrix.apply(g)) for g in gens):
-            return gens, power
+            return group, gens, power
         power, nxt = nxt, nxt @ nxt
 
 
@@ -566,8 +570,7 @@ def eventual_kernel(problem: DilationProblem) -> tuple[FGAbelianGroup, int]:
     >>> eventual_kernel(DilationProblem(z, GroupHom.multiplication(z, 2)))
     (FGAbelianGroup(free_rank=0, invariant_factors=(36893488147419103232,)), 65)
     """
-    gens, power = _stable_kernel_generators(problem)
-    group = FGAbelianGroup.trivial() if power is None else kernel(power)[0]
+    group, gens, _ = _stable_kernel(problem)
     t_star, alive = 0, [g for g in map(problem.base.reduce, gens) if any(g)]
     while alive:
         alive = [g for g in map(problem.endo.apply, alive) if any(g)]
@@ -576,14 +579,23 @@ def eventual_kernel(problem: DilationProblem) -> tuple[FGAbelianGroup, int]:
 
 
 def _injective_quotient(problem: DilationProblem) -> tuple[FGAbelianGroup, GroupHom]:
-    """Quotient by the eventual kernel, with the induced injective map."""
+    """Quotient by the eventual kernel, with the induced injective map.  Its
+    free rows H are in reduced row Hermite form, which the lattice alone
+    fixes, so the free block H M R is the same for every right inverse R."""
     base = problem.base
-    gens, _ = _stable_kernel_generators(problem)
-    if not gens and base.is_free:  # nothing to quotient by
+    _, gens, _ = _stable_kernel(problem)
+    if not gens:  # nothing to quotient by: the base is already canonical
         return base, problem.endo
     rows = base.relation_rows().vstack(
-        IntMatrix.from_rows([list(g) for g in gens], cols=base.num_generators))
+        IntMatrix.from_rows(gens, cols=base.num_generators))
     quotient, projection, lift = _quotient_with_maps(base.num_generators, rows)
+    t = quotient.torsion_count
+    # H = W B for the free rows B; the free lift columns L become L W^{-1}
+    h, _, w_inv = _row_hermite([list(row) for row in projection.entries[t:]], None,
+                               _identity_rows(quotient.free_rank))
+    projection = IntMatrix.from_rows(projection.entries[:t] + tuple(h), base.num_generators)
+    lift = IntMatrix.from_rows([row[:t] + tuple(sum(map(mul, row[t:], col)) for col in w_inv)
+                                for row in lift.entries], quotient.num_generators)
     induced = GroupHom(quotient, quotient, projection @ problem.endo.matrix @ lift)
     return quotient, induced
 
@@ -671,6 +683,6 @@ def colim_element_is_zero(problem: DilationProblem, element: ColimElement) -> bo
     """Whether (coords, level) is zero in the colimit, i.e. killed by some
     power of the endomorphism, and so by the power that kills the eventual
     kernel."""
-    _, power = _stable_kernel_generators(problem)
+    _, _, power = _stable_kernel(problem)
     coords = element.coords if power is None else power.apply(element.coords)
     return element_is_zero(problem.base, coords)

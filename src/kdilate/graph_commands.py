@@ -199,6 +199,10 @@ def _poset_payload(poset, fmt: str) -> tuple[dict, Iterable[str] | None]:
 
 def _cmd_graph_hs(args):
     graph = _load_graph(args.input)
+    comma = next((v for v in graph.vertices if "," in v), None)
+    if comma is not None and args.format == "text":  # a line joins names by ","
+        raise InputError(f"{args.input}: vertex {comma!r} has a ',' in its name, so text "
+                         "output would print two sets alike; use --format json")
     masks = hereditary_saturated_masks(graph)
     # each set's names are made only as the set is written
     payload = {"subsets": VertexSets(graph, masks), "status": "ok"}

@@ -9,7 +9,8 @@ dual-route checks honest.  Three exceptions are earlier package routes,
 each kept as the reference for its replacement through a route the
 replacement no longer uses: `divisor_search_diagonal`, the colimit layer's
 integer-eigenvalue search, takes eigenlattices from the Smith form's V,
-`kernel_via_smith_lattice` takes a kernel from three Smith forms, and
+`kernel_via_smith_lattice` takes a kernel from three Smith forms, the
+first in `smith_kernel_generators`, and
 `eventual_kernel_step_by_step` walks the kernel chain one power at a time.
 `reference_parser` is the CLI's argparse parser written out call by call,
 as it stood before the CLI declared its grammar in one table, and
@@ -29,7 +30,6 @@ from kdilate.abelian import (
     FGAbelianGroup,
     GroupHom,
     IntMatrix,
-    _kernel_lattice_generators,
     _quotient_with_maps,
     element_is_zero,
     smith_normal_form,
@@ -484,6 +484,19 @@ def divisor_search_diagonal(m: IntMatrix) -> tuple[int, ...] | None:
     return tuple(sorted(abs(v) for v in values))
 
 
+def smith_kernel_generators(f: GroupHom) -> list[tuple[int, ...]]:
+    """Generators of {x in Z^n : f(x) = 0 in the codomain}: the domain
+    parts of the kernel columns of V in the Smith form of
+    [matrix | codomain relations], zero vectors dropped.  The colimit layer
+    once quotiented by these, and printed its towers in the basis they
+    gave."""
+    n = f.domain.num_generators
+    combined = f.matrix.hstack(f.codomain.relation_rows().transpose())
+    snf = smith_normal_form(combined)
+    gens = (snf.V.column(j)[:n] for j in range(snf.rank(), combined.cols))
+    return [g for g in gens if any(g)]
+
+
 def kernel_via_smith_lattice(f: GroupHom) -> tuple[FGAbelianGroup, GroupHom]:
     """The abelian layer's earlier `kernel`, with its inclusion.
 
@@ -494,7 +507,7 @@ def kernel_via_smith_lattice(f: GroupHom) -> tuple[FGAbelianGroup, GroupHom]:
     quotient of that basis by those coordinates.
     """
     domain, n = f.domain, f.domain.num_generators
-    gens = _kernel_lattice_generators(f)
+    gens = smith_kernel_generators(f)
     lattice = smith_normal_form(IntMatrix.from_rows(gens, cols=n).transpose(),
                                 with_inverse=True)
     diag = [d for d in lattice.diagonal() if d]
@@ -520,7 +533,7 @@ def eventual_kernel_step_by_step(base: FGAbelianGroup,
     for t in count():
         nxt = f @ power
         if all(element_is_zero(base, power.matrix.apply(g))
-               for g in _kernel_lattice_generators(nxt)):
+               for g in smith_kernel_generators(nxt)):
             return kernel_via_smith_lattice(power)[0], t, power
         power = nxt
 

@@ -14,7 +14,6 @@ from kdilate.abelian import (
     direct_sum,
     element_is_zero,
     _identity_rows,
-    _kernel_lattice_generators,
     _quotient_with_maps,
     _row_hermite,
     _smith,
@@ -277,10 +276,10 @@ class TestSmithNormalForm:
                 assert group.num_generators == len(kept)
                 assert projection == full.U.select_rows(kept)
                 assert lift == full.U_inv.select_columns(kept)
-            if m.rows:  # the kernel of m on Z^cols, into Z^rows
-                f = GroupHom(FGAbelianGroup.free(m.cols), FGAbelianGroup.free(m.rows), m)
-                gens = [full.V.column(j) for j in range(full.rank(), m.cols)]
-                assert _kernel_lattice_generators(f) == [g for g in gens if any(g)]
+            # the V-only engine's columns past the rank are a basis of ker m
+            gens = [tuple(v) for v in v_cols[full.rank():]]
+            assert not any(any(m.apply(g)) for g in gens)
+            assert hermite_basis(gens) == hermite_basis(integer_kernel_basis(m))
 
 
 def hermite_basis(vectors):

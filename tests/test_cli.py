@@ -205,6 +205,14 @@ class TestColimKercokerCommands:
         assert code == 0
         assert "colimit = Z[1/3]" in out and "status = ok" in out
 
+    def test_tower_after_a_free_eventual_kernel_is_in_the_hermite_basis(self, capsys,
+                                                                          fixtures_dir):
+        code, out, _ = run(capsys, "colim", "--input",
+                           str(fixtures_dir / "eventual_kernel_tower.json"))
+        assert code == 0
+        assert out == ("colimit = colim(Z^3, [[-2125, 539, 1616], [-1575, 402, 1196], "
+                       "[-2272, 576, 1728]])\nstatus = ok\n")
+
     def test_kercoker_values(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "kercoker", "--input",
                            str(fixtures_dir / "z_times_3.json"))
@@ -303,6 +311,21 @@ class TestGraphCommands:
         assert code == 0
         assert out.splitlines() == ["{}", "{v4}", "{v2,v4}", "{v3,v4}",
                                     "{v2,v3,v4}", "{v1,v2,v3,v4}"]
+
+    def test_hs_text_refuses_a_comma_in_a_vertex_name(self, capsys, tmp_path):
+        # {a,b} would name both {a, b} and {"a,b"}; JSON tells them apart
+        path = tmp_path / "comma.json"
+        path.write_text(json.dumps({"kind": "graph", "vertices": ["a", "b", "a,b"],
+                                    "adjacency": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+        for argv in ((), ("--format", "text")):
+            code, out, err = run(capsys, "graph-hs", "--input", str(path), *argv)
+            assert (code, out) == (2, "")
+            assert err == (f"error: {path}: vertex 'a,b' has a ',' in its name, so text "
+                           "output would print two sets alike; use --format json\n")
+        code, out, _ = run(capsys, "graph-hs", "--format", "json", "--input", str(path))
+        subsets = json.loads(out)["subsets"]
+        assert code == 0 and len(subsets) == 8
+        assert ["a", "b"] in subsets and ["a,b"] in subsets
 
     def test_lattice_dot_output(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "graph-lattice", "--format", "dot",

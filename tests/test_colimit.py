@@ -13,9 +13,13 @@ from kdilate.abelian import (
     IntMatrix,
     _cokernel_with_maps,
     _direct_sum_with_maps,
+    _quotient_with_maps,
+    _row_hermite,
     block_diagonal,
     direct_sum,
     element_is_zero,
+    integer_kernel_basis,
+    smith_normal_form,
 )
 from kdilate.colimit import (
     ColimElement,
@@ -40,6 +44,7 @@ from oracles import (
     random_finite_group,
     random_group,
     random_unimodular,
+    smith_kernel_generators,
 )
 
 Z = FGAbelianGroup.free(1)
@@ -145,29 +150,26 @@ class TestEventualKernel:
         assert index == 1
 
     def test_long_chain_takes_one_generator_set_per_doubling(self, monkeypatch):
-        # t* = 4000: generators of ker f^(2^i) for i = 0..13, then the group
-        # from one kernel of f^4096
-        generator_sets, kernels = [], []
-        generators, kernel = colimit._kernel_lattice_generators, colimit.kernel
-        monkeypatch.setattr(colimit, "_kernel_lattice_generators",
-                            lambda f: generator_sets.append(f) or generators(f))
+        # t* = 4000: one kernel of f^(2^i) for each i = 0..13, the last of
+        # them the eventual kernel, and no kernel after them
+        kernels, kernel = [], colimit.kernel
         monkeypatch.setattr(colimit, "kernel", lambda f: kernels.append(f) or kernel(f))
-        eventual_kernel(cyclic_problem(2**4000, 2))
-        assert [f.matrix[0, 0] for f in generator_sets] == [2**(2**i) % 2**4000
-                                                          for i in range(14)]
-        assert len(kernels) == 1
+        assert eventual_kernel(cyclic_problem(2**4000, 2)) == (FGAbelianGroup.cyclic(2**4000), 4000)
+        assert [f.matrix[0, 0] for f in kernels] == [2**(2**i) % 2**4000 for i in range(14)]
 
     @pytest.mark.parametrize("rows, printed, index", [
-        ([[2, 1, 1], [1, 3, 2], [3, 4, 3]], "colim(Z^2, [[0, -1], [9, 8]])", 1),
-        ([[1, 2, 3], [2, 5, 7], [3, 7, 10]], "colim(Z^2, [[3, 4], [9, 13]])", 1),
-        ([[0, 1, 1], [2, 1, 3], [2, 2, 4]], "colim(Z^2, [[0, 2], [3, 5]])", 1),
-        # quotienting by the columns of kernel()'s inclusion instead of the
-        # Smith-form generators prints this tower in another basis
+        ([[2, 1, 1], [1, 3, 2], [3, 4, 3]], "colim(Z^2, [[11, -3], [14, -3]])", 1),
+        ([[1, 2, 3], [2, 5, 7], [3, 7, 10]], "colim(Z^2, [[4, 9], [5, 12]])", 1),
+        ([[0, 1, 1], [2, 1, 3], [2, 2, 4]], "colim(Z^2, [[2, 3], [4, 3]])", 1),
         ([[-3, 0, -2, 2, 1], [-3, 2, -2, 3, 1], [2, -1, 1, -3, 2], [2, 3, -3, 3, -2],
           [3, -2, 2, -3, -1]],
-         "colim(Z^3, [[2021, -140, -41], [29317, -2031, -600], [-650, 45, 12]])", 2),
+         "colim(Z^3, [[-18, 23, -24], [55, -97, 97], [66, -117, 117]])", 2),
+        ([[-3, -3, 2, 1, -1], [-3, 3, 0, 2, 1], [-3, 3, 0, 1, 0], [1, 2, -3, 2, -3],
+          [-1, -2, 3, -2, 3]],
+         "colim(Z^3, [[-2125, 539, 1616], [-1575, 402, 1196], [-2272, 576, 1728]])", 2),
     ])
     def test_tower_printed_after_a_free_eventual_kernel(self, rows, printed, index):
+        # in the reduced row Hermite basis of the free quotient map
         base = FGAbelianGroup.free(len(rows))
         problem = DilationProblem(base, GroupHom(base, base, IntMatrix.from_rows(rows)))
         description = classify_colimit(problem)
@@ -175,6 +177,92 @@ class TestEventualKernel:
         assert description.localized_diagonal() is None
         kernel_rank = len(rows) - description.loc_rank
         assert eventual_kernel(problem) == (FGAbelianGroup.free(kernel_rank), index)
+
+    def test_printed_tower_is_the_same_for_every_generating_set(self, monkeypatch):
+        # the free block H M R after the eventual kernel, for generators from
+        # kernel(), from the Smith form's V, and from recombinations of
+        # either; Q M = M' Q for the Hermite form Q of the annihilator, and
+        # the parent basis (Smith-V generators, U's rows) is similar to it
+        rng = random.Random(31)
+        nonzero = with_torsion = 0
+        for k in range(1000):
+            problem = _seeded_problem(rng, k)
+            base, m, n = problem.base, problem.endo.matrix, problem.base.num_generators
+            group, gens, power = colimit._stable_kernel(problem)
+            eventual_power = eventual_kernel_step_by_step(base, problem.endo)[2]
+            routes = [gens, smith_kernel_generators(eventual_power)]
+            routes += [_recombined(rng, route, n) for route in routes]
+            printed = set()
+            for gens in routes:
+                monkeypatch.setattr(colimit, "_stable_kernel",
+                                    lambda problem, gens=gens: (group, gens, power))
+                quotient, induced = colimit._injective_quotient(problem)
+                t = quotient.torsion_count
+                free = induced.matrix.select_rows(range(t, quotient.num_generators)) \
+                    .select_columns(range(t, quotient.num_generators))
+                printed.add((free, classify_colimit(problem).pretty()))
+            monkeypatch.undo()
+            assert len(printed) == 1
+            (free, _), = printed
+            stacked = base.relation_rows().entries + tuple(routes[1])
+            q = IntMatrix.from_rows(hermite_rows(integer_kernel_basis(
+                IntMatrix.from_rows(stacked, cols=n))), n)
+            assert q @ m == free @ q
+            assert smith_normal_form(q).diagonal() == (1,) * q.rows
+            rows = base.relation_rows().vstack(IntMatrix.from_rows(routes[1], cols=n))
+            quotient, projection, lift = _quotient_with_maps(n, rows)
+            t = quotient.torsion_count
+            parent = (projection @ m @ lift).select_rows(range(t, quotient.num_generators)) \
+                .select_columns(range(t, quotient.num_generators))
+            assert charpoly_faddeev_leverrier(free.to_lists()) == \
+                charpoly_faddeev_leverrier(parent.to_lists())
+            nonzero += not group.is_trivial
+            with_torsion += not base.is_free
+        assert nonzero >= 30 and with_torsion >= 300
+
+
+def _seeded_problem(rng, k):
+    """Free Z^n (n <= 5, entries in [-3, 3]) on even k, a mixed base on odd
+    k; the free block singular or nilpotent often enough that the eventual
+    kernel is nonzero in most problems."""
+    if k % 2 == 0:
+        base = FGAbelianGroup.free(rng.randint(1, 5))
+        rows = [[rng.randint(-3, 3) for _ in range(base.free_rank)]
+                for _ in range(base.free_rank)]
+    else:
+        orders = [0] * rng.randint(1, 4) + [rng.choice((2, 3, 4, 6, 8, 9, 12))
+                                            for _ in range(rng.randint(1, 2))]
+        base = FGAbelianGroup.from_orders(orders)
+        rows = random_endomorphism(rng, base).matrix.to_lists()
+    t, n = base.torsion_count, base.num_generators
+    r = n - t
+    if rng.random() < 0.5 and r > 1:  # a free block of rank below r
+        inner = rng.randint(1, r - 1)
+        left = [[rng.randint(-2, 2) for _ in range(inner)] for _ in range(r)]
+        right = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(inner)]
+        for i in range(r):
+            rows[t + i][t:] = [sum(a * b for a, b in zip(left[i], col)) for col in zip(*right)]
+    elif rng.random() < 0.3:  # a nilpotent corner
+        for i in range(t, n):
+            rows[i][t:i + 1] = [0] * (i + 1 - t)
+    return DilationProblem(base, GroupHom(base, base, IntMatrix.from_rows(rows, cols=n)))
+
+
+def _recombined(rng, gens, n):
+    """A random unimodular recombination of the vectors, with a duplicate
+    and a zero vector added, shuffled."""
+    p, _ = random_unimodular(rng, len(gens))
+    out = [tuple(sum(c * g[j] for c, g in zip(row, gens)) for j in range(n)) for row in p]
+    out += [rng.choice(out)] if out else []
+    out.append((0,) * n)
+    rng.shuffle(out)
+    return out
+
+
+def hermite_rows(vectors):
+    """Nonzero rows of the reduced row Hermite form of the vectors' span."""
+    rows, _, _ = _row_hermite([list(v) for v in vectors], None, None)
+    return [row for row in rows if any(row)]
 
 
 class TestClassifyColimit:
