@@ -17,9 +17,8 @@ from importlib import import_module
 _HOMES = {
     "FGAbelianGroup": "abelian", "GroupHom": "abelian",
     "IncompatibleShapesError": "matrix", "IntMatrix": "matrix",
-    "SNFResult": "abelian", "cokernel": "abelian", "compose": "abelian",
-    "direct_sum": "abelian", "element_is_zero": "abelian",
-    "group_from_presentation": "abelian", "is_isomorphic": "abelian",
+    "SNFResult": "abelian", "cokernel": "abelian", "direct_sum": "abelian",
+    "element_is_zero": "abelian", "group_from_presentation": "abelian",
     "kernel": "abelian", "smith_normal_form": "abelian",
     "ColimElement": "colimit", "ColimitDescription": "colimit",
     "DilationProblem": "colimit", "classify_colimit": "colimit",

@@ -50,7 +50,9 @@ def smith_normal_form(m: IntMatrix, with_inverse: bool = False) -> SNFResult:
     makes S unique for a given input.  Works for any rectangular shape,
     including matrices with zero rows or columns.  U^{-1} is tracked with
     `with_inverse`.  `_quotient_with_maps` runs the same engine, `_smith`,
-    with U and U^{-1} only.
+    with U and U^{-1} only, and `group_from_presentation` (behind
+    `direct_sum`, `FGAbelianGroup.from_orders` and `subquotient_k`) with
+    no transform: it reads the diagonal alone.
 
     Entry size: each Hermite form is reduced, so its entries above a pivot
     are below that pivot, and the product of the pivots is a gcd of minors.
@@ -78,7 +80,11 @@ def _smith(a, ncols, u, u_inv, v_cols):
     """Smith diagonal of the rows `a` (each ncols long), and the transforms:
     rows of U in `u`, columns of U^{-1} in `u_inv` and of V in `v_cols`,
     all stored as rows.  Each starts as identity rows, or is None and is
-    skipped, which changes no step.
+    skipped, which changes no step.  `smith_normal_form` tracks U and V
+    (and U^{-1} on request), `_quotient_with_maps` U and U^{-1}, and
+    `group_from_presentation` none: its callers `direct_sum`,
+    `FGAbelianGroup.from_orders` and `subquotient_k` read the diagonal
+    alone.
 
     Algorithm (Kannan-Bachem, SIAM J. Comput. 8, 1979; Cohen, GTM 138,
     section 2.4): alternate a row Hermite form and a column Hermite form
@@ -424,6 +430,14 @@ def element_is_zero(group: FGAbelianGroup, coords) -> bool:
     return all(x == 0 for x in group.reduce(coords))
 
 
+def _group_of_diagonal(num_generators: int, diag: list[int]) -> FGAbelianGroup:
+    """Z^g modulo a relation lattice with Smith diagonal diag: the entries
+    above 1 are its invariant factors, and each generator past the nonzero
+    entries is free."""
+    return FGAbelianGroup(free_rank=num_generators - (len(diag) - diag.count(0)),
+                          invariant_factors=tuple(d for d in diag if d > 1))
+
+
 def _quotient_with_maps(num_generators: int,
                         relation_rows: IntMatrix) -> tuple[FGAbelianGroup, IntMatrix, IntMatrix]:
     """Canonicalize Z^g modulo the row span of the relations.
@@ -442,20 +456,22 @@ def _quotient_with_maps(num_generators: int,
     diag, u, u_inv, _ = _smith(_transpose(relation_rows.entries, num_generators),
                                relation_rows.rows, _identity_rows(num_generators),
                                _identity_rows(num_generators), None)
-    rank = sum(1 for d in diag if d != 0)
-    torsion_idx = [i for i in range(rank) if diag[i] > 1]
-    kept = torsion_idx + list(range(rank, num_generators))
-    group = FGAbelianGroup(free_rank=num_generators - rank,
-                           invariant_factors=tuple(diag[i] for i in torsion_idx))
+    group = _group_of_diagonal(num_generators, diag)
+    # the diagonal's 1s come first, so the kept generators are the last ones
+    kept = range(num_generators - group.num_generators, num_generators)
     projection = IntMatrix.from_rows([u[i] for i in kept], num_generators)
     lift = IntMatrix.from_rows(_transpose([u_inv[i] for i in kept], num_generators), len(kept))
     return group, projection, lift
 
 
 def group_from_presentation(num_generators: int, relations: IntMatrix) -> FGAbelianGroup:
-    """Canonical form of Z^g modulo the row span of the relation matrix."""
-    group, _, _ = _quotient_with_maps(num_generators, relations)
-    return group
+    """Canonical form of Z^g modulo the row span of the relation matrix,
+    read off the Smith diagonal alone: no transform is tracked."""
+    if relations.cols != num_generators:
+        raise IncompatibleShapesError("relations must have one column per generator")
+    diag = _smith(_transpose(relations.entries, num_generators), relations.rows,
+                  None, None, None)[0]
+    return _group_of_diagonal(num_generators, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -511,14 +527,11 @@ class GroupHom(_Record):
     def apply(self, coords) -> tuple[int, ...]:
         return self.codomain.reduce(self.matrix.apply(self.domain.reduce(coords)))
 
-    def compose(self, other: "GroupHom") -> "GroupHom":
+    def __matmul__(self, other: "GroupHom") -> "GroupHom":
         """self after other."""
         if other.codomain != self.domain:
             raise IncompatibleShapesError("incompatible homomorphisms for composition")
         return GroupHom(other.domain, self.codomain, self.matrix @ other.matrix)
-
-    def __matmul__(self, other: "GroupHom") -> "GroupHom":
-        return self.compose(other)
 
     def __add__(self, other: "GroupHom") -> "GroupHom":
         if (self.domain, self.codomain) != (other.domain, other.codomain):
@@ -530,11 +543,6 @@ class GroupHom(_Record):
 
     def __neg__(self) -> "GroupHom":
         return GroupHom(self.domain, self.codomain, -self.matrix)
-
-
-def compose(f: GroupHom, g: GroupHom) -> GroupHom:
-    """Composite f after g."""
-    return f.compose(g)
 
 
 def kernel(f: GroupHom) -> tuple[FGAbelianGroup, GroupHom]:
@@ -583,21 +591,10 @@ def cokernel(f: GroupHom) -> tuple[FGAbelianGroup, GroupHom]:
     return group, projection
 
 
-def _direct_sum_with_maps(g: FGAbelianGroup, h: FGAbelianGroup):
-    """Canonical direct sum plus the projection/lift of the juxtaposed basis."""
-    return _quotient_with_maps(g.num_generators + h.num_generators,
-                               block_diagonal(g.relation_rows(), h.relation_rows()))
-
-
 def direct_sum(g: FGAbelianGroup, h: FGAbelianGroup) -> FGAbelianGroup:
     """Canonical form of the direct sum (invariant factors recombined)."""
-    group, _, _ = _direct_sum_with_maps(g, h)
-    return group
-
-
-def is_isomorphic(g: FGAbelianGroup, h: FGAbelianGroup) -> bool:
-    """Canonical forms make isomorphism a field-wise comparison."""
-    return g == h
+    return group_from_presentation(g.num_generators + h.num_generators,
+                                   block_diagonal(g.relation_rows(), h.relation_rows()))
 
 
 def block_diagonal(a: IntMatrix, b: IntMatrix) -> IntMatrix:

@@ -35,7 +35,6 @@ from .abelian import (
     _identity_rows,
     _quotient_with_maps,
     _row_hermite,
-    block_diagonal,
     cokernel,
     direct_sum,
     element_is_zero,
@@ -82,25 +81,20 @@ class ColimElement(_Record):
 class ColimitDescription(_Record):
     """Classification of a dilation colimit.
 
-    tag "finite_or_fg": the colimit is the f.g. group `fg_part`, with the
-    induced automorphism recorded in `action`.
+    tag "finite_or_fg": the colimit is the f.g. group `fg_part`.
     tag "localized_free": the increasing union of M^{-t} Z^r inside Q^r for
-    the injective matrix M = `loc_matrix` (which is also the action).
+    the injective r x r matrix M = `loc_matrix`.
     tag "extension": finite `sub` by free/localized `quot`; `resolved` is
-    True when the extension is a known direct sum.
+    True when the extension is a known direct sum, and `unresolved` is
+    True for an extension that is not.
     """
 
-    _fields = ("tag", "fg_part", "action", "loc_rank", "loc_matrix", "sub", "quot",
-               "resolved")
+    _fields = ("tag", "fg_part", "loc_matrix", "sub", "quot", "resolved")
     _defaults = dict.fromkeys(_fields[1:])
 
     @classmethod
-    def finite(cls, group: FGAbelianGroup, action: GroupHom | None = None) -> "ColimitDescription":
-        if action is None:
-            action = GroupHom.identity(group)
-        if action.domain != group or action.codomain != group:
-            raise IncompatibleShapesError("action must be an endomorphism of the group")
-        return cls(tag=TAG_FINITE, fg_part=group, action=action)
+    def finite(cls, group: FGAbelianGroup) -> "ColimitDescription":
+        return cls(tag=TAG_FINITE, fg_part=group)
 
     @classmethod
     def localized(cls, matrix: IntMatrix) -> "ColimitDescription":
@@ -108,7 +102,7 @@ class ColimitDescription(_Record):
             raise IncompatibleShapesError("localized tower needs a square matrix")
         if _charpoly_of(matrix)[0] == 0:  # f(0) = det(-M)
             raise ValueError("localized tower needs an injective matrix")
-        return cls(tag=TAG_LOCALIZED, loc_rank=matrix.rows, loc_matrix=matrix)
+        return cls(tag=TAG_LOCALIZED, loc_matrix=matrix)
 
     @classmethod
     def extension(cls, sub: "ColimitDescription", quot: "ColimitDescription",
@@ -117,12 +111,17 @@ class ColimitDescription(_Record):
 
     # -- structure queries ---------------------------------------------------
 
+    @property
+    def unresolved(self) -> bool:
+        """Whether this is an extension whose class is left open."""
+        return self.tag == TAG_EXTENSION and not self.resolved
+
     def order(self) -> int | None:
         """Number of elements when known finite, else None."""
         if self.tag == TAG_FINITE:
             return self.fg_part.order()
         if self.tag == TAG_LOCALIZED:
-            return 1 if self.loc_rank == 0 else None
+            return 1 if self.loc_matrix.rows == 0 else None
         if self.tag == TAG_EXTENSION:
             so, qo = self.sub.order(), self.quot.order()
             return so * qo if so is not None and qo is not None else None
@@ -133,7 +132,7 @@ class ColimitDescription(_Record):
         if self.tag == TAG_FINITE:
             return self.fg_part.free_rank
         if self.tag == TAG_LOCALIZED:
-            return self.loc_rank
+            return self.loc_matrix.rows
         if self.tag == TAG_EXTENSION:
             sr, qr = self.sub.rank(), self.quot.rank()
             return sr + qr if sr is not None and qr is not None else None
@@ -197,7 +196,7 @@ class ColimitDescription(_Record):
         if self.tag == TAG_LOCALIZED:
             diag = self.localized_diagonal()
             if diag is None:
-                return f"colim(Z^{self.loc_rank}, {self.loc_matrix})"
+                return f"colim(Z^{self.loc_matrix.rows}, {self.loc_matrix})"
             return _format_localized_terms(diag)
         if self.resolved:
             return f"{self.sub.pretty()} + {self.quot.pretty()}"
@@ -627,15 +626,14 @@ def _free_colimit(free_map: IntMatrix) -> ColimitDescription:
     polynomial f kept with the matrix, which the tower's injectivity check
     reads too."""
     if abs(_charpoly_of(free_map)[0]) == 1:
-        free_group = FGAbelianGroup.free(free_map.rows)
-        return ColimitDescription.finite(free_group, GroupHom(free_group, free_group, free_map))
+        return ColimitDescription.finite(FGAbelianGroup.free(free_map.rows))
     return ColimitDescription.localized(free_map)
 
 
 def _classify_injective(group: FGAbelianGroup, endo: GroupHom) -> ColimitDescription:
     t, r = group.torsion_count, group.free_rank
     if r == 0:
-        return ColimitDescription.finite(group, endo)
+        return ColimitDescription.finite(group)
     m = endo.matrix
     if t == 0:
         return _free_colimit(m)
@@ -645,10 +643,8 @@ def _classify_injective(group: FGAbelianGroup, endo: GroupHom) -> ColimitDescrip
     quot = _free_colimit(free_map)
     split = _equivariant_complement_exists(group, torsion_map, mixing, free_map)
     if split and quot.tag == TAG_FINITE:
-        return ColimitDescription.finite(
-            group, GroupHom(group, group, block_diagonal(torsion_map, free_map)))
-    torsion = group.torsion_part()
-    sub = ColimitDescription.finite(torsion, GroupHom(torsion, torsion, torsion_map))
+        return ColimitDescription.finite(group)
+    sub = ColimitDescription.finite(group.torsion_part())
     return ColimitDescription.extension(sub, quot, resolved=split)
 
 
@@ -672,7 +668,7 @@ def ker_coker_one_minus(problem: DilationProblem
     coker(1 - fbar) = colim(coker(1 - f), induced f).  f fixes ker(1 - f)
     pointwise, and induces the identity on coker(1 - f), since
     f(x) = x - (1 - f)(x); so both towers are constant, and each end is the
-    level-zero group itself, with the identity action.
+    level-zero group itself.
     """
     one_minus = GroupHom.identity(problem.base) - problem.endo
     return (ColimitDescription.finite(kernel(one_minus)[0]),

@@ -223,8 +223,21 @@ def _with_condition_k(graph: Graph, result: tuple[dict, Iterable[str] | None]):
     return result
 
 
+def _check_dot_names(graph: Graph, args) -> None:
+    """DOT writes each name inside "...", which a '"' would close and a
+    backslash would escape, so --format dot refuses such a name."""
+    if args.format != "dot":
+        return
+    for name in graph.vertices:
+        char = next((c for c in '"\\' if c in name), None)
+        if char is not None:
+            raise InputError(f"{args.input}: vertex {name!r} has a {char!r} in its name, "
+                             "which DOT output cannot quote; use --format text or json")
+
+
 def _cmd_graph_lattice(args):
     graph = _load_graph(args.input)
+    _check_dot_names(graph, args)
     try:
         poset = ideal_lattice_hasse(graph)
     except ValueError as exc:
@@ -234,6 +247,7 @@ def _cmd_graph_lattice(args):
 
 def _cmd_graph_prim(args):
     graph = _load_graph(args.input)
+    _check_dot_names(graph, args)
     try:
         poset = prim_poset(graph)
     except ValueError as exc:

@@ -580,4 +580,4 @@ def crossed_subquotient_k(graph: Graph, zset: Iterable[str], yset: Iterable[str]
 
     k0, k1 = subquotient_k(graph, zset, yset)
     result = pv_crossed_product(KTheoryData.with_identity_maps(k0, k1))
-    return result.k0_description(), result.k1_description()
+    return result.k0, result.k1

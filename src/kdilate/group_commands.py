@@ -21,7 +21,6 @@ from .abelian import FGAbelianGroup, GroupHom, IntMatrix, _quotient_with_maps, s
 from .colimit import (
     ColimitDescription,
     DilationProblem,
-    TAG_EXTENSION,
     TAG_FINITE,
     TAG_LOCALIZED,
     classify_colimit,
@@ -112,19 +111,13 @@ def _description_json(desc: ColimitDescription) -> dict:
                 "pretty": desc.pretty()}
     if desc.tag == TAG_LOCALIZED:
         diag = desc.localized_diagonal()
-        return {"tag": desc.tag, "rank": desc.loc_rank,
+        return {"tag": desc.tag, "rank": desc.loc_matrix.rows,
                 "matrix": desc.loc_matrix.to_lists(),
                 "localizers": list(diag) if diag is not None else None,
                 "pretty": desc.pretty()}
     return {"tag": desc.tag, "sub": _description_json(desc.sub),
             "quot": _description_json(desc.quot), "resolved": bool(desc.resolved),
             "pretty": desc.pretty()}
-
-
-def _description_status(desc: ColimitDescription) -> str:
-    if desc.tag == TAG_EXTENSION and not desc.resolved:
-        return "unresolved"
-    return "ok"
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +145,7 @@ def _problem_from_args(args) -> DilationProblem:
 def _cmd_colim(args):
     problem = _problem_from_args(args)
     desc = classify_colimit(problem)
-    status = _description_status(desc)
+    status = "unresolved" if desc.unresolved else "ok"
     payload = {"base": _group_json(problem.base), "colimit": _description_json(desc),
                "status": status}
     return payload, [f"colimit = {desc.pretty()}", f"status = {status}"]
@@ -172,7 +165,7 @@ def _cmd_kercoker(args):
 def _cmd_pv(args):
     data = _load_k_data(args.input)
     result = pv_crossed_product(data)
-    k0, k1 = result.k0_description(), result.k1_description()
+    k0, k1 = result.k0, result.k1
     status = "ok" if result.fully_resolved else "unresolved"
     payload = {"k0": _description_json(k0), "k1": _description_json(k1),
                "k0_sub": _description_json(result.k0_sub),
@@ -228,9 +221,7 @@ def _cmd_graph_crossed_k(args):
         d0, d1 = crossed_subquotient_k(graph, zset, yset)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    status = "ok"
-    if "unresolved" in (_description_status(d0), _description_status(d1)):
-        status = "unresolved"
+    status = "unresolved" if d0.unresolved or d1.unresolved else "ok"
     payload = {"k0": _description_json(d0), "k1": _description_json(d1),
                "status": status}
     lines = [f"K0 = {d0.pretty()}", f"K1 = {d1.pretty()}", f"status = {status}"]

@@ -22,7 +22,7 @@ from __future__ import annotations
 from math import gcd
 
 from .abelian import FGAbelianGroup, GroupHom, IncompatibleShapesError, direct_sum
-from .colimit import ColimitDescription, DilationProblem, TAG_FINITE, bracket, ker_coker_one_minus
+from .colimit import ColimitDescription, DilationProblem, bracket, ker_coker_one_minus
 from .record import _Record
 
 INFINITY = None  # the Cuntz parameter n = infinity is a distinguished symbol
@@ -63,41 +63,21 @@ class CrossedProductK(_Record):
     """Graded K-theory of the crossed product, extension by extension.
 
     k0_sub/k0_quot are the cokernel and kernel ends feeding K0 (and likewise
-    for K1); the *_resolved fields carry the determined value when the
-    extension is settled, with the policy recorded in resolution_reason.
+    for K1).  k0 and k1 are the graded pieces as descriptions: the
+    determined group when the extension is settled, else the extension of
+    the two ends with resolved=False, which reads `unresolved`; the policy
+    is recorded in resolution_reason.
     """
 
-    _fields = ("k0_sub", "k0_quot", "k1_sub", "k1_quot", "k0_resolved", "k1_resolved",
-               "resolution_reason")
+    _fields = ("k0_sub", "k0_quot", "k1_sub", "k1_quot", "k0", "k1", "resolution_reason")
 
     @property
     def fully_resolved(self) -> bool:
-        return self.k0_resolved is not None and self.k1_resolved is not None
-
-    def k0_description(self) -> ColimitDescription:
-        if self.k0_resolved is not None:
-            return self.k0_resolved
-        return ColimitDescription.extension(self.k0_sub, self.k0_quot, resolved=False)
-
-    def k1_description(self) -> ColimitDescription:
-        if self.k1_resolved is not None:
-            return self.k1_resolved
-        return ColimitDescription.extension(self.k1_sub, self.k1_quot, resolved=False)
-
-    def k0_group(self) -> FGAbelianGroup | None:
-        """The resolved K0 as a plain group when it is one, else None."""
-        if self.k0_resolved is not None and self.k0_resolved.tag == TAG_FINITE:
-            return self.k0_resolved.fg_part
-        return None
-
-    def k1_group(self) -> FGAbelianGroup | None:
-        if self.k1_resolved is not None and self.k1_resolved.tag == TAG_FINITE:
-            return self.k1_resolved.fg_part
-        return None
+        return not (self.k0.unresolved or self.k1.unresolved)
 
 
 def _resolve_extension(sub: ColimitDescription,
-                       quot: ColimitDescription) -> tuple[ColimitDescription | None, str]:
+                       quot: ColimitDescription) -> tuple[ColimitDescription, str]:
     if quot.is_trivial:
         return sub, "kernel end vanishes"
     if sub.is_trivial:
@@ -105,19 +85,20 @@ def _resolve_extension(sub: ColimitDescription,
     if quot.fg_part.is_free:
         group = direct_sum(sub.fg_part, quot.fg_part)
         return ColimitDescription.finite(group), "free kernel end splits the extension"
-    return None, "kernel end is not free; extension left unresolved"
+    return (ColimitDescription.extension(sub, quot, resolved=False),
+            "kernel end is not free; extension left unresolved")
 
 
 def pv_crossed_product(data: KTheoryData) -> CrossedProductK:
     """Dilate the K-data and assemble the crossed product's K-groups."""
     ker0, cok0 = ker_coker_one_minus(DilationProblem(data.k0, data.map0))
     ker1, cok1 = ker_coker_one_minus(DilationProblem(data.k1, data.map1))
-    k0_resolved, reason0 = _resolve_extension(cok0, ker1)
-    k1_resolved, reason1 = _resolve_extension(cok1, ker0)
+    k0, reason0 = _resolve_extension(cok0, ker1)
+    k1, reason1 = _resolve_extension(cok1, ker0)
     return CrossedProductK(
         k0_sub=cok0, k0_quot=ker1,
         k1_sub=cok1, k1_quot=ker0,
-        k0_resolved=k0_resolved, k1_resolved=k1_resolved,
+        k0=k0, k1=k1,
         resolution_reason=f"K0: {reason0}; K1: {reason1}")
 
 
@@ -128,19 +109,19 @@ def pv_verify_exactness(result: CrossedProductK) -> bool:
     ranks and, when both ends are finite, the order must be the product of
     the end orders (an infinite end forces an infinite resolved value).
     """
-    pieces = ((result.k0_sub, result.k0_quot, result.k0_resolved),
-              (result.k1_sub, result.k1_quot, result.k1_resolved))
-    for sub, quot, resolved in pieces:
-        if resolved is None:
+    pieces = ((result.k0_sub, result.k0_quot, result.k0),
+              (result.k1_sub, result.k1_quot, result.k1))
+    for sub, quot, piece in pieces:
+        if piece.unresolved:
             continue
-        ranks = (resolved.rank(), sub.rank(), quot.rank())
+        ranks = (piece.rank(), sub.rank(), quot.rank())
         if None not in ranks and ranks[0] != ranks[1] + ranks[2]:
             return False
         sub_order, quot_order = sub.order(), quot.order()
         if sub_order is not None and quot_order is not None:
-            if resolved.order() != sub_order * quot_order:
+            if piece.order() != sub_order * quot_order:
                 return False
-        elif resolved.order() is not None:
+        elif piece.order() is not None:
             return False
     return True
 
@@ -195,9 +176,10 @@ def cuntz_closed_form(n: int | None, m: int) -> CuntzClosedForm:
             raise ValueError("requires m<n")
 
     result = pv_crossed_product(cuntz_k_data(n, m))
-    k0_group, k1_group = result.k0_group(), result.k1_group()
-    if k0_group is None or k1_group is None:
+    if not result.fully_resolved:
         raise RuntimeError("Cuntz-family extensions always resolve")  # pragma: no cover
+    # the ends are plain groups, and so is each resolved piece
+    k0, k1 = result.k0.fg_part, result.k1.fg_part
 
     if n is None:
         k = order_gcd = order_quotient = None
@@ -210,9 +192,9 @@ def cuntz_closed_form(n: int | None, m: int) -> CuntzClosedForm:
         order_quotient = k // order_gcd
         expected0 = expected1 = FGAbelianGroup.cyclic(order_gcd)
         label = f"O_{order_gcd + 1} x O_{order_gcd + 1}"
-    if k0_group != expected0 or k1_group != expected1:  # pragma: no cover
+    if k0 != expected0 or k1 != expected1:  # pragma: no cover
         raise RuntimeError("machinery disagrees with the gcd closed form")
 
     return CuntzClosedForm(n=n, m=m, k=k, order_gcd=order_gcd,
                            order_quotient=order_quotient,
-                           k0=k0_group, k1=k1_group, label=label)
+                           k0=k0, k1=k1, label=label)

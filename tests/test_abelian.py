@@ -4,13 +4,13 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kdilate import abelian
 from kdilate.abelian import (
     FGAbelianGroup,
     GroupHom,
     IncompatibleShapesError,
     IntMatrix,
     cokernel,
-    compose,
     direct_sum,
     element_is_zero,
     _identity_rows,
@@ -20,7 +20,6 @@ from kdilate.abelian import (
     _transpose,
     group_from_presentation,
     integer_kernel_basis,
-    is_isomorphic,
     kernel,
     lattice_contains,
     smith_normal_form,
@@ -456,6 +455,68 @@ class TestPresentations:
             assert group_from_presentation(
                 gens, IntMatrix.from_rows(permuted, cols=gens)) == reference
 
+    def test_group_only_callers_track_no_transform(self, monkeypatch, graph_e):
+        from kdilate.graphalg import subquotient_k
+
+        calls = []
+        smith = abelian._smith
+
+        def recording(a, ncols, u, u_inv, v_cols):
+            calls.append((u, u_inv, v_cols))
+            return smith(a, ncols, u, u_inv, v_cols)
+
+        monkeypatch.setattr(abelian, "_smith", recording)
+        for call, expected in [
+                (lambda: group_from_presentation(2, IntMatrix.from_rows([[2, 4], [6, 8]])),
+                 FGAbelianGroup(0, (2, 4))),
+                (lambda: direct_sum(FGAbelianGroup.cyclic(4), FGAbelianGroup(1, (6,))),
+                 FGAbelianGroup(1, (2, 12))),
+                (lambda: FGAbelianGroup.from_orders([4, 6, 0]), FGAbelianGroup(1, (2, 12))),
+                (lambda: subquotient_k(graph_e, ["v1", "v2", "v3", "v4"], [])[0],
+                 FGAbelianGroup.cyclic(210))]:
+            calls.clear()
+            assert call() == expected
+            assert calls and all(c == (None, None, None) for c in calls), calls
+
+    def test_diagonal_alone_reads_the_group_of_every_route(self):
+        # the Smith diagonal alone, the canonicalizing maps, and the public
+        # Smith form (read here, and by the shared helper) give one group;
+        # small shapes also against determinantal divisors
+        rng = random.Random(30)
+        kinds = ("no relations", "zero generators", "rank-deficient", "wide", "big entries")
+        for trial in range(320):
+            kind = kinds[trial % len(kinds)]
+            if kind == "no relations":
+                gens, rows = rng.randint(0, 5), []
+            elif kind == "zero generators":
+                gens, rows = 0, [[] for _ in range(rng.randint(0, 4))]
+            elif kind == "rank-deficient":
+                gens, count = rng.randint(2, 6), rng.randint(2, 6)
+                basis = [[rng.randint(-9, 9) for _ in range(gens)]
+                         for _ in range(rng.randint(1, min(gens, count) - 1))]
+                rows = [[sum(c * b[j] for c, b in zip(coefficients, basis)) for j in range(gens)]
+                        for coefficients in ([rng.randint(-3, 3) for _ in basis]
+                                             for _ in range(count))]
+            elif kind == "wide":
+                count = rng.randint(1, 3)
+                gens = count + rng.randint(1, 4)
+                rows = [[rng.randint(-20, 20) for _ in range(gens)] for _ in range(count)]
+            else:
+                gens, count = rng.randint(1, 4), rng.randint(1, 4)
+                bits = rng.choice([40, 64, 100])
+                rows = [[rng.randint(-2**bits, 2**bits) for _ in range(gens)]
+                        for _ in range(count)]
+            relations = IntMatrix.from_rows(rows, cols=gens)
+            group = group_from_presentation(gens, relations)
+            assert group == _quotient_with_maps(gens, relations)[0], (kind, rows)
+            snf = smith_normal_form(relations)
+            diag = snf.diagonal()
+            assert group == FGAbelianGroup(gens - snf.rank(),
+                                           tuple(d for d in diag if d > 1)), (kind, rows)
+            assert group == abelian._group_of_diagonal(gens, list(diag)), (kind, rows)
+            if len(rows) <= 3 and gens <= 3 and kind != "big entries":
+                assert list(diag) == smith_diagonal_by_divisors(rows, gens), (kind, rows)
+
     def test_canonical_form_validation(self):
         with pytest.raises(ValueError):
             FGAbelianGroup(0, (1,))
@@ -495,10 +556,10 @@ class TestHoms:
     def test_compose_and_shape_error(self):
         f = GroupHom.multiplication(Z, 2)
         g = GroupHom.multiplication(Z, 3)
-        assert compose(f, g).matrix.to_lists() == [[6]]
+        assert (f @ g).matrix.to_lists() == [[6]]
         other = GroupHom.identity(FGAbelianGroup.free(2))
         with pytest.raises(IncompatibleShapesError, match="incompatible"):
-            compose(f, other)
+            f @ other
 
     def test_apply_reduces(self):
         g = FGAbelianGroup.cyclic(6)
@@ -596,9 +657,8 @@ class TestGroupOperations:
 
     def test_is_isomorphic_matches_canonical_forms(self):
         left = direct_sum(FGAbelianGroup.cyclic(5), FGAbelianGroup.cyclic(3))
-        assert is_isomorphic(left, FGAbelianGroup.cyclic(15))
-        assert not is_isomorphic(FGAbelianGroup.cyclic(4),
-                                 FGAbelianGroup.from_orders([2, 2]))
+        assert left == FGAbelianGroup.cyclic(15)
+        assert FGAbelianGroup.cyclic(4) != FGAbelianGroup.from_orders([2, 2])
 
     def test_element_is_zero(self):
         assert element_is_zero(FGAbelianGroup.cyclic(4), (8,))

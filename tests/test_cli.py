@@ -8,6 +8,7 @@ import sys
 import time
 from math import gcd
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,13 +21,22 @@ from kdilate.abelian import (
     element_is_zero,
 )
 from kdilate.cli import main, render_json
-from kdilate.graphalg import Graph, PosetDiagram, hereditary_saturated_masks
+from kdilate.colimit import classify_colimit
+from kdilate.graphalg import (
+    Graph,
+    PosetDiagram,
+    crossed_subquotient_k,
+    hereditary_saturated_masks,
+)
+from kdilate.kcrossed import pv_crossed_product
 from oracles import (
     brute_hereditary_saturated,
     conjugate,
     covers_by_definition,
     json_safe,
+    random_endomorphism,
     random_graph,
+    random_group,
     random_looped_graph,
     random_payload,
     random_unimodular,
@@ -305,6 +315,86 @@ class TestPvCommand:
         assert "extension 0 -> Z/3 -> ? -> Z/5 -> 0" in out
 
 
+def _presentation(group: FGAbelianGroup) -> dict:
+    return {"generators": group.num_generators,
+            "relations": group.relation_rows().to_lists()}
+
+
+class TestUnresolvedStatus:
+    """colim, pv and graph-crossed-k exit 3 exactly when the library's
+    answer for the same file is `unresolved`; both outcomes occur."""
+
+    def test_colim(self, capsys, tmp_path, fixtures_dir):
+        rng = random.Random(31)
+        paths = [fixtures_dir / name for name in
+                 ("mixed_unresolved.json", "z_times_3.json", "eventual_kernel_tower.json")]
+        for i in range(80):
+            group = random_group(rng)
+            doc = {"kind": "group_endo", **_presentation(group),
+                   "endo": random_endomorphism(rng, group).matrix.to_lists()}
+            paths.append(tmp_path / f"endo{i}.json")
+            paths[-1].write_text(json.dumps(doc))
+        seen = set()
+        for path in map(str, paths):
+            problem = group_commands._problem_from_args(SimpleNamespace(input=path))
+            unresolved = classify_colimit(problem).unresolved
+            code, _, _ = run(capsys, "colim", "--input", path)
+            assert code == (3 if unresolved else 0), path
+            seen.add(unresolved)
+        assert seen == {False, True}
+
+    def test_pv(self, capsys, tmp_path, fixtures_dir):
+        rng = random.Random(32)
+        paths = [fixtures_dir / name for name in
+                 ("kdata_unresolved.json", "kdata_trivial_circle.json")]
+        for i in range(60):
+            k0, k1 = random_group(rng), random_group(rng)
+            doc = {"kind": "k_data", "k0": _presentation(k0), "k1": _presentation(k1),
+                   "map0": random_endomorphism(rng, k0).matrix.to_lists(),
+                   "map1": random_endomorphism(rng, k1).matrix.to_lists()}
+            paths.append(tmp_path / f"kdata{i}.json")
+            paths[-1].write_text(json.dumps(doc))
+        seen = set()
+        for path in map(str, paths):
+            result = pv_crossed_product(group_commands._load_k_data(path))
+            unresolved = result.k0.unresolved or result.k1.unresolved
+            assert result.fully_resolved is not unresolved
+            code, _, _ = run(capsys, "pv", "--input", path)
+            assert code == (3 if unresolved else 0), path
+            seen.add(unresolved)
+        assert seen == {False, True}
+
+    def test_graph_crossed_k(self, capsys, tmp_path, fixtures_dir):
+        rng = random.Random(33)
+        paths = [fixtures_dir / "E.json", fixtures_dir / "multidigit.json"]
+        for k in range(30):
+            n = rng.randint(1, 4)
+            rows = [[rng.randint(1, 3) if i == j else rng.choice([0, 0, 1, 2])
+                     for j in range(n)] for i in range(n)]
+            doc = {"kind": "graph", "vertices": [f"w{j}" for j in range(n)], "adjacency": rows}
+            paths.append(tmp_path / f"graph{k}.json")
+            paths[-1].write_text(json.dumps(doc))
+        seen = set()
+        for path in map(str, paths):
+            graph = graph_commands._load_graph(path)
+            masks = hereditary_saturated_masks(graph)
+            for zmask in masks:
+                for ymask in masks:
+                    if ymask & ~zmask:
+                        continue
+                    zset, yset = graph.names_of(zmask), graph.names_of(ymask)
+                    try:
+                        d0, d1 = crossed_subquotient_k(graph, zset, yset)
+                    except ValueError:
+                        continue
+                    unresolved = d0.unresolved or d1.unresolved
+                    code, _, _ = run(capsys, "graph-crossed-k", "--input", path,
+                                     ",".join(zset), ",".join(yset))
+                    assert code == (3 if unresolved else 0), (path, zset, yset)
+                    seen.add(unresolved)
+        assert seen == {False, True}
+
+
 class TestGraphCommands:
     def test_hs_lists_the_six_sets(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "graph-hs", "--input", str(fixtures_dir / "E.json"))
@@ -326,6 +416,24 @@ class TestGraphCommands:
         subsets = json.loads(out)["subsets"]
         assert code == 0 and len(subsets) == 8
         assert ["a", "b"] in subsets and ["a,b"] in subsets
+
+    @pytest.mark.parametrize("command", ["graph-lattice", "graph-prim"])
+    @pytest.mark.parametrize("name", ['a"b', "a\\"])
+    def test_dot_refuses_a_quote_or_backslash_in_a_vertex_name(self, capsys, tmp_path,
+                                                                command, name):
+        # inside "..." a '"' would close the name and a backslash escape
+        # the closing quote; text and JSON print such a name as it is
+        path = tmp_path / "quote.json"
+        path.write_text(json.dumps({"kind": "graph", "vertices": [name, "c"],
+                                    "adjacency": [[1, 1], [0, 2]]}))
+        code, out, err = run(capsys, command, "--format", "dot", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: vertex {name!r} has a {name[1]!r} in its name, "
+                       "which DOT output cannot quote; use --format text or json\n")
+        code, out, _ = run(capsys, command, "--format", "json", "--input", str(path))
+        assert code == 0 and any(name in e for e in json.loads(out)["elements"])
+        code, out, _ = run(capsys, command, "--input", str(path))
+        assert code == 0 and name in out
 
     def test_lattice_dot_output(self, capsys, fixtures_dir):
         code, out, _ = run(capsys, "graph-lattice", "--format", "dot",

@@ -12,7 +12,6 @@ from kdilate.abelian import (
     IncompatibleShapesError,
     IntMatrix,
     _cokernel_with_maps,
-    _direct_sum_with_maps,
     _quotient_with_maps,
     _row_hermite,
     block_diagonal,
@@ -175,7 +174,7 @@ class TestEventualKernel:
         description = classify_colimit(problem)
         assert description.pretty() == printed
         assert description.localized_diagonal() is None
-        kernel_rank = len(rows) - description.loc_rank
+        kernel_rank = len(rows) - description.loc_matrix.rows
         assert eventual_kernel(problem) == (FGAbelianGroup.free(kernel_rank), index)
 
     def test_printed_tower_is_the_same_for_every_generating_set(self, monkeypatch):
@@ -270,12 +269,15 @@ class TestClassifyColimit:
         description = classify_colimit(cyclic_problem(6, 2))
         assert description.tag == TAG_FINITE
         assert description.fg_part == FGAbelianGroup.cyclic(3)
-        assert description.action.matrix.to_lists() == [[2]]
+        # the induced automorphism of the colimit
+        quotient, induced = colimit._injective_quotient(cyclic_problem(6, 2))
+        assert quotient == description.fg_part
+        assert induced.matrix.to_lists() == [[2]]
 
     def test_z_times_m_localizes(self):
         description = classify_colimit(times_m_on_z(5))
         assert description.tag == TAG_LOCALIZED
-        assert description.loc_rank == 1
+        assert description.loc_matrix.rows == 1
         assert description.localized_diagonal() == (5,)
         assert description.pretty() == "Z[1/5]"
 
@@ -409,10 +411,13 @@ class TestKerCokerOneMinus:
             group = random_finite_group(rng, max_order=2000 if trial < 28 else 10_000)
             endo = random_endomorphism(rng, group)
             problem = DilationProblem(group, endo)
-            colimit = classify_colimit(problem)
-            assert colimit.tag == TAG_FINITE  # finite base, finite colimit
+            description = classify_colimit(problem)
+            assert description.tag == TAG_FINITE  # finite base, finite colimit
+            # the colimit with its induced automorphism
+            quotient, induced = colimit._injective_quotient(problem)
+            assert quotient == description.fg_part
             expected_ker, expected_cok = brute_one_minus_ker_coker(
-                colimit.fg_part.generator_orders(), colimit.action.matrix.to_lists())
+                quotient.generator_orders(), induced.matrix.to_lists())
             ker_desc, cok_desc = ker_coker_one_minus(problem)
             assert ker_desc.tag == TAG_FINITE
             assert cok_desc.tag == TAG_FINITE
@@ -572,8 +577,11 @@ class TestDescriptionAlgebra:
 
 def _sum_problem(left: DilationProblem, right: DilationProblem):
     """The block-diagonal endomorphism of the two on the canonical direct
-    sum of their bases, through the maps `direct_sum` takes its form by."""
-    group, projection, lift = _direct_sum_with_maps(left.base, right.base)
+    sum of their bases, through the maps that canonicalize the juxtaposed
+    presentation."""
+    group, projection, lift = _quotient_with_maps(
+        left.base.num_generators + right.base.num_generators,
+        block_diagonal(left.base.relation_rows(), right.base.relation_rows()))
     block = block_diagonal(left.endo.matrix, right.endo.matrix)
     return group, GroupHom(group, group, projection @ block @ lift)
 

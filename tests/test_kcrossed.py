@@ -81,20 +81,20 @@ class TestPVCrossedProduct:
         for m in range(2, 9):
             data = cuntz_k_data(None, m)
             result = pv_crossed_product(data)
-            assert result.k0_group() == FGAbelianGroup.cyclic(m - 1)
-            assert result.k1_group() == TRIVIAL
+            assert result.k0 == ColimitDescription.finite(FGAbelianGroup.cyclic(m - 1))
+            assert result.k1 == ColimitDescription.finite(TRIVIAL)
             assert pv_verify_exactness(result)
 
     def test_trivial_multiplier_gives_z_z(self):
         result = pv_crossed_product(cuntz_k_data(None, 1))
-        assert result.k0_group() == Z
-        assert result.k1_group() == Z
+        assert result.k0 == ColimitDescription.finite(Z)
+        assert result.k1 == ColimitDescription.finite(Z)
 
     def test_trivial_action_on_z_z_splits_to_rank_two(self):
         data = KTheoryData.with_identity_maps(Z, Z)
         result = pv_crossed_product(data)
-        assert result.k0_group() == FGAbelianGroup.free(2)
-        assert result.k1_group() == FGAbelianGroup.free(2)
+        assert result.k0 == ColimitDescription.finite(FGAbelianGroup.free(2))
+        assert result.k1 == ColimitDescription.finite(FGAbelianGroup.free(2))
         assert "free kernel end splits" in result.resolution_reason
         assert pv_verify_exactness(result)
 
@@ -108,30 +108,30 @@ class TestPVCrossedProduct:
                 result = pv_crossed_product(data)
                 expected = direct_sum(k0, k1)
                 if k1.is_free:  # kernel end of the K0 extension
-                    assert result.k0_group() == expected, (k0, k1)
+                    assert result.k0 == ColimitDescription.finite(expected), (k0, k1)
                 if k0.is_free:  # kernel end of the K1 extension
-                    assert result.k1_group() == expected, (k0, k1)
+                    assert result.k1 == ColimitDescription.finite(expected), (k0, k1)
                 assert pv_verify_exactness(result)
 
     def test_finite_by_finite_extension_stays_unresolved(self):
         data = KTheoryData.with_identity_maps(FGAbelianGroup.cyclic(3),
                                               FGAbelianGroup.cyclic(5))
         result = pv_crossed_product(data)
-        assert result.k0_resolved is None and result.k1_resolved is None
+        assert result.k0.unresolved and result.k1.unresolved
         assert not result.fully_resolved
         assert "unresolved" in result.resolution_reason
-        k0 = result.k0_description()
-        assert k0.tag == "extension" and not k0.resolved
+        assert result.k0 == ColimitDescription.extension(result.k0_sub, result.k0_quot,
+                                                         resolved=False)
         assert pv_verify_exactness(result)  # vacuous on unresolved pieces
 
     def test_verify_rejects_tampered_orders(self):
         data = cuntz_k_data(None, 3)
         result = pv_crossed_product(data)
-        assert result.k0_group() == FGAbelianGroup.cyclic(2)
+        assert result.k0 == ColimitDescription.finite(FGAbelianGroup.cyclic(2))
         tampered = CrossedProductK(
             result.k0_sub, result.k0_quot, result.k1_sub, result.k1_quot,
-            k0_resolved=ColimitDescription.finite(FGAbelianGroup.cyclic(5)),
-            k1_resolved=result.k1_resolved, resolution_reason=result.resolution_reason)
+            k0=ColimitDescription.finite(FGAbelianGroup.cyclic(5)),
+            k1=result.k1, resolution_reason=result.resolution_reason)
         assert not pv_verify_exactness(tampered)
 
     def test_verify_rejects_tampered_rank(self):
@@ -139,7 +139,7 @@ class TestPVCrossedProduct:
         result = pv_crossed_product(data)
         tampered = CrossedProductK(
             result.k0_sub, result.k0_quot, result.k1_sub, result.k1_quot,
-            k0_resolved=result.k0_resolved, k1_resolved=ColimitDescription.finite(Z),
+            k0=result.k0, k1=ColimitDescription.finite(Z),
             resolution_reason=result.resolution_reason)
         assert not pv_verify_exactness(tampered)
 

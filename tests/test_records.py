@@ -158,7 +158,7 @@ class TestDefaults:
     def test_description_defaults_to_none(self):
         desc = ColimitDescription(tag="extension")
         assert desc == ColimitDescription(tag="extension", sub=None, quot=None, resolved=None)
-        assert _fields(desc) == ("extension",) + (None,) * 7
+        assert _fields(desc) == ("extension",) + (None,) * 5
 
     def test_closed_form_emits_gcd_by_default(self):
         form = cuntz_closed_form(7, 2)
