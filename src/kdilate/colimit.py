@@ -23,7 +23,7 @@ the stable kernel in one kernel if t* = 0, else 2 + ceil(log2 t*).
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import compress, count
 from math import gcd, isqrt
 from operator import mul
 
@@ -244,6 +244,40 @@ def bracket(a: int, b: int) -> int:
 def _similarity_diagonal(m: IntMatrix) -> tuple[int, ...] | None:
     """diag(m1,...,mr) with P M P^-1 diagonal for unimodular P, or None.
 
+    The search runs block by block (`_blocks_of`).  Once the coordinates
+    are grouped into blocks B, Z^n is the direct sum of the Z^B as
+    Z[M]-modules, so the saturated eigenlattice of lam, Z^n meet E_lam, is
+    the direct sum of the blocks' Z^B meet E_lam^B; M is diagonalizable
+    over Z exactly when every block is, and its multipliers are the union
+    of theirs, as det(xI - M) is the product of the blocks'.  A 1 x 1
+    block is its own answer, or None when its entry is 0.  Each block
+    starts from its own slice of the start vector (1, 2, ..., n): on the
+    block of a simple root, the whole matrix's product (see
+    `_block_diagonal`) is the block's product times an invertible factor,
+    so the root is missed in its block exactly when the whole-matrix
+    search would miss it.  Multipliers are returned as absolute values,
+    sorted (the tower only depends on |m|).  Singular matrices give None.
+
+    >>> _similarity_diagonal(IntMatrix.from_rows([[2, 0, 1], [0, 5, 0], [0, 0, 3]]))
+    (2, 3, 5)
+    >>> _similarity_diagonal(IntMatrix.from_rows([[2, 0, 1], [0, 5, 0], [0, 0, 2]])) is None
+    True
+    """
+    if m.rows == 0:
+        return ()
+    found: list[int] = []
+    for indices, block in _blocks_of(m):
+        diagonal = _block_diagonal(block, [i + 1 for i in indices])
+        if diagonal is None:
+            return None
+        found += diagonal
+    return tuple(sorted(found))
+
+
+def _block_diagonal(m: IntMatrix, start: list[int]) -> list[int] | None:
+    """The multipliers of one block M, unsorted, or None, searched from
+    the start vector x = `start`.
+
     M is diagonalizable over Z exactly when its characteristic polynomial f
     splits over Z and the saturated eigenlattices sum to the full lattice,
     i.e. the assembled eigenbasis is unimodular.  f is the polynomial kept
@@ -257,19 +291,14 @@ def _similarity_diagonal(m: IntMatrix) -> tuple[int, ...] | None:
     vector v = prod_{mu != lam} (M - mu I) x either has (M - lam I) v = 0,
     and v divided by its content spans the saturated eigenlattice, or M is
     not diagonalizable and the answer is None.  `_projections` takes these
-    products for all roots at once from x = (1, 2, ..., n).  (v is zero when
-    x is orthogonal to the row of P^-1 for lam; the all-ones x is, for two
-    roots of the average planted-shear Z^34 tower.)  A repeated root, and a
-    simple root whose v is zero, takes its eigenlattice from one
-    Hermite-form kernel.
-    Multipliers are returned as absolute values, sorted (the tower only
-    depends on |m|).  Singular matrices give None.
+    products for all roots at once.  (v is zero when x is orthogonal to the
+    row of P^-1 for lam, and the root is then missed.)  A repeated root,
+    and a missed simple root, takes its eigenlattice from one Hermite-form
+    kernel.
     """
     n = m.rows
-    if n == 0:
-        return ()
-    if all(m[i, j] == 0 for i in range(n) for j in range(n) if i != j):
-        return tuple(sorted(abs(m[i, i]) for i in range(n)))
+    if n == 1:
+        return [abs(m[0, 0])] if m[0, 0] else None
     f = _charpoly_of(m)
     if f[0] == 0:
         return None
@@ -284,7 +313,7 @@ def _similarity_diagonal(m: IntMatrix) -> tuple[int, ...] | None:
     if sum(multiplicities.values()) < n:
         return None
     simple = {lam for lam, k in multiplicities.items() if k == 1}
-    projected = _projections(m.entries, list(multiplicities), simple, range(1, n + 1))
+    projected = _projections(m.entries, list(multiplicities), simple, start)
     columns: list[tuple[int, ...]] = []
     for lam, k in multiplicities.items():
         v = projected.get(lam)
@@ -303,7 +332,53 @@ def _similarity_diagonal(m: IntMatrix) -> tuple[int, ...] | None:
     basis = IntMatrix.from_rows([[col[i] for col in columns] for i in range(n)], cols=n)
     if abs(basis.determinant()) != 1:
         return None
-    return tuple(sorted(abs(lam) for lam, k in multiplicities.items() for _ in range(k)))
+    return [abs(lam) for lam, k in multiplicities.items() for _ in range(k)]
+
+
+def _blocks_of(m: IntMatrix) -> list[tuple[range | list[int], IntMatrix]]:
+    """The diagonal blocks of a square M, as (coordinates, block) pairs,
+    found once per matrix and kept on it, as `_charpoly_of` keeps f.
+
+    The blocks are the connected components of the graph on the
+    coordinates with an edge i - j whenever m_ij or m_ji is nonzero, i != j.
+    Each is invariant under M, so M is their direct sum after the
+    permutation that lists them in turn.  The scan takes row i and column i
+    for i = 0, 1, ..., merges components along their nonzero entries, and
+    stops once one component is left, so a dense matrix is settled within
+    its first few rows; a matrix of one block is returned as itself.
+    """
+    if "_blocks" not in m.__dict__:
+        object.__setattr__(m, "_blocks", _split(m.entries))
+    return m.__dict__["_blocks"] or [(range(m.rows), m)]
+
+
+def _split(entries) -> list[tuple[list[int], IntMatrix]] | None:
+    """The blocks of `_blocks_of`, or None for a single block."""
+    n = len(entries)
+    label = list(range(n))
+    members = {i: [i] for i in range(n)}
+    for i, (row, column) in enumerate(zip(entries, zip(*entries))):
+        a = label[i]
+        for j in {*compress(range(n), row), *compress(range(n), column)}:
+            b = label[j]
+            if a != b:  # merge the smaller component into the larger
+                if len(members[a]) < len(members[b]):
+                    a, b = b, a
+                moved = members.pop(b)
+                for k in moved:
+                    label[k] = a
+                members[a] += moved
+                if len(members) == 1:
+                    return None
+    if len(members) < 2:
+        return None
+    blocks = []
+    for indices in sorted(map(sorted, members.values())):
+        block = IntMatrix._of_checked_rows(
+            len(indices), tuple(tuple(entries[i][j] for j in indices) for i in indices))
+        object.__setattr__(block, "_blocks", None)
+        blocks.append((indices, block))
+    return blocks
 
 
 def _projections(rows, roots: list[int], wanted: set[int], x) -> dict[int, list[int]]:
@@ -359,17 +434,32 @@ def _symmetric(c: int, p: int) -> int:
 def _charpoly(m: IntMatrix) -> list[int]:
     """det(xI - M) for a square M.
 
-    The coefficient of x^(n-k) is a signed sum of the k x k principal
-    minors, so by Hadamard's bound it is at most prod(1 + |row_i|) in
-    absolute value.  The polynomial is read off a Hessenberg form modulo
-    Mersenne primes until their product passes twice that bound, then
-    recovered by CRT and symmetric residues (Cohen, GTM 138, 2.2.4).
+    A matrix of several blocks (`_blocks_of`) takes the product of its
+    blocks' polynomials, since xI - M is block diagonal after a
+    permutation.  For one block, the coefficient of x^(n-k) is a signed sum
+    of the k x k principal minors, so by Hadamard's bound it is at most
+    prod(1 + |row_i|) in absolute value.  The polynomial is read off a
+    Hessenberg form modulo Mersenne primes until their product passes twice
+    that bound, then recovered by CRT and symmetric residues (Cohen, GTM
+    138, 2.2.4).
 
     >>> _charpoly(IntMatrix.from_rows([[2, 1], [0, 3]]))
     [6, -5, 1]
     >>> _charpoly(IntMatrix.from_rows([[0, 2], [3, 0]]))
     [-6, 0, 1]
+    >>> _charpoly(IntMatrix.from_rows([[0, 0, 2], [0, 5, 0], [3, 0, 0]]))  # (x^2 - 6)(x - 5)
+    [30, -6, -5, 1]
     """
+    blocks = _blocks_of(m)
+    if len(blocks) > 1:
+        f = [1]
+        for _, block in blocks:
+            g = _charpoly_of(block)
+            product = [0] * (len(f) + len(g) - 1)
+            for j, c in enumerate(g):
+                product[j:j + len(f)] = [s + c * a for s, a in zip(product[j:], f)]
+            f = product
+        return f
     bound = 1
     for row in m.entries:
         bound *= isqrt(sum(x * x for x in row)) + 2

@@ -592,6 +592,59 @@ class TestProblemValidation:
             DilationProblem(Z, GroupHom.identity(FGAbelianGroup.cyclic(2)))
 
 
+def _unimodular_completion(a, b):
+    """(c, d) with a d - b c = 1, for coprime a and b."""
+    (r0, s0, t0), (r1, s1, t1) = (a, 1, 0), (b, 0, 1)
+    while r1:
+        q = r0 // r1
+        (r0, s0, t0), (r1, s1, t1) = (r1, s1, t1), (r0 - q * r1, s0 - q * s1, t0 - q * t1)
+    return -t0 * r0, s0 * r0  # r0 = +-1 and s0 a + t0 b = r0
+
+
+def _tower_block(rng, kind, positions, shared):
+    """One block of a permuted direct sum, to sit on `positions`."""
+    k = len(positions)
+    if kind == "missed":
+        # the block's slice of the start vector (1, ..., n) is an
+        # eigenvector of mu, so the product for lam vanishes on it
+        g = gcd(positions[0] + 1, positions[1] + 1)
+        a, b = (positions[0] + 1) // g, (positions[1] + 1) // g
+        c, d = _unimodular_completion(a, b)
+        mu, lam = rng.sample([-3, -2, 2, 3, 5], 2)
+        return conjugate([[a, c], [b, d]], [[mu, 0], [0, lam]], [[d, -c], [-b, a]]).to_lists()
+    values = [rng.choice([-3, -2, -1, 1, 2, 3, 5]) for _ in range(k)]
+    if kind == "diagonalizable":
+        values[0] = shared  # the same root in every such block of the tower
+    elif kind == "singular":
+        values[0] = 0
+    middle = [[values[i] if i == j else 0 for j in range(k)] for i in range(k)]
+    if kind == "jordan":
+        middle[0][:2] = [values[1], 1]
+    p, p_inv = random_unimodular(rng, k, steps=3 * k, max_factor=2)
+    return conjugate(p, middle, p_inv).to_lists()
+
+
+_BLOCK_SIZES = {"diagonalizable": (1, 3), "jordan": (2, 3), "singular": (1, 3),
+                "missed": (2, 2)}
+
+
+def _permuted_block_sum(rng, kinds):
+    """A square matrix that is a direct sum of one block per kind, its
+    coordinates shuffled, and the coordinate lists of its blocks."""
+    sizes = [rng.randint(*_BLOCK_SIZES[kind]) for kind in kinds]
+    n = sum(sizes)
+    order, shared = rng.sample(range(n), n), rng.choice([-2, 2, 3])
+    m, placed, start = [[0] * n for _ in range(n)], [], 0
+    for kind, size in zip(kinds, sizes):
+        positions = sorted(order[start:start + size])
+        start += size
+        for r, row in enumerate(_tower_block(rng, kind, positions, shared)):
+            for c, x in enumerate(row):
+                m[positions[r]][positions[c]] = x
+        placed.append(positions)
+    return m, placed
+
+
 class TestIntegerEigenvalues:
     """The eigen-search behind localized multipliers: characteristic
     polynomial, its integer roots, one kernel per root."""
@@ -723,11 +776,20 @@ class TestIntegerEigenvalues:
         missed = conjugate([[1, 0], [2, 1]], [[2, 0], [0, 3]], [[1, 0], [-2, 1]])
         assert colimit._similarity_diagonal(missed) == (2, 3)
         assert kernels == [missed - IntMatrix.diagonal([3, 3])]
-        # (M + 3I) v != 0 for the simple root -3: not diagonalizable, no kernel
+        # a Jordan block at 2 beside -3, in one block: (M + 3I) v != 0 for
+        # the simple root -3, so M is not diagonalizable, with no kernel
         del kernels[:]
         jordan = IntMatrix.from_rows([[2, 1, 0], [0, 2, 0], [0, 0, -3]])
-        assert colimit._similarity_diagonal(jordan) is None
+        p, p_inv = random_unimodular(random.Random(3), 3)
+        one_block = conjugate(p, jordan.to_lists(), p_inv)
+        assert len(colimit._blocks_of(one_block)) == 1
+        assert colimit._similarity_diagonal(one_block) is None
         assert kernels == []
+        # split apart, the Jordan block is searched alone: its repeated root
+        # takes one kernel, which is too small
+        assert [len(indices) for indices, _ in colimit._blocks_of(jordan)] == [2, 1]
+        assert colimit._similarity_diagonal(jordan) is None
+        assert kernels == [IntMatrix.from_rows([[0, 1], [0, 0]])]
 
     def test_dense_planted_sixty_by_sixty_under_half_a_second(self):
         # 24 simple roots and -1 of multiplicity 36, conjugated by 180 random
@@ -744,3 +806,46 @@ class TestIntegerEigenvalues:
         diagonal = description.localized_diagonal()
         assert time.perf_counter() - start < 0.5
         assert diagonal == tuple(sorted(abs(v) for v in spectrum))
+
+    def test_permuted_direct_sums_match_the_oracles(self):
+        rng = random.Random(31)
+        outcomes, split, kinds_seen = set(), 0, set()
+        for _ in range(320):
+            kinds = [rng.choice(["diagonalizable", "diagonalizable", "jordan", "singular",
+                                 "missed"]) for _ in range(rng.randint(1, 4))]
+            kinds_seen.update(kinds)
+            rows, _ = _permuted_block_sum(rng, kinds)
+            m = IntMatrix.from_rows(rows)
+            assert colimit._charpoly(m) == charpoly_faddeev_leverrier(rows), rows
+            expected = divisor_search_diagonal(m)
+            if expected is not None and 0 in expected:
+                expected = None  # the oracle's all-diagonal shortcut keeps a zero
+            assert colimit._similarity_diagonal(m) == expected, rows
+            outcomes.add(expected is None)
+            split += len(colimit._blocks_of(m)) > 1
+        assert kinds_seen == set(_BLOCK_SIZES) and outcomes == {True, False}
+        assert split >= 200
+
+    def test_blocks_are_searched_alone(self, monkeypatch):
+        # no table or kernel of the eigen-search is larger than the largest
+        # block: two planted blocks that share a root, and a block whose
+        # root the start vector misses, so that it takes a kernel
+        kinds = ["diagonalizable", "diagonalizable", "missed"]
+        rows, placed = _permuted_block_sum(random.Random(17), kinds)
+        m = IntMatrix.from_rows(rows)
+        assert [indices for indices, _ in colimit._blocks_of(m)] == sorted(placed)
+        expected = divisor_search_diagonal(m)
+        sizes = {"charpoly": [], "determinant": [], "kernel": []}
+        charpoly_mod, determinant, search = (colimit._charpoly_mod, IntMatrix.determinant,
+                                             colimit.integer_kernel_basis)
+        monkeypatch.setattr(colimit, "_charpoly_mod", lambda entries, p: (
+            sizes["charpoly"].append(len(entries)) or charpoly_mod(entries, p)))
+        monkeypatch.setattr(IntMatrix, "determinant", lambda a: (
+            sizes["determinant"].append(a.rows) or determinant(a)))
+        monkeypatch.setattr(colimit, "integer_kernel_basis", lambda a: (
+            sizes["kernel"].append(a.rows) or search(a)))
+        zn, tower = FGAbelianGroup.free(len(rows)), IntMatrix.from_rows(rows)
+        description = classify_colimit(DilationProblem(zn, GroupHom(zn, zn, tower)))
+        assert description.localized_diagonal() == expected
+        largest = max(map(len, placed))
+        assert all(sizes.values()) and max(map(max, sizes.values())) <= largest < len(rows)
