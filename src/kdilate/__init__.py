@@ -20,18 +20,15 @@ _HOMES = {
     "SNFResult": "abelian", "cokernel": "abelian", "direct_sum": "abelian",
     "element_is_zero": "abelian", "group_from_presentation": "abelian",
     "kernel": "abelian", "smith_normal_form": "abelian",
-    "ColimElement": "colimit", "ColimitDescription": "colimit",
-    "DilationProblem": "colimit", "classify_colimit": "colimit",
-    "colim_element_is_zero": "colimit", "eventual_kernel": "colimit",
+    "ColimitDescription": "colimit", "DilationProblem": "colimit",
+    "classify_colimit": "colimit", "eventual_kernel": "colimit",
     "ker_coker_one_minus": "colimit",
     "Graph": "graphalg", "PosetDiagram": "graphalg", "condition_k_failures": "graphalg",
     "crossed_subquotient_k": "graphalg", "enumerate_hereditary_saturated": "graphalg",
-    "hereditary_saturated_closure": "graphalg", "ideal_lattice_hasse": "graphalg",
-    "prim_poset": "graphalg", "subquotient_k": "graphalg",
+    "ideal_lattice_hasse": "graphalg", "prim_poset": "graphalg", "subquotient_k": "graphalg",
     "CrossedProductK": "kcrossed", "CuntzClosedForm": "kcrossed",
     "KTheoryData": "kcrossed", "bracket": "colimit", "cuntz_closed_form": "kcrossed",
     "pv_crossed_product": "kcrossed", "pv_verify_exactness": "kcrossed",
-    "scale_k_map": "kcrossed",
 }
 
 __all__ = list(_HOMES)

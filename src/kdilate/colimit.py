@@ -19,12 +19,17 @@ torsion T, Omega counting prime factors with multiplicity: f is nilpotent
 on K (Fitting), and until f^i(K) = 0 each step lowers its rank or, once it
 is finite, divides its order by a prime.  Doubling the power of f finds
 the stable kernel in one kernel if t* = 0, else 2 + ceil(log2 t*).
+
+A square matrix is split once into the diagonal blocks of its coordinates
+(`_blocks_of`).  The injectivity and |det| tests read f(0) as the product
+of the blocks' f_B(0), and the eigen-search reads each block's own
+polynomial, so no characteristic polynomial of several blocks is formed.
 """
 
 from __future__ import annotations
 
 from itertools import compress, count
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import mul
 
 from .abelian import (
@@ -59,21 +64,6 @@ class DilationProblem(_Record):
             raise IncompatibleShapesError("endomorphism must map the base group to itself")
 
 
-class ColimElement(_Record):
-    """Formal element (coords, level) of the colimit tower.
-
-    The identification is (v, t) ~ (f(v), t+1), so zero-testing asks whether
-    some power of f kills the coordinates.
-    """
-
-    _fields = ("level", "coords")
-
-    def __init__(self, level: int, coords: tuple[int, ...]):
-        if level < 0:
-            raise ValueError("negative tower level")
-        super().__init__(level, tuple(int(x) for x in coords))
-
-
 # ---------------------------------------------------------------------------
 # Colimit descriptions
 # ---------------------------------------------------------------------------
@@ -100,7 +90,7 @@ class ColimitDescription(_Record):
     def localized(cls, matrix: IntMatrix) -> "ColimitDescription":
         if not matrix.is_square():
             raise IncompatibleShapesError("localized tower needs a square matrix")
-        if _charpoly_of(matrix)[0] == 0:  # f(0) = det(-M)
+        if _charpoly_at_zero(matrix) == 0:
             raise ValueError("localized tower needs an injective matrix")
         return cls(tag=TAG_LOCALIZED, loc_matrix=matrix)
 
@@ -434,14 +424,13 @@ def _symmetric(c: int, p: int) -> int:
 def _charpoly(m: IntMatrix) -> list[int]:
     """det(xI - M) for a square M.
 
-    A matrix of several blocks (`_blocks_of`) takes the product of its
-    blocks' polynomials, since xI - M is block diagonal after a
-    permutation.  For one block, the coefficient of x^(n-k) is a signed sum
-    of the k x k principal minors, so by Hadamard's bound it is at most
-    prod(1 + |row_i|) in absolute value.  The polynomial is read off a
-    Hessenberg form modulo Mersenne primes until their product passes twice
-    that bound, then recovered by CRT and symmetric residues (Cohen, GTM
-    138, 2.2.4).
+    The coefficient of x^(n-k) is a signed sum of the k x k principal
+    minors, so by Hadamard's bound it is at most prod(1 + |row_i|) in
+    absolute value.  The polynomial is read off a Hessenberg form modulo
+    Mersenne primes until their product passes twice that bound, then
+    recovered by CRT and symmetric residues (Cohen, GTM 138, 2.2.4).  The
+    colimit layer takes it of single blocks only (`_blocks_of`); a caller
+    that reads f(0) alone takes `_charpoly_at_zero`.
 
     >>> _charpoly(IntMatrix.from_rows([[2, 1], [0, 3]]))
     [6, -5, 1]
@@ -450,16 +439,6 @@ def _charpoly(m: IntMatrix) -> list[int]:
     >>> _charpoly(IntMatrix.from_rows([[0, 0, 2], [0, 5, 0], [3, 0, 0]]))  # (x^2 - 6)(x - 5)
     [30, -6, -5, 1]
     """
-    blocks = _blocks_of(m)
-    if len(blocks) > 1:
-        f = [1]
-        for _, block in blocks:
-            g = _charpoly_of(block)
-            product = [0] * (len(f) + len(g) - 1)
-            for j, c in enumerate(g):
-                product[j:j + len(f)] = [s + c * a for s, a in zip(product[j:], f)]
-            f = product
-        return f
     bound = 1
     for row in m.entries:
         bound *= isqrt(sum(x * x for x in row)) + 2
@@ -476,11 +455,22 @@ def _charpoly(m: IntMatrix) -> list[int]:
 
 def _charpoly_of(m: IntMatrix) -> list[int]:
     """`_charpoly(m)`, computed once per matrix and kept on it (its fields
-    stay frozen), so that a tower's injectivity test, |det M| and the
+    stay frozen), so that a block's injectivity test, |det| and
     eigen-search share one polynomial.  Callers must not change the list."""
     if "_charpoly" not in m.__dict__:
         object.__setattr__(m, "_charpoly", _charpoly(m))
     return m.__dict__["_charpoly"]
+
+
+def _charpoly_at_zero(m: IntMatrix) -> int:
+    """f(0) = det(-M) for the characteristic polynomial f of a square M:
+    the product of f_B(0) over its blocks B (`_blocks_of`), each read off
+    the block's kept polynomial, which the eigen-search reads too.
+
+    >>> _charpoly_at_zero(IntMatrix.from_rows([[0, 0, 2], [0, 5, 0], [3, 0, 0]]))
+    30
+    """
+    return prod(_charpoly_of(block)[0] for _, block in _blocks_of(m))
 
 
 def _charpoly_mod(entries, p: int) -> list[int]:
@@ -632,22 +622,21 @@ def _integer_roots(g: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def _stable_kernel(problem: DilationProblem
-                   ) -> tuple[FGAbelianGroup, list[tuple[int, ...]], GroupHom | None]:
-    """The eventual kernel, its inclusion's columns as generators, and a
-    power f^a that kills it, for the first a in 0, 1, 2, 4, ... where f^a
-    kills ker(f^max(1, 2a)): the chain only grows, so it has stabilized
-    there.  On a free base, f(0) != 0 for the characteristic polynomial f
-    of the matrix means f is injective, so a = 0 with no kernel taken, and
-    the power is None rather than an identity map."""
+                   ) -> tuple[FGAbelianGroup, list[tuple[int, ...]]]:
+    """The eventual kernel and its inclusion's columns as generators: the
+    kernel of f^max(1, 2a) for the first a in 0, 1, 2, 4, ... where f^a
+    kills it, since the chain only grows and so has stabilized there.  On
+    a free base, f(0) != 0 for the characteristic polynomial f of the
+    matrix means f is injective, so no kernel is taken."""
     base, f = problem.base, problem.endo
-    if base.is_free and _charpoly_of(f.matrix)[0]:
-        return FGAbelianGroup.trivial(), [], None
+    if base.is_free and _charpoly_at_zero(f.matrix):
+        return FGAbelianGroup.trivial(), []
     power, nxt = GroupHom.identity(base), f
     while True:
         group, inclusion = kernel(nxt)
         gens = [inclusion.matrix.column(j) for j in range(group.num_generators)]
         if all(element_is_zero(base, power.matrix.apply(g)) for g in gens):
-            return group, gens, power
+            return group, gens
         power, nxt = nxt, nxt @ nxt
 
 
@@ -659,7 +648,7 @@ def eventual_kernel(problem: DilationProblem) -> tuple[FGAbelianGroup, int]:
     >>> eventual_kernel(DilationProblem(z, GroupHom.multiplication(z, 2)))
     (FGAbelianGroup(free_rank=0, invariant_factors=(36893488147419103232,)), 65)
     """
-    group, gens, _ = _stable_kernel(problem)
+    group, gens = _stable_kernel(problem)
     t_star, alive = 0, [g for g in map(problem.base.reduce, gens) if any(g)]
     while alive:
         alive = [g for g in map(problem.endo.apply, alive) if any(g)]
@@ -672,7 +661,7 @@ def _injective_quotient(problem: DilationProblem) -> tuple[FGAbelianGroup, Group
     free rows H are in reduced row Hermite form, which the lattice alone
     fixes, so the free block H M R is the same for every right inverse R."""
     base = problem.base
-    _, gens, _ = _stable_kernel(problem)
+    _, gens = _stable_kernel(problem)
     if not gens:  # nothing to quotient by: the base is already canonical
         return base, problem.endo
     rows = base.relation_rows().vstack(
@@ -713,9 +702,9 @@ def _equivariant_complement_exists(group: FGAbelianGroup, torsion_map: IntMatrix
 def _free_colimit(free_map: IntMatrix) -> ColimitDescription:
     """colim(Z^r, M) for an injective M: Z^r itself when |det M| = 1, else
     the localized tower.  |det M| = |f(0)| for the characteristic
-    polynomial f kept with the matrix, which the tower's injectivity check
-    reads too."""
-    if abs(_charpoly_of(free_map)[0]) == 1:
+    polynomial f, read off the blocks' kept polynomials, as the tower's
+    injectivity check reads it."""
+    if abs(_charpoly_at_zero(free_map)) == 1:
         return ColimitDescription.finite(FGAbelianGroup.free(free_map.rows))
     return ColimitDescription.localized(free_map)
 
@@ -763,12 +752,3 @@ def ker_coker_one_minus(problem: DilationProblem
     one_minus = GroupHom.identity(problem.base) - problem.endo
     return (ColimitDescription.finite(kernel(one_minus)[0]),
             ColimitDescription.finite(cokernel(one_minus)[0]))
-
-
-def colim_element_is_zero(problem: DilationProblem, element: ColimElement) -> bool:
-    """Whether (coords, level) is zero in the colimit, i.e. killed by some
-    power of the endomorphism, and so by the power that kills the eventual
-    kernel."""
-    _, _, power = _stable_kernel(problem)
-    coords = element.coords if power is None else power.apply(element.coords)
-    return element_is_zero(problem.base, coords)

@@ -205,11 +205,6 @@ def _closure_mask(graph: Graph, mask: int) -> int:
     return _saturate(graph, mask)
 
 
-def hereditary_saturated_closure(graph: Graph, subset: Iterable[str]) -> VertexSet:
-    """Smallest hereditary and saturated vertex set containing the input."""
-    return graph.set_of(_closure_mask(graph, graph.mask_of(subset)))
-
-
 def _is_hereditary_saturated(graph: Graph, mask: int) -> bool:
     return _closure_mask(graph, mask) == mask
 
@@ -394,17 +389,6 @@ class PosetDiagram(_Record):
         diagram = object.__new__(cls)
         _Record.__init__(diagram, elements, covers)
         return diagram
-
-    def undirected_cover_edges(self) -> frozenset:
-        return frozenset(frozenset(pair) for pair in self.covers)
-
-    def minimal_elements(self) -> tuple[str, ...]:
-        uppers = {b for _, b in self.covers}
-        return tuple(e for e in self.elements if e not in uppers)
-
-    def maximal_elements(self) -> tuple[str, ...]:
-        lowers = {a for a, _ in self.covers}
-        return tuple(e for e in self.elements if e not in lowers)
 
     def dot_lines(self):
         """The lines of the diagram's DOT text, each made as it is read."""

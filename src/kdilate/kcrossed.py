@@ -46,19 +46,6 @@ class KTheoryData(_Record):
         return cls(k0, k1, GroupHom.identity(k0), GroupHom.identity(k1))
 
 
-def scale_k_map(data: KTheoryData, class_multiplier: int) -> KTheoryData:
-    """Compose both induced maps with multiplication by an integer class.
-
-    This is how twisting by a shift acts on K-theory: the groups are
-    untouched, the maps pick up the class multiplier.
-    """
-    c = int(class_multiplier)
-    return KTheoryData(
-        data.k0, data.k1,
-        GroupHom.multiplication(data.k0, c) @ data.map0,
-        GroupHom.multiplication(data.k1, c) @ data.map1)
-
-
 class CrossedProductK(_Record):
     """Graded K-theory of the crossed product, extension by extension.
 

@@ -455,12 +455,14 @@ def charpoly_faddeev_leverrier(rows: list[list[int]]) -> list[int]:
 def divisor_search_diagonal(m: IntMatrix) -> tuple[int, ...] | None:
     """The colimit layer's earlier `_similarity_diagonal`, without its
     determinant cut-off: integer eigenvalues are searched among the
-    divisors d of det(M), one Smith-form kernel per candidate +-d."""
+    divisors d of det(M), one Smith-form kernel per candidate +-d.  A
+    singular M, diagonal or not, gives None."""
     n = m.rows
     if n == 0:
         return ()
     if all(m[i, j] == 0 for i in range(n) for j in range(n) if i != j):
-        return tuple(sorted(abs(m[i, i]) for i in range(n)))
+        diagonal = [abs(m[i, i]) for i in range(n)]
+        return tuple(sorted(diagonal)) if all(diagonal) else None
     det = abs(m.determinant())
     if det == 0:
         return None

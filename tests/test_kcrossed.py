@@ -13,7 +13,6 @@ from kdilate.kcrossed import (
     cuntz_k_data,
     pv_crossed_product,
     pv_verify_exactness,
-    scale_k_map,
 )
 
 Z = FGAbelianGroup.free(1)
@@ -50,30 +49,6 @@ class TestBracket:
         for a, b in ((0, 5), (5, 0), (0, 0), (-2, 4)):
             with pytest.raises(ValueError, match="undefined bracket argument"):
                 bracket(a, b)
-
-
-class TestScaleKMap:
-    def test_scaling_z_identity_by_m(self):
-        data = KTheoryData.with_identity_maps(Z, TRIVIAL)
-        scaled = scale_k_map(data, 4)
-        assert scaled.map0.matrix.to_lists() == [[4]]
-        assert scaled.k0 == Z and scaled.k1 == TRIVIAL
-
-    def test_multiplier_one_is_identity(self):
-        data = KTheoryData.with_identity_maps(FGAbelianGroup.cyclic(6), Z)
-        assert scale_k_map(data, 1) == data
-
-    def test_scaling_composes_multiplicatively(self):
-        data = KTheoryData.with_identity_maps(FGAbelianGroup.cyclic(6), Z)
-        twice = scale_k_map(scale_k_map(data, 2), 5)
-        once = scale_k_map(data, 10)
-        assert twice.map0.matrix == once.map0.matrix
-        assert twice.map1.matrix == once.map1.matrix
-
-    def test_scaling_torsion_group(self):
-        g6 = FGAbelianGroup.cyclic(6)
-        data = KTheoryData.with_identity_maps(g6, TRIVIAL)
-        assert scale_k_map(data, 2).map0.matrix.to_lists() == [[2]]
 
 
 class TestPVCrossedProduct:

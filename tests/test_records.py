@@ -21,7 +21,6 @@ from kdilate.abelian import (
     smith_normal_form,
 )
 from kdilate.colimit import (
-    ColimElement,
     ColimitDescription,
     DilationProblem,
     classify_colimit,
@@ -60,8 +59,6 @@ def _build(cls, rng):
         FGAbelianGroup: lambda: group,
         GroupHom: lambda: endo,
         DilationProblem: lambda: DilationProblem(group, endo),
-        ColimElement: lambda: ColimElement(
-            rng.randint(0, 5), tuple(rng.randint(-9, 9) for _ in range(group.num_generators))),
         ColimitDescription: lambda: classify_colimit(DilationProblem(group, endo)),
         KTheoryData: lambda: KTheoryData(group, Z, endo, GroupHom.multiplication(Z, m)),
         CrossedProductK: lambda: pv_crossed_product(cuntz_k_data(None, m)),
@@ -73,8 +70,8 @@ def _build(cls, rng):
 
 
 RECORDS = [IntMatrix, SNFResult, FGAbelianGroup, GroupHom, DilationProblem,
-           ColimElement, ColimitDescription, KTheoryData, CrossedProductK,
-           CuntzClosedForm, Graph, PosetDiagram]
+           ColimitDescription, KTheoryData, CrossedProductK, CuntzClosedForm, Graph,
+           PosetDiagram]
 
 
 def _fields(value):
@@ -188,10 +185,6 @@ class TestValidationMessages:
         with pytest.raises(IncompatibleShapesError,
                            match="^endomorphism must map the base group to itself$"):
             DilationProblem(Z, hom)
-
-    def test_negative_tower_level(self):
-        with pytest.raises(ValueError, match="^negative tower level$"):
-            ColimElement(-1, (0,))
 
     def test_duplicate_vertex(self):
         with pytest.raises(ValueError, match="^duplicate vertex names$"):
