@@ -566,6 +566,32 @@ class TestHoms:
         f = GroupHom.multiplication(g, 4)
         assert f.apply((5,)) == (2,)
 
+    def test_multiplication_on_z_is_the_scalar(self):
+        assert GroupHom.multiplication(Z, 4).matrix.to_lists() == [[4]]
+        assert GroupHom.multiplication(Z, -3).apply((5,)) == (-15,)
+
+    def test_multiplication_by_one_is_the_identity(self):
+        for group in (Z, FGAbelianGroup.cyclic(6), FGAbelianGroup(2, (4, 12))):
+            assert GroupHom.multiplication(group, 1) == GroupHom.identity(group)
+
+    def test_multiplication_by_zero_is_the_zero_map(self):
+        for group in (Z, FGAbelianGroup.cyclic(6), FGAbelianGroup(2, (4, 12))):
+            assert GroupHom.multiplication(group, 0) == GroupHom.zero(group, group)
+
+    def test_multiplication_composes_multiplicatively(self):
+        rng = random.Random(41)
+        for _ in range(40):
+            group = random_group(rng)
+            a, b = rng.randint(-9, 9), rng.randint(-9, 9)
+            twice = GroupHom.multiplication(group, b) @ GroupHom.multiplication(group, a)
+            assert twice == GroupHom.multiplication(group, a * b)
+
+    def test_multiplication_on_torsion_is_stored_reduced(self):
+        g6 = FGAbelianGroup.cyclic(6)
+        assert GroupHom.multiplication(g6, 8).matrix.to_lists() == [[2]]
+        assert GroupHom.multiplication(g6, -1).matrix.to_lists() == [[5]]
+        assert GroupHom.multiplication(g6, 8) == GroupHom.multiplication(g6, 2)
+
 
 class TestKernelCokernel:
     def test_kernel_of_one_minus_doubling_on_z_is_trivial(self):

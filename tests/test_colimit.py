@@ -15,6 +15,7 @@ from kdilate.abelian import (
     _row_hermite,
     block_diagonal,
     direct_sum,
+    element_is_zero,
     integer_kernel_basis,
     smith_normal_form,
 )
@@ -40,6 +41,7 @@ from oracles import (
     random_group,
     random_unimodular,
     smith_kernel_generators,
+    subgroup_invariant_factors,
 )
 
 Z = FGAbelianGroup.free(1)
@@ -459,6 +461,80 @@ class TestKerCokerOneMinus:
                 assert ker_desc.order() == cok_desc.order()
 
 
+def dies_in_colimit(problem, coords):
+    """Whether x in the base, at any level of the tower, is zero in the
+    colimit: f^t*(x) = 0 for the index t* that `eventual_kernel` gives."""
+    base, value = problem.base, problem.base.reduce(coords)
+    for _ in range(eventual_kernel(problem)[1]):
+        value = problem.endo.apply(value)
+    return element_is_zero(base, value)
+
+
+class TestColimElements:
+    def test_torsion_element_dies(self):
+        problem = cyclic_problem(4, 2)
+        assert dies_in_colimit(problem, (1,))
+        assert not element_is_zero(problem.base, problem.endo.apply((1,)))
+
+    def test_injective_system_keeps_nonzero_elements(self):
+        problem = times_m_on_z(2)
+        assert all(dies_in_colimit(problem, (x,)) == (x == 0) for x in range(-9, 10))
+
+    def test_zero_coordinates_are_zero(self):
+        base = FGAbelianGroup(1, (4,))
+        problem = DilationProblem(base, GroupHom(base, base, IntMatrix.from_rows([[1, 1], [0, 3]])))
+        assert dies_in_colimit(problem, (0, 0))
+        assert dies_in_colimit(problem, (8, 0))
+        assert not dies_in_colimit(problem, (1, 0))
+
+    def test_long_chain_element_dies_at_its_index(self):
+        problem = cyclic_problem(2**40, 2)
+        value = (1,)
+        for _ in range(39):
+            value = problem.endo.apply(value)
+        assert not element_is_zero(problem.base, value)
+        assert dies_in_colimit(problem, (1,))
+
+    def test_against_iterated_application(self):
+        rng = random.Random(13)
+        for _ in range(40):
+            group = random_finite_group(rng, max_order=500)
+            endo = random_endomorphism(rng, group)
+            problem = DilationProblem(group, endo)
+            coords = tuple(rng.randrange(d) for d in group.generator_orders())
+            value = coords
+            dies = False
+            for _ in range(group.order().bit_length() + 1):
+                if all(v == 0 for v in value):
+                    dies = True
+                    break
+                value = endo.apply(value)
+            dies = dies or all(v == 0 for v in value)
+            assert dies_in_colimit(problem, coords) == dies
+
+    def test_dying_elements_are_the_stable_kernel(self):
+        # on small finite bases, by enumeration: the elements that die are
+        # the eventual kernel, and the stable kernel's generators span them
+        rng = random.Random(29)
+        for _ in range(40):
+            base = random_finite_group(rng, max_order=200)
+            problem = DilationProblem(base, random_endomorphism(rng, base))
+            orders = base.generator_orders()
+            dying = {x for x in product(*map(range, orders)) if dies_in_colimit(problem, x)}
+            group, gens = colimit._stable_kernel(problem)
+            assert subgroup_invariant_factors(dying, orders) == group.generator_orders()
+            zero = base.reduce((0,) * len(orders))
+            span, frontier = {zero}, [zero]
+            while frontier:
+                x = frontier.pop()
+                for g in gens:
+                    y = base.reduce(tuple(a + b for a, b in zip(x, g)))
+                    if y not in span:
+                        span.add(y)
+                        frontier.append(y)
+            assert span == dying
+
+
 class TestDescriptionAlgebra:
     def test_functoriality_over_direct_sums(self):
         cases = [
@@ -778,6 +854,33 @@ class TestIntegerEigenvalues:
             split += len(colimit._blocks_of(m)) > 1
         assert kinds_seen == set(_BLOCK_SIZES) and outcomes == {True, False}
         assert split >= 200
+
+    def test_charpoly_at_zero_is_the_determinant_of_minus_m(self):
+        rng = random.Random(37)
+        for _ in range(120):
+            kinds = [rng.choice(list(_BLOCK_SIZES)) for _ in range(rng.randint(1, 4))]
+            rows, _ = _permuted_block_sum(rng, kinds)
+            m = IntMatrix.from_rows(rows)
+            at_zero = colimit._charpoly_at_zero(m)
+            assert at_zero == (-1) ** m.rows * m.determinant(), rows
+            assert at_zero == charpoly_faddeev_leverrier(rows)[0], rows
+
+    def test_charpoly_at_zero_of_empty_and_singular_towers(self):
+        assert colimit._charpoly_at_zero(IntMatrix(0, 0, ())) == 1
+        # a singular block makes f(0) vanish however the others read
+        m = IntMatrix.from_rows([[3, 0, 0], [0, 1, 2], [0, 2, 4]])
+        assert len(colimit._blocks_of(m)) == 2
+        assert colimit._charpoly_at_zero(m) == 0
+        assert colimit._charpoly_at_zero(IntMatrix.from_rows([[0, 2], [3, 0]])) == -6
+
+    def test_singular_diagonal_has_no_similarity_diagonal(self):
+        for diagonal in ([0], [0, 3], [2, 0, 5]):
+            m = IntMatrix.from_rows([[d if i == j else 0 for j in range(len(diagonal))]
+                                     for i, d in enumerate(diagonal)])
+            assert divisor_search_diagonal(m) is None
+            assert colimit._similarity_diagonal(m) is None
+        m = IntMatrix.from_rows([[-3, 0], [0, 2]])
+        assert divisor_search_diagonal(m) == colimit._similarity_diagonal(m) == (2, 3)
 
     def test_blocks_are_searched_alone(self, monkeypatch):
         # no table or kernel of the eigen-search is larger than the largest

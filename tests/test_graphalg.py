@@ -104,6 +104,18 @@ class TestClosure:
             smallest = frozenset(graph.vertices).intersection(*supersets)
             assert closure(graph, subset) == smallest
 
+    def test_closure_fixes_exactly_the_enumerated_sets(self):
+        # the closure and the family search agree: a set is its own closure
+        # if and only if the enumeration lists it
+        rng = random.Random(23)
+        for _ in range(60):
+            graph = random_graph(rng, max_vertices=7)
+            names = list(graph.vertices)
+            family = set(enumerate_hereditary_saturated(graph))
+            for bits in range(1 << len(names)):
+                subset = frozenset(v for i, v in enumerate(names) if bits >> i & 1)
+                assert (closure(graph, subset) == subset) == (subset in family)
+
 
 class TestEnumeration:
     def test_the_six_sets(self, graph_e):
