@@ -28,13 +28,9 @@ from .record import _Record
 # ---------------------------------------------------------------------------
 
 class SNFResult(_Record):
-    """U @ M @ V = S with U, V unimodular and S in Smith normal form.
+    """U @ M @ V = S with U, V unimodular and S in Smith normal form."""
 
-    U_inv is the inverse of U when it was asked for, else None.
-    """
-
-    _fields = ("U", "S", "V", "U_inv")
-    _defaults = {"U_inv": None}
+    _fields = ("U", "S", "V")
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.S[i, i] for i in range(min(self.S.rows, self.S.cols)))
@@ -43,48 +39,44 @@ class SNFResult(_Record):
         return sum(1 for d in self.diagonal() if d != 0)
 
 
-def smith_normal_form(m: IntMatrix, with_inverse: bool = False) -> SNFResult:
+def smith_normal_form(m: IntMatrix) -> SNFResult:
     """Diagonalize an integer matrix by unimodular row and column operations.
 
     The diagonal of S is nonnegative and each entry divides the next, which
     makes S unique for a given input.  Works for any rectangular shape,
-    including matrices with zero rows or columns.  U^{-1} is tracked with
-    `with_inverse`.  `_quotient_with_maps` runs the same engine, `_smith`,
-    with U and U^{-1} only, and `group_from_presentation` (behind
-    `direct_sum`, `FGAbelianGroup.from_orders` and `subquotient_k`) with
-    no transform: it reads the diagonal alone.
+    including matrices with zero rows or columns.  `_quotient_with_maps`
+    runs the same engine, `_smith`, with U and U^{-1} only, and
+    `group_from_presentation` (behind `direct_sum`,
+    `FGAbelianGroup.from_orders` and `subquotient_k`) with no transform:
+    it reads the diagonal alone.
 
     Entry size: each Hermite form is reduced, so its entries above a pivot
     are below that pivot, and the product of the pivots is a gcd of minors.
     On seeded square inputs with n = 4..40 and b-bit entries (dense, sparse
-    and singular) the entries of U, V and U^{-1} stay within
-    2 * n * (b + log2(n) + 1) bits, a bound the tests check.  On wide or
-    rank-deficient inputs the kernel columns of V can grow by about one
-    maximal minor's size per kernel vector.
+    and singular) the entries of U, V and the U^{-1} that `_smith` tracks
+    stay within 2 * n * (b + log2(n) + 1) bits, a bound the tests check.
+    On wide or rank-deficient inputs the kernel columns of V can grow by
+    about one maximal minor's size per kernel vector.
     """
     nrows, ncols = m.rows, m.cols
-    diag, u, u_inv, v_cols = _smith([list(r) for r in m.entries], ncols, _identity_rows(nrows),
-                                    _identity_rows(nrows) if with_inverse else None,
-                                    _identity_rows(ncols))
+    diag, u, _, v_cols = _smith([list(r) for r in m.entries], ncols, _identity_rows(nrows),
+                                None, _identity_rows(ncols))
     s = [[0] * ncols for _ in range(nrows)]
     for i, d in enumerate(diag):
         s[i][i] = d
     return SNFResult(U=IntMatrix.from_rows(u, nrows),
                      S=IntMatrix.from_rows(s, ncols),
-                     V=IntMatrix.from_rows(_transpose(v_cols, ncols), ncols),
-                     U_inv=None if u_inv is None else
-                     IntMatrix.from_rows(_transpose(u_inv, nrows), nrows))
+                     V=IntMatrix.from_rows(_transpose(v_cols, ncols), ncols))
 
 
 def _smith(a, ncols, u, u_inv, v_cols):
     """Smith diagonal of the rows `a` (each ncols long), and the transforms:
     rows of U in `u`, columns of U^{-1} in `u_inv` and of V in `v_cols`,
     all stored as rows.  Each starts as identity rows, or is None and is
-    skipped, which changes no step.  `smith_normal_form` tracks U and V
-    (and U^{-1} on request), `_quotient_with_maps` U and U^{-1}, and
-    `group_from_presentation` none: its callers `direct_sum`,
-    `FGAbelianGroup.from_orders` and `subquotient_k` read the diagonal
-    alone.
+    skipped, which changes no step.  `smith_normal_form` tracks U and V,
+    `_quotient_with_maps` U and U^{-1}, and `group_from_presentation`
+    none: its callers `direct_sum`, `FGAbelianGroup.from_orders` and
+    `subquotient_k` read the diagonal alone.
 
     Algorithm (Kannan-Bachem, SIAM J. Comput. 8, 1979; Cohen, GTM 138,
     section 2.4): alternate a row Hermite form and a column Hermite form

@@ -106,32 +106,6 @@ class ColimitDescription(_Record):
         """Whether this is an extension whose class is left open."""
         return self.tag == TAG_EXTENSION and not self.resolved
 
-    def order(self) -> int | None:
-        """Number of elements when known finite, else None."""
-        if self.tag == TAG_FINITE:
-            return self.fg_part.order()
-        if self.tag == TAG_LOCALIZED:
-            return 1 if self.loc_matrix.rows == 0 else None
-        if self.tag == TAG_EXTENSION:
-            so, qo = self.sub.order(), self.quot.order()
-            return so * qo if so is not None and qo is not None else None
-        return None
-
-    def rank(self) -> int | None:
-        """Torsion-free rank when known, else None."""
-        if self.tag == TAG_FINITE:
-            return self.fg_part.free_rank
-        if self.tag == TAG_LOCALIZED:
-            return self.loc_matrix.rows
-        if self.tag == TAG_EXTENSION:
-            sr, qr = self.sub.rank(), self.quot.rank()
-            return sr + qr if sr is not None and qr is not None else None
-        return None
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.order() == 1
-
     def localized_diagonal(self) -> tuple[int, ...] | None:
         """Multipliers (m1, ..., mr) when the tower matrix is similar over Z
         to a diagonal matrix, else None.
@@ -740,8 +714,8 @@ def classify_colimit(problem: DilationProblem) -> ColimitDescription:
 
 
 def ker_coker_one_minus(problem: DilationProblem
-                        ) -> tuple[ColimitDescription, ColimitDescription]:
-    """Kernel and cokernel of (1 - fbar) on the colimit.
+                        ) -> tuple[FGAbelianGroup, FGAbelianGroup]:
+    """Kernel and cokernel of (1 - fbar) on the colimit, as plain groups.
 
     Filtered colimits are exact, so ker(1 - fbar) = colim(ker(1 - f), f) and
     coker(1 - fbar) = colim(coker(1 - f), induced f).  f fixes ker(1 - f)
@@ -750,5 +724,4 @@ def ker_coker_one_minus(problem: DilationProblem
     level-zero group itself.
     """
     one_minus = GroupHom.identity(problem.base) - problem.endo
-    return (ColimitDescription.finite(kernel(one_minus)[0]),
-            ColimitDescription.finite(cokernel(one_minus)[0]))
+    return kernel(one_minus)[0], cokernel(one_minus)[0]

@@ -550,18 +550,17 @@ def subquotient_k(graph: Graph, zset: Iterable[str],
 
 
 def crossed_subquotient_k(graph: Graph, zset: Iterable[str], yset: Iterable[str]
-                          ) -> tuple[ColimitDescription, ColimitDescription]:
-    """K-groups of the crossed product of a subquotient by an endomorphism
-    acting as the identity on K-theory.
+                          ) -> CrossedProductK:
+    """Six-term result for the crossed product of a subquotient by an
+    endomorphism acting as the identity on K-theory.
 
     K1 of a subquotient is free (a kernel inside Z^X), so the extension
     0 -> K0 -> ? -> K1 -> 0 splits and the crossed K0 is K0 + K1.  The
     extension 0 -> K1 -> ? -> K0 -> 0 splits only when K0 is free or K1
     vanishes; when K0 has torsion and K1 does not vanish, the crossed K1 is
-    left an unresolved extension.  For loop-rich graphs K1 vanishes and the
-    result is (K0, K0)."""
+    None, an extension left open.  For loop-rich graphs K1 vanishes and the
+    crossed K-groups are (K0, K0)."""
     from .kcrossed import KTheoryData, pv_crossed_product
 
     k0, k1 = subquotient_k(graph, zset, yset)
-    result = pv_crossed_product(KTheoryData.with_identity_maps(k0, k1))
-    return result.k0, result.k1
+    return pv_crossed_product(KTheoryData.with_identity_maps(k0, k1))

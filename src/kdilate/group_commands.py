@@ -26,7 +26,7 @@ from .colimit import (
     classify_colimit,
     ker_coker_one_minus,
 )
-from .kcrossed import KTheoryData, cuntz_closed_form, pv_crossed_product
+from .kcrossed import CrossedProductK, KTheoryData, cuntz_closed_form, pv_crossed_product
 from .graphalg import crossed_subquotient_k
 from .cli import (
     InputError,
@@ -153,29 +153,36 @@ def _cmd_colim(args):
 
 def _cmd_kercoker(args):
     problem = _problem_from_args(args)
-    ker_desc, cok_desc = ker_coker_one_minus(problem)
-    payload = {"kernel": _description_json(ker_desc),
-               "cokernel": _description_json(cok_desc), "status": "ok"}
-    lines = [f"ker(1 - f) = {ker_desc.pretty()}",
-             f"coker(1 - f) = {cok_desc.pretty()}",
-             "status = ok"]
+    ker, cok = ker_coker_one_minus(problem)
+    payload = {"kernel": _description_json(ColimitDescription.finite(ker)),
+               "cokernel": _description_json(ColimitDescription.finite(cok)),
+               "status": "ok"}
+    lines = [f"ker(1 - f) = {ker}", f"coker(1 - f) = {cok}", "status = ok"]
     return payload, lines
+
+
+def _six_term_output(result: CrossedProductK, with_ends: bool):
+    """Payload and lines of a six-term result: each group in the colimit
+    layer's finite form, an open piece as the unresolved extension of its
+    two ends; `with_ends` (pv) adds the four ends and the reason."""
+    ends = {key: ColimitDescription.finite(getattr(result, key))
+            for key in ("k0_sub", "k0_quot", "k1_sub", "k1_quot")}
+    pieces = {key: ColimitDescription.finite(group) if group is not None else
+              ColimitDescription.extension(ends[f"{key}_sub"], ends[f"{key}_quot"],
+                                           resolved=False)
+              for key, group in (("k0", result.k0), ("k1", result.k1))}
+    payload = {key: _description_json(desc) for key, desc in pieces.items()}
+    lines = [f"K0 = {pieces['k0'].pretty()}", f"K1 = {pieces['k1'].pretty()}"]
+    if with_ends:
+        payload.update((key, _description_json(desc)) for key, desc in ends.items())
+        payload["reason"] = result.resolution_reason
+        lines.append(f"reason: {result.resolution_reason}")
+    payload["status"] = status = "ok" if result.fully_resolved else "unresolved"
+    return payload, lines + [f"status = {status}"]
 
 
 def _cmd_pv(args):
-    data = _load_k_data(args.input)
-    result = pv_crossed_product(data)
-    k0, k1 = result.k0, result.k1
-    status = "ok" if result.fully_resolved else "unresolved"
-    payload = {"k0": _description_json(k0), "k1": _description_json(k1),
-               "k0_sub": _description_json(result.k0_sub),
-               "k0_quot": _description_json(result.k0_quot),
-               "k1_sub": _description_json(result.k1_sub),
-               "k1_quot": _description_json(result.k1_quot),
-               "reason": result.resolution_reason, "status": status}
-    lines = [f"K0 = {k0.pretty()}", f"K1 = {k1.pretty()}",
-             f"reason: {result.resolution_reason}", f"status = {status}"]
-    return payload, lines
+    return _six_term_output(pv_crossed_product(_load_k_data(args.input)), with_ends=True)
 
 
 def _cmd_cuntz(args):
@@ -218,11 +225,7 @@ def _cmd_graph_crossed_k(args):
     graph = _load_graph(args.input)
     zset, yset = _graph_k_sets(args)
     try:
-        d0, d1 = crossed_subquotient_k(graph, zset, yset)
+        result = crossed_subquotient_k(graph, zset, yset)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    status = "unresolved" if d0.unresolved or d1.unresolved else "ok"
-    payload = {"k0": _description_json(d0), "k1": _description_json(d1),
-               "status": status}
-    lines = [f"K0 = {d0.pretty()}", f"K1 = {d1.pretty()}", f"status = {status}"]
-    return payload, lines
+    return _six_term_output(result, with_ends=False)

@@ -7,8 +7,10 @@ dilated groups:
     0 -> coker(1 - fbar_0) -> K0 -> ker(1 - fbar_1) -> 0
     0 -> coker(1 - fbar_1) -> K1 -> ker(1 - fbar_0) -> 0
 
-An extension is resolved only when an end vanishes or the kernel end is
-free; finite-by-finite extensions are reported, never guessed.
+Every end is a plain finitely generated group (see `ker_coker_one_minus`),
+so the whole layer computes on `FGAbelianGroup`s.  An extension is settled
+only when an end vanishes or the kernel end is free; any other piece is
+None, reported, never guessed.
 
 Two closed forms circulate for the torsion order of ker/coker of (1 - m) on
 Z/k: gcd(k, m-1) and k/gcd(k, m-1).  Direct enumeration of x -> x - m*x on
@@ -22,7 +24,7 @@ from __future__ import annotations
 from math import gcd
 
 from .abelian import FGAbelianGroup, GroupHom, IncompatibleShapesError, direct_sum
-from .colimit import ColimitDescription, DilationProblem, bracket, ker_coker_one_minus
+from .colimit import DilationProblem, bracket, ker_coker_one_minus
 from .record import _Record
 
 INFINITY = None  # the Cuntz parameter n = infinity is a distinguished symbol
@@ -50,30 +52,27 @@ class CrossedProductK(_Record):
     """Graded K-theory of the crossed product, extension by extension.
 
     k0_sub/k0_quot are the cokernel and kernel ends feeding K0 (and likewise
-    for K1).  k0 and k1 are the graded pieces as descriptions: the
-    determined group when the extension is settled, else the extension of
-    the two ends with resolved=False, which reads `unresolved`; the policy
-    is recorded in resolution_reason.
+    for K1), each a plain group.  k0 and k1 are the settled groups, or None
+    when the extension of the two ends is left open; the policy is recorded
+    in resolution_reason.
     """
 
     _fields = ("k0_sub", "k0_quot", "k1_sub", "k1_quot", "k0", "k1", "resolution_reason")
 
     @property
     def fully_resolved(self) -> bool:
-        return not (self.k0.unresolved or self.k1.unresolved)
+        return self.k0 is not None and self.k1 is not None
 
 
-def _resolve_extension(sub: ColimitDescription,
-                       quot: ColimitDescription) -> tuple[ColimitDescription, str]:
+def _resolve_extension(sub: FGAbelianGroup,
+                       quot: FGAbelianGroup) -> tuple[FGAbelianGroup | None, str]:
     if quot.is_trivial:
         return sub, "kernel end vanishes"
     if sub.is_trivial:
         return quot, "cokernel end vanishes"
-    if quot.fg_part.is_free:
-        group = direct_sum(sub.fg_part, quot.fg_part)
-        return ColimitDescription.finite(group), "free kernel end splits the extension"
-    return (ColimitDescription.extension(sub, quot, resolved=False),
-            "kernel end is not free; extension left unresolved")
+    if quot.is_free:
+        return direct_sum(sub, quot), "free kernel end splits the extension"
+    return None, "kernel end is not free; extension left unresolved"
 
 
 def pv_crossed_product(data: KTheoryData) -> CrossedProductK:
@@ -92,23 +91,18 @@ def pv_crossed_product(data: KTheoryData) -> CrossedProductK:
 def pv_verify_exactness(result: CrossedProductK) -> bool:
     """Order/rank consistency of the two extensions in a computed result.
 
-    For each resolved graded piece, the rank must be the sum of the end
-    ranks and, when both ends are finite, the order must be the product of
-    the end orders (an infinite end forces an infinite resolved value).
+    For each settled graded piece, the rank must be the sum of the end
+    ranks and, when the piece is finite, its order the product of the end
+    orders.
     """
     pieces = ((result.k0_sub, result.k0_quot, result.k0),
               (result.k1_sub, result.k1_quot, result.k1))
     for sub, quot, piece in pieces:
-        if piece.unresolved:
+        if piece is None:
             continue
-        ranks = (piece.rank(), sub.rank(), quot.rank())
-        if None not in ranks and ranks[0] != ranks[1] + ranks[2]:
+        if piece.free_rank != sub.free_rank + quot.free_rank:
             return False
-        sub_order, quot_order = sub.order(), quot.order()
-        if sub_order is not None and quot_order is not None:
-            if piece.order() != sub_order * quot_order:
-                return False
-        elif piece.order() is not None:
+        if piece.is_finite and piece.order() != sub.order() * quot.order():
             return False
     return True
 
@@ -165,8 +159,7 @@ def cuntz_closed_form(n: int | None, m: int) -> CuntzClosedForm:
     result = pv_crossed_product(cuntz_k_data(n, m))
     if not result.fully_resolved:
         raise RuntimeError("Cuntz-family extensions always resolve")  # pragma: no cover
-    # the ends are plain groups, and so is each resolved piece
-    k0, k1 = result.k0.fg_part, result.k1.fg_part
+    k0, k1 = result.k0, result.k1
 
     if n is None:
         k = order_gcd = order_quotient = None

@@ -9,8 +9,8 @@ dual-route checks honest.  Three exceptions are earlier package routes,
 each kept as the reference for its replacement through a route the
 replacement no longer uses: `divisor_search_diagonal`, the colimit layer's
 integer-eigenvalue search, takes eigenlattices from the Smith form's V,
-`kernel_via_smith_lattice` takes a kernel from three Smith forms, the
-first in `smith_kernel_generators`, and
+`kernel_via_smith_lattice` takes a kernel from four Smith forms, the
+first in `smith_kernel_generators` and one in `unimodular_inverse`, and
 `eventual_kernel_step_by_step` walks the kernel chain one power at a time.
 `reference_parser` is the CLI's argparse parser written out call by call,
 as it stood before the CLI declared its grammar in one table, and
@@ -33,6 +33,7 @@ from kdilate.abelian import (
     _quotient_with_maps,
     element_is_zero,
     smith_normal_form,
+    unimodular_inverse,
 )
 from kdilate.cli import InputError, _as_matrix, _check_fields
 from kdilate.graph_commands import VertexSets
@@ -504,17 +505,17 @@ def kernel_via_smith_lattice(f: GroupHom) -> tuple[FGAbelianGroup, GroupHom]:
 
     The kernel lattice is spanned by the domain parts of the kernel columns
     of V in the Smith form of [matrix | codomain relations]; a second Smith
-    form U L V = S of those generators L gives the basis U^{-1} diag(s) and
-    the coordinates of each domain relation by U; the kernel is the
+    form U L V = S of those generators L gives the basis U^{-1} diag(s),
+    with U^{-1} from `unimodular_inverse`, and the coordinates of each
+    domain relation by U; the kernel is the
     quotient of that basis by those coordinates.
     """
     domain, n = f.domain, f.domain.num_generators
     gens = smith_kernel_generators(f)
-    lattice = smith_normal_form(IntMatrix.from_rows(gens, cols=n).transpose(),
-                                with_inverse=True)
+    lattice = smith_normal_form(IntMatrix.from_rows(gens, cols=n).transpose())
     diag = [d for d in lattice.diagonal() if d]
     rank = len(diag)
-    basis = lattice.U_inv.select_columns(range(rank)) @ IntMatrix.diagonal(diag)
+    basis = unimodular_inverse(lattice.U).select_columns(range(rank)) @ IntMatrix.diagonal(diag)
     coords = []
     for row in domain.relation_rows().entries:
         w = lattice.U.apply(row)

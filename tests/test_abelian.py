@@ -53,6 +53,20 @@ def int_matrices(draw, max_dim=6, max_entry=50):
     return IntMatrix.from_rows(rows)
 
 
+def smith_with_inverse(m):
+    """(U, S, V, U^{-1}) from one run of the Smith engine `_smith` with all
+    three transforms tracked."""
+    diag, u, u_inv, v_cols = _smith([list(r) for r in m.entries], m.cols,
+                                    _identity_rows(m.rows), _identity_rows(m.rows),
+                                    _identity_rows(m.cols))
+    s = [[0] * m.cols for _ in range(m.rows)]
+    for i, d in enumerate(diag):
+        s[i][i] = d
+    return (IntMatrix.from_rows(u, m.rows), IntMatrix.from_rows(s, m.cols),
+            IntMatrix.from_rows(_transpose(v_cols, m.cols), m.cols),
+            IntMatrix.from_rows(_transpose(u_inv, m.rows), m.rows))
+
+
 def assert_snf_contract(m):
     result = smith_normal_form(m)
     assert result.U @ m @ result.V == result.S
@@ -132,10 +146,9 @@ class TestSmithNormalForm:
             m = IntMatrix.from_rows([[rng.randint(-20, 20) for _ in range(cols)]
                                      for _ in range(rows)], cols=cols)
             plain = smith_normal_form(m)
-            tracked = smith_normal_form(m, with_inverse=True)
-            assert plain.U_inv is None
-            assert (tracked.U, tracked.S, tracked.V) == (plain.U, plain.S, plain.V)
-            assert tracked.U_inv == unimodular_inverse(plain.U)
+            u, s, v, u_inv = smith_with_inverse(m)
+            assert (u, s, v) == (plain.U, plain.S, plain.V)
+            assert u_inv == unimodular_inverse(plain.U)
 
     def test_arbitrary_precision(self):
         huge = 10**40
@@ -181,12 +194,12 @@ class TestSmithNormalForm:
                      for _ in range(n + 4)] for _ in range(n)]
             for rows, factor in ((dense, 2), (sparse, 2), (singular, 2), (wide, 4)):
                 m = IntMatrix.from_rows(rows)
-                result = smith_normal_form(m, with_inverse=True)
-                assert result.U @ m @ result.V == result.S
-                assert result.U @ result.U_inv == IntMatrix.identity(m.rows)
+                u, s, v, u_inv = smith_with_inverse(m)
+                assert u @ m @ v == s
+                assert u @ u_inv == IntMatrix.identity(m.rows)
                 w = max(m.rows, m.cols)
                 b = max(abs(x).bit_length() for row in rows for x in row)
-                bits = max(abs(x).bit_length() for t in (result.U, result.V, result.U_inv)
+                bits = max(abs(x).bit_length() for t in (u, v, u_inv)
                            for row in t.entries for x in row)
                 assert bits <= factor * w * (b + w.bit_length()), (m.rows, m.cols, b, bits)
 
@@ -194,10 +207,10 @@ class TestSmithNormalForm:
         rng = random.Random("forty")
         m = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(40)] for _ in range(40)])
         start = time.perf_counter()
-        result = smith_normal_form(m, with_inverse=True)
+        u, s, v, u_inv = smith_with_inverse(m)
         elapsed = time.perf_counter() - start
-        assert result.U @ m @ result.V == result.S
-        assert result.U @ result.U_inv == IntMatrix.identity(40)
+        assert u @ m @ v == s
+        assert u @ u_inv == IntMatrix.identity(40)
         assert elapsed < 1.0
 
     def test_rectangular_singular_and_empty_shapes(self):
@@ -223,12 +236,12 @@ class TestSmithNormalForm:
         for rows, cols, diagonal in cases:
             m = IntMatrix.from_rows(rows, cols=cols)
             assert list(assert_snf_contract(m).diagonal()) == diagonal
-            result = smith_normal_form(m, with_inverse=True)
-            assert result.U @ result.U_inv == IntMatrix.identity(m.rows)
+            u, _, _, u_inv = smith_with_inverse(m)
+            assert u @ u_inv == IntMatrix.identity(m.rows)
 
     def test_engine_returns_exactly_the_transforms_it_tracks(self):
         # With U and U^{-1} only, or V only, the engine returns exactly the
-        # diagonal and transforms of smith_normal_form(m, with_inverse=True),
+        # diagonal and transforms of the run that tracks all three,
         # and so do the quotient and kernel-generator callers built on it.
         rng = random.Random(29)
         cases = []
@@ -258,13 +271,15 @@ class TestSmithNormalForm:
         assert sum(m.rows == 6 and m.cols >= 16 for m in cases) >= 100
         assert sum(m.rows * m.cols == 0 for m in cases) >= 20
         for m in cases:
-            full = smith_normal_form(m, with_inverse=True)
+            full_u, full_s, full_v, full_u_inv = smith_with_inverse(m)
+            full = smith_normal_form(m)
+            assert (full.U, full.S, full.V) == (full_u, full_s, full_v)
             rows = [list(r) for r in m.entries]
             diag, u, u_inv, v_cols = _smith([r[:] for r in rows], m.cols, _identity_rows(m.rows),
                                             _identity_rows(m.rows), None)
             assert v_cols is None and tuple(diag) == full.diagonal()
             assert IntMatrix.from_rows(u, m.rows) == full.U
-            assert IntMatrix.from_rows(_transpose(u_inv, m.rows), m.rows) == full.U_inv
+            assert IntMatrix.from_rows(_transpose(u_inv, m.rows), m.rows) == full_u_inv
             diag, u, u_inv, v_cols = _smith(rows, m.cols, None, None, _identity_rows(m.cols))
             assert u is None and u_inv is None and tuple(diag) == full.diagonal()
             assert IntMatrix.from_rows(_transpose(v_cols, m.cols), m.cols) == full.V
@@ -274,7 +289,7 @@ class TestSmithNormalForm:
                 kept = [i for i in range(rank) if full.diagonal()[i] > 1] + list(range(rank, m.rows))
                 assert group.num_generators == len(kept)
                 assert projection == full.U.select_rows(kept)
-                assert lift == full.U_inv.select_columns(kept)
+                assert lift == full_u_inv.select_columns(kept)
             # the V-only engine's columns past the rank are a basis of ker m
             gens = [tuple(v) for v in v_cols[full.rank():]]
             assert not any(any(m.apply(g)) for g in gens)

@@ -6,7 +6,6 @@ import pytest
 
 from kdilate import graphalg
 from kdilate.abelian import FGAbelianGroup, IntMatrix, direct_sum
-from kdilate.colimit import ColimitDescription
 from kdilate.graphalg import (
     Graph,
     PosetDiagram,
@@ -569,13 +568,13 @@ class TestSubquotientK:
 
 class TestCrossedSubquotientK:
     def test_value_doubles_the_k0(self, graph_e):
-        d0, d1 = crossed_subquotient_k(graph_e, {"v3", "v4"}, set())
-        assert d0.fg_part == FGAbelianGroup.cyclic(15)
-        assert d1.fg_part == FGAbelianGroup.cyclic(15)
+        result = crossed_subquotient_k(graph_e, {"v3", "v4"}, set())
+        assert result.k0 == FGAbelianGroup.cyclic(15)
+        assert result.k1 == FGAbelianGroup.cyclic(15)
 
     def test_degenerate_empty_input(self, graph_e):
-        d0, d1 = crossed_subquotient_k(graph_e, set(), set())
-        assert d0.is_trivial and d1.is_trivial
+        result = crossed_subquotient_k(graph_e, set(), set())
+        assert result.k0.is_trivial and result.k1.is_trivial
 
     def test_all_nested_pairs_resolve(self, graph_e):
         family = enumerate_hereditary_saturated(graph_e)
@@ -584,6 +583,6 @@ class TestCrossedSubquotientK:
                 if not lower <= upper:
                     continue
                 k0, _ = subquotient_k(graph_e, upper, lower)
-                d0, d1 = crossed_subquotient_k(graph_e, upper, lower)
-                assert d0.isomorphic(ColimitDescription.finite(k0)) is True
-                assert d1.isomorphic(ColimitDescription.finite(k0)) is True
+                result = crossed_subquotient_k(graph_e, upper, lower)
+                assert result.k0 == k0
+                assert result.k1 == k0

@@ -3,8 +3,8 @@ from math import gcd
 
 import pytest
 
-from kdilate.abelian import FGAbelianGroup, GroupHom, direct_sum
-from kdilate.colimit import ColimitDescription, DilationProblem, TAG_FINITE, classify_colimit
+from kdilate.abelian import FGAbelianGroup, GroupHom, cokernel, direct_sum, kernel
+from kdilate.colimit import DilationProblem, TAG_FINITE, classify_colimit
 from kdilate.kcrossed import (
     CrossedProductK,
     KTheoryData,
@@ -14,6 +14,7 @@ from kdilate.kcrossed import (
     pv_crossed_product,
     pv_verify_exactness,
 )
+from oracles import brute_one_minus_ker_coker, random_endomorphism, random_group
 
 Z = FGAbelianGroup.free(1)
 TRIVIAL = FGAbelianGroup.trivial()
@@ -56,20 +57,20 @@ class TestPVCrossedProduct:
         for m in range(2, 9):
             data = cuntz_k_data(None, m)
             result = pv_crossed_product(data)
-            assert result.k0 == ColimitDescription.finite(FGAbelianGroup.cyclic(m - 1))
-            assert result.k1 == ColimitDescription.finite(TRIVIAL)
+            assert result.k0 == FGAbelianGroup.cyclic(m - 1)
+            assert result.k1 == TRIVIAL
             assert pv_verify_exactness(result)
 
     def test_trivial_multiplier_gives_z_z(self):
         result = pv_crossed_product(cuntz_k_data(None, 1))
-        assert result.k0 == ColimitDescription.finite(Z)
-        assert result.k1 == ColimitDescription.finite(Z)
+        assert result.k0 == Z
+        assert result.k1 == Z
 
     def test_trivial_action_on_z_z_splits_to_rank_two(self):
         data = KTheoryData.with_identity_maps(Z, Z)
         result = pv_crossed_product(data)
-        assert result.k0 == ColimitDescription.finite(FGAbelianGroup.free(2))
-        assert result.k1 == ColimitDescription.finite(FGAbelianGroup.free(2))
+        assert result.k0 == FGAbelianGroup.free(2)
+        assert result.k1 == FGAbelianGroup.free(2)
         assert "free kernel end splits" in result.resolution_reason
         assert pv_verify_exactness(result)
 
@@ -83,29 +84,29 @@ class TestPVCrossedProduct:
                 result = pv_crossed_product(data)
                 expected = direct_sum(k0, k1)
                 if k1.is_free:  # kernel end of the K0 extension
-                    assert result.k0 == ColimitDescription.finite(expected), (k0, k1)
+                    assert result.k0 == expected, (k0, k1)
                 if k0.is_free:  # kernel end of the K1 extension
-                    assert result.k1 == ColimitDescription.finite(expected), (k0, k1)
+                    assert result.k1 == expected, (k0, k1)
                 assert pv_verify_exactness(result)
 
     def test_finite_by_finite_extension_stays_unresolved(self):
         data = KTheoryData.with_identity_maps(FGAbelianGroup.cyclic(3),
                                               FGAbelianGroup.cyclic(5))
         result = pv_crossed_product(data)
-        assert result.k0.unresolved and result.k1.unresolved
+        assert result.k0 is None and result.k1 is None
         assert not result.fully_resolved
         assert "unresolved" in result.resolution_reason
-        assert result.k0 == ColimitDescription.extension(result.k0_sub, result.k0_quot,
-                                                         resolved=False)
+        assert (result.k0_sub, result.k0_quot) == (FGAbelianGroup.cyclic(3),
+                                                   FGAbelianGroup.cyclic(5))
         assert pv_verify_exactness(result)  # vacuous on unresolved pieces
 
     def test_verify_rejects_tampered_orders(self):
         data = cuntz_k_data(None, 3)
         result = pv_crossed_product(data)
-        assert result.k0 == ColimitDescription.finite(FGAbelianGroup.cyclic(2))
+        assert result.k0 == FGAbelianGroup.cyclic(2)
         tampered = CrossedProductK(
             result.k0_sub, result.k0_quot, result.k1_sub, result.k1_quot,
-            k0=ColimitDescription.finite(FGAbelianGroup.cyclic(5)),
+            k0=FGAbelianGroup.cyclic(5),
             k1=result.k1, resolution_reason=result.resolution_reason)
         assert not pv_verify_exactness(tampered)
 
@@ -114,9 +115,57 @@ class TestPVCrossedProduct:
         result = pv_crossed_product(data)
         tampered = CrossedProductK(
             result.k0_sub, result.k0_quot, result.k1_sub, result.k1_quot,
-            k0=result.k0, k1=ColimitDescription.finite(Z),
+            k0=result.k0, k1=Z,
             resolution_reason=result.resolution_reason)
         assert not pv_verify_exactness(tampered)
+
+    def test_seeded_k_data_over_finite_free_and_mixed_bases(self):
+        def base_of_kind(rng, kind):
+            while True:
+                group = random_group(rng)
+                finite = group.free_rank == 0
+                if kind == "finite" and finite and group.order() <= 1000:
+                    return group
+                if kind == "free" and not finite and group.is_free:
+                    return group
+                if kind == "mixed" and not finite and not group.is_free:
+                    return group
+
+        rng = random.Random(33)
+        kinds = ("finite", "free", "mixed")
+        open_pieces = settled_pieces = brute_checked = 0
+        for trial in range(200):
+            k0 = base_of_kind(rng, kinds[trial % 3])
+            k1 = base_of_kind(rng, kinds[trial // 3 % 3])
+            data = KTheoryData(k0, k1, random_endomorphism(rng, k0),
+                               random_endomorphism(rng, k1))
+            result = pv_crossed_product(data)
+            ends = {}
+            for degree, base, endo in ((0, k0, data.map0), (1, k1, data.map1)):
+                one_minus = GroupHom.identity(base) - endo
+                ends[degree] = (kernel(one_minus)[0], cokernel(one_minus)[0])
+                if base.free_rank == 0:
+                    brute = brute_one_minus_ker_coker(base.generator_orders(),
+                                                      endo.matrix.to_lists())
+                    assert tuple(end.invariant_factors for end in ends[degree]) == brute
+                    assert not any(end.free_rank for end in ends[degree])
+                    brute_checked += 1
+            (ker0, cok0), (ker1, cok1) = ends[0], ends[1]
+            assert (result.k0_sub, result.k0_quot) == (cok0, ker1)
+            assert (result.k1_sub, result.k1_quot) == (cok1, ker0)
+            for sub, quot, piece in ((cok0, ker1, result.k0), (cok1, ker0, result.k1)):
+                left_open = not sub.is_trivial and not quot.is_trivial and not quot.is_free
+                assert (piece is None) == left_open, (k0, k1)
+                if piece is None:
+                    open_pieces += 1
+                    continue
+                settled_pieces += 1
+                assert piece.free_rank == sub.free_rank + quot.free_rank
+                if piece.is_finite:
+                    assert piece.order() == sub.order() * quot.order()
+            assert pv_verify_exactness(result)
+        assert open_pieces >= 50 and settled_pieces >= 200 and brute_checked >= 130, \
+            (open_pieces, settled_pieces, brute_checked)
 
 
 class TestCuntzClosedForm:
@@ -176,8 +225,8 @@ class TestCuntzClosedForm:
                 k = colimit.fg_part.order()
                 kernel_size = sum(1 for x in range(k) if (x - m * x) % k == 0)
                 coker_size = k // len({(x - m * x) % k for x in range(k)})
-                assert result.k0_sub.fg_part == FGAbelianGroup.cyclic(coker_size)
-                assert result.k1_quot.fg_part == FGAbelianGroup.cyclic(kernel_size)
+                assert result.k0_sub == FGAbelianGroup.cyclic(coker_size)
+                assert result.k1_quot == FGAbelianGroup.cyclic(kernel_size)
 
     def test_label_matches_kgroups_of_the_tensor_square(self):
         rng = random.Random(2)

@@ -54,8 +54,7 @@ def _build(cls, rng):
         IntMatrix: lambda: IntMatrix.from_rows(
             [[rng.randint(-9, 9) for _ in range(3)] for _ in range(2)]),
         SNFResult: lambda: smith_normal_form(
-            IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]),
-            with_inverse=rng.random() < 0.5),
+            IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)])),
         FGAbelianGroup: lambda: group,
         GroupHom: lambda: endo,
         DilationProblem: lambda: DilationProblem(group, endo),
@@ -147,10 +146,12 @@ class TestDefaults:
         assert FGAbelianGroup(3) == FGAbelianGroup(free_rank=3, invariant_factors=())
         assert FGAbelianGroup(free_rank=0, invariant_factors=[2, 4]).invariant_factors == (2, 4)
 
-    def test_snf_result_defaults_to_no_inverse(self):
+    def test_snf_result_holds_no_inverse(self):
         identity = IntMatrix.identity(2)
         result = SNFResult(U=identity, S=identity, V=identity)
-        assert result.U_inv is None
+        assert _fields(result) == (identity,) * 3
+        with pytest.raises(TypeError, match="unknown field 'U_inv'"):
+            SNFResult(U=identity, S=identity, V=identity, U_inv=identity)
 
     def test_description_defaults_to_none(self):
         desc = ColimitDescription(tag="extension")
