@@ -154,7 +154,7 @@ class ColimitDescription(_Record):
             unmatched.remove(match)
         return True
 
-    def pretty(self) -> str:
+    def __str__(self) -> str:
         if self.tag == TAG_FINITE:
             return str(self.fg_part)
         if self.tag == TAG_LOCALIZED:
@@ -163,12 +163,8 @@ class ColimitDescription(_Record):
                 return f"colim(Z^{self.loc_matrix.rows}, {self.loc_matrix})"
             return _format_localized_terms(diag)
         if self.resolved:
-            return f"{self.sub.pretty()} + {self.quot.pretty()}"
-        return (f"extension 0 -> {self.sub.pretty()} -> ? -> "
-                f"{self.quot.pretty()} -> 0 (unresolved)")
-
-    def __str__(self):
-        return self.pretty()
+            return f"{self.sub} + {self.quot}"
+        return f"extension 0 -> {self.sub} -> ? -> {self.quot} -> 0 (unresolved)"
 
 
 def _format_localized_terms(diag: tuple[int, ...]) -> str:

@@ -18,13 +18,14 @@ matrix of ints only if asked for it; any other graph goes through
 `json.loads`, so that every diagnostic stays that route's.  `graph-hs`
 puts its family into the payload as a `VertexSets` view of bitmasks,
 which the JSON writer names set by set from vertex names encoded once.
+graph-lattice and graph-prim share one handler, `_cmd_graph_poset`,
+which differs between them only in the poset builder it is given.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from collections.abc import Iterable
 from itertools import compress
 from json.decoder import WHITESPACE
 from json.encoder import encode_basestring_ascii
@@ -180,19 +181,6 @@ class VertexSets:
         return (compress(encoded, s) for s in map(_bit_selector, self.masks))
 
 
-def _poset_payload(poset, fmt: str) -> tuple[dict, Iterable[str] | None]:
-    """The payload, with the text or DOT lines only when fmt prints them."""
-    payload = {"elements": poset.elements, "covers": poset.covers, "status": "ok"}
-    lines = None
-    if fmt == "dot":  # each line is made as it is printed
-        lines = poset.dot_lines()
-    elif fmt == "text" and poset.covers:
-        lines = (f"{lower} < {upper}" for lower, upper in poset.covers)
-    elif fmt == "text":
-        lines = [f"single element: {e}" for e in poset.elements] or ["empty poset"]
-    return payload, lines
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns (payload, the lines text or dot prints)
 # ---------------------------------------------------------------------------
@@ -209,50 +197,46 @@ def _cmd_graph_hs(args):
     return payload, map(graph.format_mask, masks)
 
 
-def _with_condition_k(graph: Graph, result: tuple[dict, Iterable[str] | None]):
-    """Add the Condition (K) fields to a poset payload, with a note on
-    stderr when (K) fails: the poset then describes the gauge-invariant
-    ideals only."""
+def _cmd_graph_poset(args, build):
+    """graph-lattice and graph-prim: the poset build(graph) makes, with the
+    Condition (K) fields and a note on stderr when (K) fails (the poset then
+    describes the gauge-invariant ideals only), and its text or DOT lines
+    when the format prints them."""
+    graph = _load_graph(args.input)
+    if args.format == "dot":
+        # DOT writes each name inside "...", which a '"' would close and a
+        # backslash would escape, so --format dot refuses such a name
+        bad = next(((v, c) for v in graph.vertices for c in '"\\' if c in v), None)
+        if bad is not None:
+            raise InputError(f"{args.input}: vertex {bad[0]!r} has a {bad[1]!r} in its name, "
+                             "which DOT output cannot quote; use --format text or json")
+    try:
+        poset = build(graph)
+    except ValueError as exc:
+        raise InputError(f"{args.input}: {exc}") from exc
     failures = condition_k_failures(graph)
-    payload = result[0]
-    payload["condition_k"] = not failures
-    payload["condition_k_failures"] = list(failures)
+    payload = {"elements": poset.elements, "covers": poset.covers, "status": "ok",
+               "condition_k": not failures, "condition_k_failures": list(failures)}
     if failures:
         print(f"note: condition (K) fails at {', '.join(failures)}; "
               "the result describes the gauge-invariant ideals only", file=sys.stderr)
-    return result
+    if args.format == "dot":  # each line is made as it is printed
+        return payload, poset.dot_lines()
+    if args.format != "text":
+        return payload, None
+    if poset.covers:
+        return payload, (f"{lower} < {upper}" for lower, upper in poset.covers)
+    return payload, [f"single element: {e}" for e in poset.elements] or ["empty poset"]
 
 
-def _check_dot_names(graph: Graph, args) -> None:
-    """DOT writes each name inside "...", which a '"' would close and a
-    backslash would escape, so --format dot refuses such a name."""
-    if args.format != "dot":
-        return
-    for name in graph.vertices:
-        char = next((c for c in '"\\' if c in name), None)
-        if char is not None:
-            raise InputError(f"{args.input}: vertex {name!r} has a {char!r} in its name, "
-                             "which DOT output cannot quote; use --format text or json")
-
-
+# the builders are read by their global names as each call runs, so that a
+# tracer that rebinds them in this module sees the calls
 def _cmd_graph_lattice(args):
-    graph = _load_graph(args.input)
-    _check_dot_names(graph, args)
-    try:
-        poset = ideal_lattice_hasse(graph)
-    except ValueError as exc:
-        raise InputError(f"{args.input}: {exc}") from exc
-    return _with_condition_k(graph, _poset_payload(poset, args.format))
+    return _cmd_graph_poset(args, ideal_lattice_hasse)
 
 
 def _cmd_graph_prim(args):
-    graph = _load_graph(args.input)
-    _check_dot_names(graph, args)
-    try:
-        poset = prim_poset(graph)
-    except ValueError as exc:
-        raise InputError(f"{args.input}: {exc}") from exc
-    return _with_condition_k(graph, _poset_payload(poset, args.format))
+    return _cmd_graph_poset(args, prim_poset)
 
 
 def _graph_k_sets(args):

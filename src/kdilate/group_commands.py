@@ -94,13 +94,6 @@ def _load_k_data(path: str) -> KTheoryData:
                        problems[0].endo, problems[1].endo)
 
 
-def _parse_cuntz_n(text: str) -> int | None:
-    if text == "inf":
-        return None
-    n = _as_int(text, "n")
-    return n
-
-
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
@@ -108,16 +101,16 @@ def _parse_cuntz_n(text: str) -> int | None:
 def _description_json(desc: ColimitDescription) -> dict:
     if desc.tag == TAG_FINITE:
         return {"tag": desc.tag, "group": _group_json(desc.fg_part),
-                "pretty": desc.pretty()}
+                "pretty": str(desc)}
     if desc.tag == TAG_LOCALIZED:
         diag = desc.localized_diagonal()
         return {"tag": desc.tag, "rank": desc.loc_matrix.rows,
                 "matrix": desc.loc_matrix.to_lists(),
                 "localizers": list(diag) if diag is not None else None,
-                "pretty": desc.pretty()}
+                "pretty": str(desc)}
     return {"tag": desc.tag, "sub": _description_json(desc.sub),
             "quot": _description_json(desc.quot), "resolved": bool(desc.resolved),
-            "pretty": desc.pretty()}
+            "pretty": str(desc)}
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +141,7 @@ def _cmd_colim(args):
     status = "unresolved" if desc.unresolved else "ok"
     payload = {"base": _group_json(problem.base), "colimit": _description_json(desc),
                "status": status}
-    return payload, [f"colimit = {desc.pretty()}", f"status = {status}"]
+    return payload, [f"colimit = {desc}", f"status = {status}"]
 
 
 def _cmd_kercoker(args):
@@ -172,7 +165,7 @@ def _six_term_output(result: CrossedProductK, with_ends: bool):
                                            resolved=False)
               for key, group in (("k0", result.k0), ("k1", result.k1))}
     payload = {key: _description_json(desc) for key, desc in pieces.items()}
-    lines = [f"K0 = {pieces['k0'].pretty()}", f"K1 = {pieces['k1'].pretty()}"]
+    lines = [f"K0 = {pieces['k0']}", f"K1 = {pieces['k1']}"]
     if with_ends:
         payload.update((key, _description_json(desc)) for key, desc in ends.items())
         payload["reason"] = result.resolution_reason
@@ -195,7 +188,7 @@ def _cmd_cuntz(args):
         m = _as_int(doc["m"], f"{args.input}: m")
         infinity = "null"
     elif args.n is not None and args.m is not None:
-        n = _parse_cuntz_n(args.n)
+        n = None if args.n == "inf" else _as_int(args.n, "n")
         m = _as_int(args.m, "m")
         infinity = "'inf'"
     else:
@@ -209,7 +202,8 @@ def _cmd_cuntz(args):
         raise InputError(str(exc)) from exc
     payload = {"n": form.n, "m": form.m, "k": form.k,
                "order_gcd": form.order_gcd, "order_quotient": form.order_quotient,
-               "emitted": form.emitted,
+               # the groups and the label use the gcd form, not the quotient form
+               "emitted": "gcd",
                "k0": _group_json(form.k0), "k1": _group_json(form.k1),
                "label": form.label, "status": "ok"}
     lines = [f"K0 = {form.k0}, K1 = {form.k1}, label = {form.label}"]

@@ -27,8 +27,6 @@ from .abelian import FGAbelianGroup, GroupHom, IncompatibleShapesError, direct_s
 from .colimit import DilationProblem, bracket, ker_coker_one_minus
 from .record import _Record
 
-INFINITY = None  # the Cuntz parameter n = infinity is a distinguished symbol
-
 
 class KTheoryData(_Record):
     """Graded K-groups of an algebra together with the induced maps."""
@@ -113,16 +111,15 @@ class CuntzClosedForm(_Record):
     For finite n, k is the colimit torsion order (n-1 with the primes of
     gcd(n-1, m) removed) and the emitted groups use order_gcd = gcd(k, m-1),
     the value confirmed by elementwise enumeration; order_quotient records
-    the circulating alternative k/gcd(k, m-1) for cross-reference.  The
-    `emitted` flag names the formula the groups and label actually use.
+    the circulating alternative k/gcd(k, m-1) for cross-reference.
     """
 
-    _fields = ("n", "m", "k", "order_gcd", "order_quotient", "k0", "k1", "label", "emitted")
+    _fields = ("n", "m", "k", "order_gcd", "order_quotient", "k0", "k1", "label")
 
     def __init__(self, n: int | None, m: int, k: int | None, order_gcd: int | None,
                  order_quotient: int | None, k0: FGAbelianGroup, k1: FGAbelianGroup,
-                 label: str, emitted: str = "gcd"):
-        super().__init__(n, m, k, order_gcd, order_quotient, k0, k1, label, emitted)
+                 label: str):
+        super().__init__(n, m, k, order_gcd, order_quotient, k0, k1, label)
         if n is not None:
             expected = bracket(gcd(n - 1, m), n - 1)
             if k != expected:

@@ -73,11 +73,11 @@ class IntMatrix(_Record):
         return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
     @classmethod
-    def diagonal(cls, values, size: int | None = None) -> "IntMatrix":
+    def diagonal(cls, values) -> "IntMatrix":
         values = [int(v) for v in values]
-        n = len(values) if size is None else size
-        return cls(n, n, tuple(tuple(values[i] if i == j and i < len(values) else 0
-                                     for j in range(n)) for i in range(n)))
+        n = len(values)
+        return cls(n, n, tuple(tuple(values[i] if i == j else 0 for j in range(n))
+                               for i in range(n)))
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key

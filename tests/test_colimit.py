@@ -161,7 +161,7 @@ class TestEventualKernel:
         base = FGAbelianGroup.free(len(rows))
         problem = DilationProblem(base, GroupHom(base, base, IntMatrix.from_rows(rows)))
         description = classify_colimit(problem)
-        assert description.pretty() == printed
+        assert str(description) == printed
         assert description.localized_diagonal() is None
         kernel_rank = len(rows) - description.loc_matrix.rows
         assert eventual_kernel(problem) == (FGAbelianGroup.free(kernel_rank), index)
@@ -188,7 +188,7 @@ class TestEventualKernel:
                 t = quotient.torsion_count
                 free = induced.matrix.select_rows(range(t, quotient.num_generators)) \
                     .select_columns(range(t, quotient.num_generators))
-                printed.add((free, classify_colimit(problem).pretty()))
+                printed.add((free, str(classify_colimit(problem))))
             monkeypatch.undo()
             assert len(printed) == 1
             (free, _), = printed
@@ -268,7 +268,7 @@ class TestClassifyColimit:
         assert description.tag == TAG_LOCALIZED
         assert description.loc_matrix.rows == 1
         assert description.localized_diagonal() == (5,)
-        assert description.pretty() == "Z[1/5]"
+        assert str(description) == "Z[1/5]"
 
     def test_identity_returns_the_group(self):
         for group in (FGAbelianGroup.trivial(), Z, FGAbelianGroup.from_orders([4, 6]),
@@ -301,7 +301,7 @@ class TestClassifyColimit:
         endo = GroupHom(base, base, IntMatrix.from_rows([[1, 2], [0, 2]]))
         description = classify_colimit(DilationProblem(base, endo))
         assert description.tag == TAG_EXTENSION and description.resolved
-        assert description.pretty() == "Z/4 + Z[1/2]"
+        assert str(description) == "Z/4 + Z[1/2]"
 
     def test_mixed_group_without_complement_reports_extension(self):
         base = FGAbelianGroup(1, (2,))
@@ -310,7 +310,7 @@ class TestClassifyColimit:
         assert description.tag == TAG_EXTENSION and not description.resolved
         assert description.sub.fg_part == FGAbelianGroup.cyclic(2)
         assert description.quot.localized_diagonal() == (3,)
-        assert "unresolved" in description.pretty()
+        assert "unresolved" in str(description)
 
     def test_conjugated_block_actions_are_recognized_as_split(self):
         # conjugating diag(A, D) by [[I, w], [0, I]] hides the splitting in
@@ -547,7 +547,7 @@ class TestDescriptionAlgebra:
             combined = classify_colimit(DilationProblem(summed_group, summed_endo))
             parts = ColimitDescription.extension(classify_colimit(left), classify_colimit(right),
                                                  resolved=True)
-            assert combined.isomorphic(parts) is True, (combined.pretty(), parts.pretty())
+            assert combined.isomorphic(parts) is True, (str(combined), str(parts))
 
     def test_localized_isomorphism_uses_prime_support(self):
         d2 = classify_colimit(times_m_on_z(2))
@@ -579,7 +579,7 @@ class TestDescriptionAlgebra:
         jordan = ColimitDescription.localized(IntMatrix.from_rows([[2, 1], [0, 2]]))
         assert jordan.localized_diagonal() is None
         assert jordan.isomorphic(jordan) is None
-        assert "colim(Z^2" in jordan.pretty()
+        assert "colim(Z^2" in str(jordan)
 
     def test_permutation_tower_is_undetermined_but_printable(self):
         swap_scale = ColimitDescription.localized(IntMatrix.from_rows([[0, 2], [3, 0]]))
@@ -587,19 +587,19 @@ class TestDescriptionAlgebra:
 
     def test_finite_description_formatting(self):
         description = ColimitDescription.finite(FGAbelianGroup.from_orders([2, 6]))
-        assert description.pretty() == "Z/2 + Z/6"
+        assert str(description) == "Z/2 + Z/6"
 
     def test_localized_power_grouping(self):
         tower = ColimitDescription.localized(IntMatrix.diagonal([2, 2, 3]))
-        assert tower.pretty() == "Z[1/2]^2 + Z[1/3]"
+        assert str(tower) == "Z[1/2]^2 + Z[1/3]"
         unit = ColimitDescription.localized(IntMatrix.diagonal([1, 2]))
-        assert unit.pretty() == "Z + Z[1/2]"
+        assert str(unit) == "Z + Z[1/2]"
 
     def test_resolved_extension_formatting(self):
         fin = ColimitDescription.finite(FGAbelianGroup.from_orders([4, 3]))
         loc = ColimitDescription.localized(IntMatrix.diagonal([2]))
         ext = ColimitDescription.extension(fin, loc, resolved=True)
-        assert ext.pretty() == "Z/12 + Z[1/2]"
+        assert str(ext) == "Z/12 + Z[1/2]"
 
 
 def _sum_problem(left: DilationProblem, right: DilationProblem):
@@ -682,7 +682,7 @@ class TestIntegerEigenvalues:
         z2 = FGAbelianGroup.free(2)
         start = time.perf_counter()
         description = classify_colimit(DilationProblem(z2, GroupHom(z2, z2, tower)))
-        pretty = description.pretty()
+        pretty = str(description)
         elapsed = time.perf_counter() - start
         assert description.tag == TAG_LOCALIZED
         assert pretty == "Z[1/3] + Z[1/2305843009213693951]"
@@ -767,7 +767,7 @@ class TestIntegerEigenvalues:
         tower = IntMatrix.from_rows([[2, 1], [1, 3]])
         description = classify_colimit(DilationProblem(z2, GroupHom(z2, z2, tower)))
         assert description.tag == TAG_LOCALIZED
-        assert description.pretty() == "colim(Z^2, [[2, 1], [1, 3]])"
+        assert str(description) == "colim(Z^2, [[2, 1], [1, 3]])"
         assert computed == [tower]
         mixed = FGAbelianGroup(1, (2,))  # Z/2 + Z, no invariant complement
         endo = IntMatrix.from_rows([[1, 1], [0, 3]])
@@ -781,7 +781,7 @@ class TestIntegerEigenvalues:
         endo = IntMatrix.from_rows([[1, 1, 0], [0, 2, 1], [0, 1, 3]])
         description = classify_colimit(DilationProblem(split, GroupHom(split, split, endo)))
         assert description.tag == TAG_EXTENSION and description.resolved is True
-        assert description.pretty() == "Z/2 + colim(Z^2, [[2, 1], [1, 3]])"
+        assert str(description) == "Z/2 + colim(Z^2, [[2, 1], [1, 3]])"
         assert computed == [tower] and determinants == []
 
     def test_kernels_only_for_repeated_or_missed_roots(self, monkeypatch):

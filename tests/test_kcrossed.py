@@ -193,7 +193,6 @@ class TestCuntzClosedForm:
         assert form.k == 3
         assert form.order_quotient == 3  # quotient form
         assert form.order_gcd == 1       # confirmed by enumeration
-        assert form.emitted == "gcd"
         assert form.k0 == TRIVIAL and form.k1 == TRIVIAL
         assert form.label == "O_2 x O_2"
 

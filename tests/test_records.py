@@ -158,12 +158,15 @@ class TestDefaults:
         assert desc == ColimitDescription(tag="extension", sub=None, quot=None, resolved=None)
         assert _fields(desc) == ("extension",) + (None,) * 5
 
-    def test_closed_form_emits_gcd_by_default(self):
+    def test_closed_form_rebuilds_from_its_eight_fields(self):
         form = cuntz_closed_form(7, 2)
-        rebuilt = CuntzClosedForm(n=7, m=2, k=form.k, order_gcd=form.order_gcd,
-                                  order_quotient=form.order_quotient, k0=form.k0,
-                                  k1=form.k1, label=form.label)
-        assert rebuilt.emitted == "gcd" and rebuilt == form
+        fields = dict(n=7, m=2, k=form.k, order_gcd=form.order_gcd,
+                      order_quotient=form.order_quotient, k0=form.k0,
+                      k1=form.k1, label=form.label)
+        assert CuntzClosedForm(**fields) == form
+        assert "emitted" not in CuntzClosedForm._fields
+        with pytest.raises(TypeError):
+            CuntzClosedForm(**fields, emitted="gcd")
 
 
 class TestValidationMessages:
