@@ -8,14 +8,17 @@ matrix type comes from `kdilate.matrix` and is re-exported here, so
 `kdilate.abelian.IntMatrix` is the same class; the record base of the
 value classes is `kdilate.record`'s.
 
-All values are immutable after construction and every function is pure,
-so the module is safe for unsynchronized concurrent use.
+The fields of every value are immutable after construction, and every
+function is pure.  The colimit layer keeps what it derives once per value
+in the instance's dict, beside the fields: `_blocks` and `_charpoly` on
+an IntMatrix, `_diagonal` on a ColimitDescription.  Two threads can at
+worst compute one of them twice, with one result, so the module is safe
+for unsynchronized concurrent use.
 """
 
 from __future__ import annotations
 
 import bisect
-from itertools import product
 import math
 from operator import mul
 
@@ -35,9 +38,6 @@ class SNFResult(_Record):
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.S[i, i] for i in range(min(self.S.rows, self.S.cols)))
 
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal() if d != 0)
-
 
 def smith_normal_form(m: IntMatrix) -> SNFResult:
     """Diagonalize an integer matrix by unimodular row and column operations.
@@ -46,9 +46,8 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
     makes S unique for a given input.  Works for any rectangular shape,
     including matrices with zero rows or columns.  `_quotient_with_maps`
     runs the same engine, `_smith`, with U and U^{-1} only, and
-    `group_from_presentation` (behind `direct_sum`,
-    `FGAbelianGroup.from_orders` and `subquotient_k`) with no transform:
-    it reads the diagonal alone.
+    `group_from_presentation` (behind `direct_sum` and `subquotient_k`)
+    with no transform: it reads the diagonal alone.
 
     Entry size: each Hermite form is reduced, so its entries above a pivot
     are below that pivot, and the product of the pivots is a gcd of minors.
@@ -75,8 +74,8 @@ def _smith(a, ncols, u, u_inv, v_cols):
     all stored as rows.  Each starts as identity rows, or is None and is
     skipped, which changes no step.  `smith_normal_form` tracks U and V,
     `_quotient_with_maps` U and U^{-1}, and `group_from_presentation`
-    none: its callers `direct_sum`, `FGAbelianGroup.from_orders` and
-    `subquotient_k` read the diagonal alone.
+    none: its callers `direct_sum` and `subquotient_k` read the diagonal
+    alone.
 
     Algorithm (Kannan-Bachem, SIAM J. Comput. 8, 1979; Cohen, GTM 138,
     section 2.4): alternate a row Hermite form and a column Hermite form
@@ -346,15 +345,6 @@ class FGAbelianGroup(_Record):
             return cls(0, ())
         return cls(0, (n,))
 
-    @classmethod
-    def from_orders(cls, orders) -> "FGAbelianGroup":
-        """Direct sum of cyclic groups of the given orders (0 meaning Z)."""
-        orders = [int(o) for o in orders]
-        n = len(orders)
-        rows = [[orders[i] if j == i else 0 for j in range(n)]
-                for i in range(n) if orders[i] != 0]
-        return group_from_presentation(n, IntMatrix.from_rows(rows, cols=n))
-
     @property
     def num_generators(self) -> int:
         return len(self.invariant_factors) + self.free_rank
@@ -401,12 +391,6 @@ class FGAbelianGroup(_Record):
         if len(coords) != self.num_generators:
             raise IncompatibleShapesError("coordinate length does not match generators")
         return tuple(c % d if d else c for c, d in zip(coords, self.generator_orders()))
-
-    def elements(self):
-        """Iterate all elements of a finite group as coordinate tuples."""
-        if not self.is_finite:
-            raise ValueError("cannot enumerate an infinite group")
-        yield from product(*(range(d) for d in self.invariant_factors))
 
     def __str__(self):
         parts = [f"Z/{d}" for d in self.invariant_factors]
@@ -506,11 +490,6 @@ class GroupHom(_Record):
     @classmethod
     def identity(cls, group: FGAbelianGroup) -> "GroupHom":
         return cls(group, group, IntMatrix.identity(group.num_generators))
-
-    @classmethod
-    def zero(cls, domain: FGAbelianGroup, codomain: FGAbelianGroup) -> "GroupHom":
-        return cls(domain, codomain,
-                   IntMatrix.zeros(codomain.num_generators, domain.num_generators))
 
     @classmethod
     def multiplication(cls, group: FGAbelianGroup, c: int) -> "GroupHom":

@@ -80,11 +80,10 @@ class ColimitDescription(_Record):
     """
 
     _fields = ("tag", "fg_part", "loc_matrix", "sub", "quot", "resolved")
-    _defaults = dict.fromkeys(_fields[1:])
 
     @classmethod
     def finite(cls, group: FGAbelianGroup) -> "ColimitDescription":
-        return cls(tag=TAG_FINITE, fg_part=group)
+        return cls(TAG_FINITE, group, None, None, None, None)
 
     @classmethod
     def localized(cls, matrix: IntMatrix) -> "ColimitDescription":
@@ -92,12 +91,12 @@ class ColimitDescription(_Record):
             raise IncompatibleShapesError("localized tower needs a square matrix")
         if _charpoly_at_zero(matrix) == 0:
             raise ValueError("localized tower needs an injective matrix")
-        return cls(tag=TAG_LOCALIZED, loc_matrix=matrix)
+        return cls(TAG_LOCALIZED, None, matrix, None, None, None)
 
     @classmethod
     def extension(cls, sub: "ColimitDescription", quot: "ColimitDescription",
                   resolved: bool) -> "ColimitDescription":
-        return cls(tag=TAG_EXTENSION, sub=sub, quot=quot, resolved=resolved)
+        return cls(TAG_EXTENSION, None, None, sub, quot, resolved)
 
     # -- structure queries ---------------------------------------------------
 
@@ -223,8 +222,6 @@ def _similarity_diagonal(m: IntMatrix) -> tuple[int, ...] | None:
     >>> _similarity_diagonal(IntMatrix.from_rows([[2, 0, 1], [0, 5, 0], [0, 0, 2]])) is None
     True
     """
-    if m.rows == 0:
-        return ()
     found: list[int] = []
     for indices, block in _blocks_of(m):
         diagonal = _block_diagonal(block, [i + 1 for i in indices])

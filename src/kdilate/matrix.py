@@ -68,23 +68,9 @@ class IntMatrix(_Record):
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
-
-    @classmethod
-    def diagonal(cls, values) -> "IntMatrix":
-        values = [int(v) for v in values]
-        n = len(values)
-        return cls(n, n, tuple(tuple(values[i] if i == j else 0 for j in range(n))
-                               for i in range(n)))
-
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
         return self.entries[i][j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.entries)
@@ -110,9 +96,6 @@ class IntMatrix(_Record):
                          tuple(tuple(a + b for a, b in zip(r1, r2))
                                for r1, r2 in zip(self.entries, other.entries)))
 
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + (-other)
-
     def __neg__(self) -> "IntMatrix":
         return self.scale(-1)
 
@@ -126,12 +109,6 @@ class IntMatrix(_Record):
         if len(v) != self.cols:
             raise IncompatibleShapesError("incompatible vector length")
         return tuple(sum(r[k] * v[k] for k in range(self.cols)) for r in self.entries)
-
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise IncompatibleShapesError("incompatible row counts for hstack")
-        return IntMatrix(self.rows, self.cols + other.cols,
-                         tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)))
 
     def vstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.cols:

@@ -15,9 +15,8 @@ class _Record:
     """Immutable value compared, hashed and printed by its fields.
 
     A subclass lists its two or more fields in constructor order in
-    `_fields`, and a value is built from them by position or by keyword.
-    `_defaults` maps the fields a caller may leave out to their values; a
-    missing, unknown or surplus field raises TypeError.  A subclass that
+    `_fields`, and a value is built from them by position or by keyword;
+    a missing, unknown or surplus field raises TypeError.  A subclass that
     checks or normalizes its arguments keeps its own __init__ and passes
     the stored values, in field order, to `super().__init__`, the one
     place where fields are set.  Equality holds only between values of
@@ -25,7 +24,6 @@ class _Record:
     """
 
     _fields: tuple[str, ...] = ()
-    _defaults: dict[str, object] = {}
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -35,11 +33,11 @@ class _Record:
 
     @classmethod
     def _field_values(cls, args: tuple, kwargs: dict) -> list:
-        """Every field's value, in order, from the arguments and `_defaults`."""
+        """Every field's value, in order, from the arguments."""
         name, fields = cls.__qualname__, cls._fields
         if len(args) > len(fields):
             raise TypeError(f"{name}() takes {len(fields)} fields, {len(args)} given")
-        values = {**cls._defaults, **kwargs}
+        values = dict(kwargs)
         for field, value in zip(fields, args):
             if field in kwargs:
                 raise TypeError(f"{name}() got field {field!r} twice")

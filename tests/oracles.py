@@ -23,6 +23,7 @@ import contextlib
 import io
 import json
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, count, product
 from math import gcd, prod
 
@@ -31,6 +32,7 @@ from kdilate.abelian import (
     GroupHom,
     IntMatrix,
     _quotient_with_maps,
+    direct_sum,
     element_is_zero,
     smith_normal_form,
     unimodular_inverse,
@@ -474,7 +476,7 @@ def divisor_search_diagonal(m: IntMatrix) -> tuple[int, ...] | None:
             shifted = IntMatrix(n, n, tuple(row[:i] + (row[i] - lam,) + row[i + 1:]
                                             for i, row in enumerate(m.entries)))
             snf = smith_normal_form(shifted)
-            for j in range(snf.rank(), n):
+            for j in range(sum(map(bool, snf.diagonal())), n):
                 columns.append(snf.V.column(j))
                 values.append(lam)
         if len(columns) == n:
@@ -494,9 +496,11 @@ def smith_kernel_generators(f: GroupHom) -> list[tuple[int, ...]]:
     once quotiented by these, and printed its towers in the basis they
     gave."""
     n = f.domain.num_generators
-    combined = f.matrix.hstack(f.codomain.relation_rows().transpose())
+    relations = f.codomain.relation_rows().transpose()
+    combined = IntMatrix.from_rows([a + b for a, b in zip(f.matrix.entries, relations.entries)],
+                                   cols=n + relations.cols)
     snf = smith_normal_form(combined)
-    gens = (snf.V.column(j)[:n] for j in range(snf.rank(), combined.cols))
+    gens = (snf.V.column(j)[:n] for j in range(sum(map(bool, snf.diagonal())), combined.cols))
     return [g for g in gens if any(g)]
 
 
@@ -515,7 +519,9 @@ def kernel_via_smith_lattice(f: GroupHom) -> tuple[FGAbelianGroup, GroupHom]:
     lattice = smith_normal_form(IntMatrix.from_rows(gens, cols=n).transpose())
     diag = [d for d in lattice.diagonal() if d]
     rank = len(diag)
-    basis = unimodular_inverse(lattice.U).select_columns(range(rank)) @ IntMatrix.diagonal(diag)
+    columns = unimodular_inverse(lattice.U).select_columns(range(rank))
+    basis = IntMatrix.from_rows([[x * d for x, d in zip(row, diag)] for row in columns.entries],
+                                cols=rank)
     coords = []
     for row in domain.relation_rows().entries:
         w = lattice.U.apply(row)
@@ -594,14 +600,14 @@ def random_finite_group(rng, max_order=10_000) -> FGAbelianGroup:
         total *= d
     if not orders:
         orders = [rng.randint(2, 50)]
-    return FGAbelianGroup.from_orders(orders)
+    return reduce(direct_sum, map(FGAbelianGroup.cyclic, orders))
 
 
 def random_group(rng, max_generators=4) -> FGAbelianGroup:
     """Canonical form of a direct sum of cyclic groups, free ones included."""
-    return FGAbelianGroup.from_orders(
-        rng.choice([0, 0, 2, 3, 4, 6, 8, 9, 12, 25])
-        for _ in range(rng.randint(0, max_generators)))
+    orders = [rng.choice([0, 0, 2, 3, 4, 6, 8, 9, 12, 25])
+              for _ in range(rng.randint(0, max_generators))]
+    return reduce(direct_sum, map(FGAbelianGroup.cyclic, orders), FGAbelianGroup.trivial())
 
 
 def random_endomorphism(rng, group: FGAbelianGroup) -> GroupHom:

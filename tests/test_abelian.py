@@ -100,15 +100,15 @@ class TestSmithNormalForm:
     def test_zero_matrix(self):
         m = IntMatrix.from_rows([[0, 0], [0, 0]])
         result = smith_normal_form(m)
-        assert result.S == IntMatrix.zeros(2, 2)
+        assert result.S == m
         assert result.U == IntMatrix.identity(2)
         assert result.V == IntMatrix.identity(2)
 
     def test_degenerate_shapes(self):
-        result = smith_normal_form(IntMatrix.zeros(0, 3))
+        result = smith_normal_form(IntMatrix.from_rows([], cols=3))
         assert result.S.rows == 0 and result.S.cols == 3
         assert result.V == IntMatrix.identity(3)
-        result = smith_normal_form(IntMatrix.zeros(2, 0))
+        result = smith_normal_form(IntMatrix.from_rows([[], []]))
         assert result.S.cols == 0
         assert result.U == IntMatrix.identity(2)
 
@@ -283,15 +283,15 @@ class TestSmithNormalForm:
             diag, u, u_inv, v_cols = _smith(rows, m.cols, None, None, _identity_rows(m.cols))
             assert u is None and u_inv is None and tuple(diag) == full.diagonal()
             assert IntMatrix.from_rows(_transpose(v_cols, m.cols), m.cols) == full.V
+            rank = sum(map(bool, full.diagonal()))
             if m.cols:  # the quotient of Z^rows by the columns of m
                 group, projection, lift = _quotient_with_maps(m.rows, m.transpose())
-                rank = full.rank()
                 kept = [i for i in range(rank) if full.diagonal()[i] > 1] + list(range(rank, m.rows))
                 assert group.num_generators == len(kept)
                 assert projection == full.U.select_rows(kept)
                 assert lift == full_u_inv.select_columns(kept)
             # the V-only engine's columns past the rank are a basis of ker m
-            gens = [tuple(v) for v in v_cols[full.rank():]]
+            gens = [tuple(v) for v in v_cols[rank:]]
             assert not any(any(m.apply(g)) for g in gens)
             assert hermite_basis(gens) == hermite_basis(integer_kernel_basis(m))
 
@@ -324,12 +324,13 @@ class TestIntegerKernelBasis:
             assert len(basis) == m.cols - rank_over_q(rows)
             assert all(not any(m.apply(v)) for v in basis)
             snf = smith_normal_form(m)
-            smith_kernel = [snf.V.column(j) for j in range(snf.rank(), m.cols)]
+            smith_kernel = [snf.V.column(j) for j in range(rank_over_q(rows), m.cols)]
             assert hermite_basis(basis) == hermite_basis(smith_kernel)
 
     def test_empty_shapes(self):
-        assert integer_kernel_basis(IntMatrix.zeros(0, 3)) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        assert integer_kernel_basis(IntMatrix.zeros(3, 0)) == []
+        identity = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert integer_kernel_basis(IntMatrix.from_rows([], cols=3)) == identity
+        assert integer_kernel_basis(IntMatrix.from_rows([[], [], []])) == []
 
 
 class TestLatticeContains:
@@ -365,8 +366,8 @@ class TestLatticeContains:
         assert deficient >= 15 and zero_rows >= 15, (deficient, zero_rows)
 
     def test_empty_lattice_holds_only_zero(self):
-        assert lattice_contains(IntMatrix.zeros(0, 2), (0, 0))
-        assert not lattice_contains(IntMatrix.zeros(0, 2), (0, 1))
+        assert lattice_contains(IntMatrix.from_rows([], cols=2), (0, 0))
+        assert not lattice_contains(IntMatrix.from_rows([], cols=2), (0, 1))
         assert not lattice_contains(IntMatrix.from_rows([[2, 4], [1, 2]]), (1, 3))
         assert lattice_contains(IntMatrix.from_rows([[2, 4], [1, 2]]), (-3, -6))
 
@@ -486,7 +487,6 @@ class TestPresentations:
                  FGAbelianGroup(0, (2, 4))),
                 (lambda: direct_sum(FGAbelianGroup.cyclic(4), FGAbelianGroup(1, (6,))),
                  FGAbelianGroup(1, (2, 12))),
-                (lambda: FGAbelianGroup.from_orders([4, 6, 0]), FGAbelianGroup(1, (2, 12))),
                 (lambda: subquotient_k(graph_e, ["v1", "v2", "v3", "v4"], [])[0],
                  FGAbelianGroup.cyclic(210))]:
             calls.clear()
@@ -526,7 +526,7 @@ class TestPresentations:
             assert group == _quotient_with_maps(gens, relations)[0], (kind, rows)
             snf = smith_normal_form(relations)
             diag = snf.diagonal()
-            assert group == FGAbelianGroup(gens - snf.rank(),
+            assert group == FGAbelianGroup(gens - len(diag) + diag.count(0),
                                            tuple(d for d in diag if d > 1)), (kind, rows)
             assert group == abelian._group_of_diagonal(gens, list(diag)), (kind, rows)
             if len(rows) <= 3 and gens <= 3 and kind != "big entries":
@@ -591,7 +591,9 @@ class TestHoms:
 
     def test_multiplication_by_zero_is_the_zero_map(self):
         for group in (Z, FGAbelianGroup.cyclic(6), FGAbelianGroup(2, (4, 12))):
-            assert GroupHom.multiplication(group, 0) == GroupHom.zero(group, group)
+            n = group.num_generators
+            zero = IntMatrix.from_rows([[0] * n for _ in range(n)], cols=n)
+            assert GroupHom.multiplication(group, 0) == GroupHom(group, group, zero)
 
     def test_multiplication_composes_multiplicatively(self):
         rng = random.Random(41)
@@ -639,10 +641,10 @@ class TestKernelCokernel:
         assert group.is_trivial
 
     def test_kernel_identity_and_zero_map(self):
-        g = FGAbelianGroup.from_orders([4, 6])
+        g = group_from_presentation(2, IntMatrix.from_rows([[4, 0], [0, 6]]))
         assert kernel(GroupHom.identity(g))[0].is_trivial
         assert cokernel(GroupHom.identity(g))[0].is_trivial
-        zero = GroupHom.zero(g, g)
+        zero = GroupHom.multiplication(g, 0)
         assert kernel(zero)[0] == g
         assert cokernel(zero)[0] == g
 
@@ -670,7 +672,7 @@ class TestKernelCokernel:
             group, inclusion = kernel(f)
             assert group == kernel_via_smith_lattice(f)[0]
             product = (f @ inclusion).matrix
-            assert product == IntMatrix.zeros(product.rows, product.cols)
+            assert not any(map(any, product.entries))
             assert kernel(inclusion)[0].is_trivial
             compared += 1
 
@@ -699,7 +701,8 @@ class TestGroupOperations:
     def test_is_isomorphic_matches_canonical_forms(self):
         left = direct_sum(FGAbelianGroup.cyclic(5), FGAbelianGroup.cyclic(3))
         assert left == FGAbelianGroup.cyclic(15)
-        assert FGAbelianGroup.cyclic(4) != FGAbelianGroup.from_orders([2, 2])
+        assert FGAbelianGroup.cyclic(4) != group_from_presentation(
+            2, IntMatrix.from_rows([[2, 0], [0, 2]]))
 
     def test_element_is_zero(self):
         assert element_is_zero(FGAbelianGroup.cyclic(4), (8,))
@@ -714,9 +717,3 @@ class TestGroupOperations:
             coords = [rng.randint(-10**6, 10**6) for _ in range(group.num_generators)]
             expected = all(c % d == 0 for c, d in zip(coords, group.generator_orders()))
             assert element_is_zero(group, coords) == expected
-
-    def test_elements_enumeration(self):
-        g = FGAbelianGroup.from_orders([2, 3])
-        assert len(list(g.elements())) == 6
-        with pytest.raises(ValueError):
-            list(Z.elements())

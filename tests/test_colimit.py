@@ -1,5 +1,6 @@
 import random
 import time
+from functools import reduce
 from itertools import product
 from math import gcd
 
@@ -97,7 +98,7 @@ class TestEventualKernel:
             orders = [0] * rng.randint(0, 3) + [
                 rng.choice((2, 3, 4, 8, 9, 12, 16, 27, 32, 64, 81, 128, 1024))
                 for _ in range(rng.randint(0, 3))]
-            base = FGAbelianGroup.from_orders(orders)
+            base = reduce(direct_sum, map(FGAbelianGroup.cyclic, orders), FGAbelianGroup.trivial())
             matrix = random_endomorphism(rng, base).matrix.scale(rng.choice((1, 2, 3, 6)))
             rows, t = matrix.to_lists(), base.torsion_count
             if rng.random() < 0.4:  # a nilpotent free block
@@ -220,7 +221,7 @@ def _seeded_problem(rng, k):
     else:
         orders = [0] * rng.randint(1, 4) + [rng.choice((2, 3, 4, 6, 8, 9, 12))
                                             for _ in range(rng.randint(1, 2))]
-        base = FGAbelianGroup.from_orders(orders)
+        base = reduce(direct_sum, map(FGAbelianGroup.cyclic, orders), FGAbelianGroup.trivial())
         rows = random_endomorphism(rng, base).matrix.to_lists()
     t, n = base.torsion_count, base.num_generators
     r = n - t
@@ -271,7 +272,7 @@ class TestClassifyColimit:
         assert str(description) == "Z[1/5]"
 
     def test_identity_returns_the_group(self):
-        for group in (FGAbelianGroup.trivial(), Z, FGAbelianGroup.from_orders([4, 6]),
+        for group in (FGAbelianGroup.trivial(), Z, FGAbelianGroup(0, (2, 12)),
                       FGAbelianGroup(2, (3,))):
             description = classify_colimit(
                 DilationProblem(group, GroupHom.identity(group)))
@@ -331,9 +332,9 @@ class TestClassifyColimit:
                 continue
             w = IntMatrix.from_rows([[rng.randint(0, 5) for _ in range(r)]
                                      for _ in range(t)], cols=r)
-            mixing = torsion_map @ w - w @ free_map
-            rows = [list(torsion_map.row(i)) + list(mixing.row(i)) for i in range(t)]
-            rows += [[0] * t + list(free_map.row(i)) for i in range(r)]
+            mixing = torsion_map @ w + -(w @ free_map)
+            rows = [a + b for a, b in zip(torsion_map.entries, mixing.entries)]
+            rows += [(0,) * t + row for row in free_map.entries]
             endo = GroupHom(base, base, IntMatrix.from_rows(rows, cols=t + r))
             description = classify_colimit(DilationProblem(base, endo))
             split_parts = ColimitDescription.extension(
@@ -365,7 +366,7 @@ class TestClassifyColimit:
 
             def solves(entries):
                 u = IntMatrix.from_rows([entries[i * r:(i + 1) * r] for i in range(t)])
-                residue = a @ u - u @ d + b
+                residue = a @ u + -(u @ d) + b
                 return all(x % di == 0 for di, row in zip(factors, residue.entries) for x in row)
 
             splits = any(map(solves, product(*(range(di) for di in factors for _ in range(r)))))
@@ -419,11 +420,11 @@ class TestKerCokerOneMinus:
         monkeypatch.setattr(colimit, "classify_colimit",
                             lambda problem: classified.append(problem) or
                             classify(problem))
-        base = FGAbelianGroup.from_orders([2, 0, 0])
+        base = FGAbelianGroup(2, (2,))  # Z/2 + Z^2
         endo = GroupHom(base, base, IntMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 2]]))
         ker, cok = ker_coker_one_minus(DilationProblem(base, endo))
         assert classified == []
-        assert ker == FGAbelianGroup.from_orders([2, 0])
+        assert ker == FGAbelianGroup(1, (2,))
         assert cok == Z
 
     def test_cokernel_end_is_the_constant_tower(self):
@@ -557,8 +558,8 @@ class TestDescriptionAlgebra:
         assert d2.isomorphic(d6) is False
 
     def test_large_prime_multiplier_compares_without_factoring(self):
-        mersenne = ColimitDescription.localized(IntMatrix.diagonal([2**61 - 1]))
-        halves = ColimitDescription.localized(IntMatrix.diagonal([2]))
+        mersenne = ColimitDescription.localized(IntMatrix.from_rows([[2**61 - 1]]))
+        halves = ColimitDescription.localized(IntMatrix.from_rows([[2]]))
         start = time.perf_counter()
         same = mersenne.isomorphic(mersenne)
         different = mersenne.isomorphic(halves)
@@ -567,13 +568,15 @@ class TestDescriptionAlgebra:
         assert elapsed < 0.01
 
     def test_multipliers_match_by_prime_support_as_multisets(self):
-        left = ColimitDescription.localized(IntMatrix.diagonal([6, 2, 1]))
-        assert left.isomorphic(ColimitDescription.localized(IntMatrix.diagonal([4, 1, 12]))) is True
-        assert left.isomorphic(ColimitDescription.localized(IntMatrix.diagonal([3, 2, 1]))) is False
-        assert left.isomorphic(ColimitDescription.localized(IntMatrix.diagonal([6, 2]))) is False
+        def tower(rows):
+            return ColimitDescription.localized(IntMatrix.from_rows(rows))
+        left = tower([[6, 0, 0], [0, 2, 0], [0, 0, 1]])
+        assert left.isomorphic(tower([[4, 0, 0], [0, 1, 0], [0, 0, 12]])) is True
+        assert left.isomorphic(tower([[3, 0, 0], [0, 2, 0], [0, 0, 1]])) is False
+        assert left.isomorphic(tower([[6, 0], [0, 2]])) is False
         free = ColimitDescription.finite(FGAbelianGroup.free(1))
         ext = ColimitDescription.extension(free, classify_colimit(times_m_on_z(2)), resolved=True)
-        assert ext.isomorphic(ColimitDescription.localized(IntMatrix.diagonal([1, 8]))) is True
+        assert ext.isomorphic(tower([[1, 0], [0, 8]])) is True
 
     def test_non_diagonalizable_tower_is_undetermined(self):
         jordan = ColimitDescription.localized(IntMatrix.from_rows([[2, 1], [0, 2]]))
@@ -586,18 +589,20 @@ class TestDescriptionAlgebra:
         assert swap_scale.localized_diagonal() is None
 
     def test_finite_description_formatting(self):
-        description = ColimitDescription.finite(FGAbelianGroup.from_orders([2, 6]))
+        description = ColimitDescription.finite(FGAbelianGroup(0, (2, 6)))
         assert str(description) == "Z/2 + Z/6"
 
     def test_localized_power_grouping(self):
-        tower = ColimitDescription.localized(IntMatrix.diagonal([2, 2, 3]))
+        tower = ColimitDescription.localized(
+            IntMatrix.from_rows([[2, 0, 0], [0, 2, 0], [0, 0, 3]]))
         assert str(tower) == "Z[1/2]^2 + Z[1/3]"
-        unit = ColimitDescription.localized(IntMatrix.diagonal([1, 2]))
+        unit = ColimitDescription.localized(IntMatrix.from_rows([[1, 0], [0, 2]]))
         assert str(unit) == "Z + Z[1/2]"
 
     def test_resolved_extension_formatting(self):
-        fin = ColimitDescription.finite(FGAbelianGroup.from_orders([4, 3]))
-        loc = ColimitDescription.localized(IntMatrix.diagonal([2]))
+        fin = ColimitDescription.finite(direct_sum(FGAbelianGroup.cyclic(4),
+                                                   FGAbelianGroup.cyclic(3)))
+        loc = ColimitDescription.localized(IntMatrix.from_rows([[2]]))
         ext = ColimitDescription.extension(fin, loc, resolved=True)
         assert str(ext) == "Z/12 + Z[1/2]"
 
@@ -687,9 +692,9 @@ class TestIntegerEigenvalues:
         assert description.tag == TAG_LOCALIZED
         assert pretty == "Z[1/3] + Z[1/2305843009213693951]"
         assert elapsed < 0.05
-        reference = ColimitDescription.localized(IntMatrix.diagonal([3, 2**61 - 1]))
+        reference = ColimitDescription.localized(IntMatrix.from_rows([[3, 0], [0, 2**61 - 1]]))
         assert description.isomorphic(reference) is True
-        halves = ColimitDescription.localized(IntMatrix.diagonal([3, 2]))
+        halves = ColimitDescription.localized(IntMatrix.from_rows([[3, 0], [0, 2]]))
         assert description.isomorphic(halves) is False
 
     def test_matches_the_divisor_search(self):
@@ -773,7 +778,7 @@ class TestIntegerEigenvalues:
         endo = IntMatrix.from_rows([[1, 1], [0, 3]])
         description = classify_colimit(DilationProblem(mixed, GroupHom(mixed, mixed, endo)))
         assert description.resolved is False
-        assert computed[1:] == [IntMatrix.diagonal([3])]
+        assert computed[1:] == [IntMatrix.from_rows([[3]])]
         # a split mixed colimit: its localized end is built from the same
         # block, and tests its injectivity with the kept f(0)
         del computed[:]
@@ -802,7 +807,7 @@ class TestIntegerEigenvalues:
         del kernels[:]
         missed = conjugate([[1, 0], [2, 1]], [[2, 0], [0, 3]], [[1, 0], [-2, 1]])
         assert colimit._similarity_diagonal(missed) == (2, 3)
-        assert kernels == [missed - IntMatrix.diagonal([3, 3])]
+        assert kernels == [missed + IntMatrix.from_rows([[-3, 0], [0, -3]])]
         # a Jordan block at 2 beside -3, in one block: (M + 3I) v != 0 for
         # the simple root -3, so M is not diagonalizable, with no kernel
         del kernels[:]
@@ -863,6 +868,8 @@ class TestIntegerEigenvalues:
 
     def test_charpoly_at_zero_of_empty_and_singular_towers(self):
         assert colimit._charpoly_at_zero(IntMatrix(0, 0, ())) == 1
+        # the empty tower is one empty block, with no multiplier
+        assert colimit._similarity_diagonal(IntMatrix(0, 0, ())) == ()
         # a singular block makes f(0) vanish however the others read
         m = IntMatrix.from_rows([[3, 0, 0], [0, 1, 2], [0, 2, 4]])
         assert len(colimit._blocks_of(m)) == 2

@@ -5,10 +5,11 @@ Each case of the golden file is one argv, run through `kdilate.cli.main`
 from the root of the repository (the paths in argv and in the diagnostics
 are relative to it).  The cases are every fixture, fixtures/cuntz/*
 included, under all ten subcommands in text, JSON and DOT; graph-k and
-graph-crossed-k with several Z/Y pairs on fixtures/E.json and
-fixtures/multidigit.json; and a grid of cuntz positionals.  Every argv is
-one that `cli._scan` accepts, so argparse (whose usage text differs
-between Python versions) writes none of them.
+graph-crossed-k with several Z/Y pairs on the graph fixtures; a grid of
+cuntz positionals; and one document in tests/invalid for each diagnostic
+of the problem-file readers.  Every argv is one that `cli._scan` accepts,
+so argparse (whose usage text differs between Python versions) writes
+none of them.
 
 To regenerate the file, run from the root of the repository
 
@@ -39,6 +40,9 @@ _GRAPH_K_SETS = {
                         ("v9", "")],
     "fixtures/multidigit.json": [("a,b", ""), ("b", ""), ("a,b", "b"), ("a", ""),
                                  ("", ""), ("b", "a,b")],
+    "fixtures/tail.json": [("u,v,w", ""), ("v", ""), ("u,v,w", "v"), ("v,w", ""),
+                           ("u,v,w", "v,w")],
+    "fixtures/bare_cycle.json": [("x,y", ""), ("x", "")],
 }
 # command lines that leave --format, and graph-k's Y, at their defaults
 _DEFAULTS = [
@@ -54,6 +58,22 @@ _DEFAULTS = [
     ["colim", "--input", "fixtures/mixed_unresolved.json"],
     ["pv", "--input", "fixtures/kdata_trivial_circle.json"],
     ["pv", "--input", "fixtures/kdata_unresolved.json"],
+]
+# one document per diagnostic of the readers: the JSON, the document's
+# shape, and each integer, matrix and presentation check
+_DIAGNOSTICS = [
+    ["snf", "--input", "tests/invalid/malformed.json"],
+    ["graph-hs", "--input", "tests/invalid/malformed.json"],
+    ["colim", "--input", "tests/invalid/not_object.json"],
+    ["colim", "--input", "tests/invalid/unknown_kind.json"],
+    ["colim", "--input", "tests/invalid/unexpected_field.json"],
+    ["colim", "--input", "tests/invalid/missing_field.json"],
+    ["colim", "--input", "tests/invalid/boolean.json"],
+    ["colim", "--input", "tests/invalid/beyond_2_53.json"],
+    ["colim", "--input", "tests/invalid/negative_count.json"],
+    ["colim", "--input", "tests/invalid/ragged_rows.json"],
+    ["colim", "--input", "tests/invalid/wrong_width.json"],
+    ["colim", "--input", "tests/invalid/not_preserving.json"],
 ]
 _CUNTZ_N = ("inf", "0", "1", "2", "3", "4", "7", "12", "x")
 _CUNTZ_M = ("0", "1", "2", "3", "4", "6", "9")
@@ -83,6 +103,7 @@ def _cases() -> list[list[str]]:
     cases += _DEFAULTS
     cases.append(["cuntz"])
     cases.append(["cuntz", "inf", "2", "--input", "fixtures/cuntz/inf_m2.json"])
+    cases += _DIAGNOSTICS
     return cases
 
 

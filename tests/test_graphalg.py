@@ -532,7 +532,7 @@ class TestSubquotientK:
         for zset, det in expected_dets.items():
             indices = [i for i, v in enumerate(graph_e.vertices) if v in zset]
             block = graph_e.adjacency.select_rows(indices).select_columns(indices)
-            matrix = block.transpose() - IntMatrix.identity(len(indices))
+            matrix = block.transpose() + IntMatrix.identity(len(indices)).scale(-1)
             assert abs(matrix.determinant()) == det
             k0, k1 = subquotient_k(graph_e, zset, set())
             assert k0.order() == det and k1.is_trivial

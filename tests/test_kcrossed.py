@@ -76,7 +76,7 @@ class TestPVCrossedProduct:
 
     def test_trivial_action_split_policy_grid(self):
         groups = [TRIVIAL, Z, FGAbelianGroup.free(2), FGAbelianGroup.cyclic(2),
-                  FGAbelianGroup.cyclic(6), FGAbelianGroup.from_orders([2, 4]),
+                  FGAbelianGroup.cyclic(6), FGAbelianGroup(0, (2, 4)),
                   FGAbelianGroup(1, (3,))]
         for k0 in groups:
             for k1 in groups:

@@ -153,10 +153,13 @@ class TestDefaults:
         with pytest.raises(TypeError, match="unknown field 'U_inv'"):
             SNFResult(U=identity, S=identity, V=identity, U_inv=identity)
 
-    def test_description_defaults_to_none(self):
-        desc = ColimitDescription(tag="extension")
-        assert desc == ColimitDescription(tag="extension", sub=None, quot=None, resolved=None)
-        assert _fields(desc) == ("extension",) + (None,) * 5
+    def test_description_has_no_defaults(self):
+        with pytest.raises(TypeError, match="missing field 'fg_part'"):
+            ColimitDescription(tag="extension")
+        desc = ColimitDescription.finite(Z)
+        assert desc == ColimitDescription(tag="finite_or_fg", fg_part=Z, loc_matrix=None,
+                                          sub=None, quot=None, resolved=None)
+        assert _fields(desc) == ("finite_or_fg", Z) + (None,) * 4
 
     def test_closed_form_rebuilds_from_its_eight_fields(self):
         form = cuntz_closed_form(7, 2)
@@ -185,7 +188,7 @@ class TestValidationMessages:
             GroupHom(Z, Z, IntMatrix.from_rows([[1], [0]]))
 
     def test_problem_without_an_endomorphism(self):
-        hom = GroupHom.zero(Z, FGAbelianGroup.free(2))
+        hom = GroupHom(Z, FGAbelianGroup.free(2), IntMatrix.from_rows([[0], [0]]))
         with pytest.raises(IncompatibleShapesError,
                            match="^endomorphism must map the base group to itself$"):
             DilationProblem(Z, hom)
