@@ -8,7 +8,11 @@ two-space indent, no floats), or DOT for the two poset subcommands.
 
 This module holds the grammar, the readers of documents, integers and
 matrices, the JSON writer and `main`, and imports no layer of kdilate:
-`_as_matrix` imports `kdilate.matrix` when called.  Each row of the
+`_as_matrix` imports `kdilate.matrix` when called.  JSON is read and
+written through `_json`, the C extension under the `json` package:
+`_loads` takes json.loads's steps around its scanner, and `json.decoder`
+is imported only to raise a JSONDecodeError, so a well-formed call loads
+neither `json` nor `re`.  Each row of the
 grammar names the module of its handler, which `main` imports when that
 subcommand runs.  `kdilate.graph_commands` holds graph-hs, graph-lattice,
 graph-prim and graph-k and the graph reader, and loads `kdilate.graphalg`
@@ -26,16 +30,20 @@ result is written out (say by `| head`).
 
 from __future__ import annotations
 
-import json
 import os
-import re
 import sys
+from _json import encode_basestring_ascii, make_scanner
 from importlib import import_module
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 _MAX_JSON_INT = 2**53
+_JSON_SPACE = " \t\n\r"
+# the C scanner of json.JSONDecoder(), with that decoder's defaults
+_scan_once = make_scanner(SimpleNamespace(
+    strict=True, object_hook=None, object_pairs_hook=None, parse_float=float, parse_int=int,
+    parse_constant={"NaN": float("nan"), "Infinity": float("inf"),
+                    "-Infinity": float("-inf")}.__getitem__))
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 _STR, _INT, _LISTS = {str}, {int}, {list, tuple}
 _KINDS = ("group_endo", "k_data", "cuntz", "graph")
@@ -57,8 +65,11 @@ def _as_int(value, where: str) -> int:
             raise InputError(f"{where}: integers beyond 2^53 must be decimal strings")
         return value
     if isinstance(value, str):
-        if re.fullmatch(r"-?[0-9]+", value.strip()):
-            return int(value)
+        # int() strips less than str.strip() does (not U+001C to U+001F)
+        text = value.strip()
+        digits = text.removeprefix("-")
+        if digits.isascii() and digits.isdigit():
+            return int(text)
         raise InputError(f"{where}: {value!r} is not a decimal integer")
     raise InputError(f"{where}: expected an integer")
 
@@ -105,6 +116,58 @@ def _as_matrix(value, where: str, cols: int | None = None,
     return IntMatrix._of_checked_rows(width, tuple(value))
 
 
+def _skip_space(s: str, pos: int) -> int:
+    """The index of the first character of s at or after pos that is not
+    JSON whitespace, or len(s).  Windows that double in width are stripped
+    until one holds something else, so the cost is linear in the
+    whitespace skipped."""
+    width = 8
+    while True:
+        window = s[pos:pos + width]
+        rest = window.lstrip(_JSON_SPACE)
+        if rest or len(window) < width:
+            return pos + len(window) - len(rest)
+        pos += width
+        width *= 2
+
+
+def _decode_error(msg: str, s: str, pos: int) -> ValueError:
+    """json's JSONDecodeError, whose module is imported only when a
+    document is malformed."""
+    from json.decoder import JSONDecodeError
+
+    return JSONDecodeError(msg, s, pos)
+
+
+def _scan_value(s: str, pos: int) -> tuple:
+    """(value, end) for the JSON value that starts at s[pos], from the C
+    scanner, which raises StopIteration(pos) when none starts there.
+    Before Python 3.12 the scanner can raise its JSONDecodeError only once
+    json.decoder is loaded, and fails with a SystemError otherwise; the
+    value is then scanned again with that module loaded."""
+    try:
+        return _scan_once(s, pos)
+    except SystemError:
+        import json.decoder  # noqa: F401
+
+        return _scan_once(s, pos)
+
+
+def _loads(s: str):
+    """json.loads(s) for a str s, with the same value or the same error:
+    the steps json.loads takes in Python, around the C scanner it calls."""
+    if s.startswith("\ufeff"):
+        raise _decode_error("Unexpected UTF-8 BOM (decode using utf-8-sig)", s, 0)
+    try:
+        obj, end = _scan_value(s, _skip_space(s, 0))
+    except StopIteration as err:
+        raise _decode_error("Expecting value", s, err.value) from None
+    end = _skip_space(s, end)
+    if end != len(s):
+        raise _decode_error("Extra data", s, end)
+    return obj
+
+
 def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -116,12 +179,17 @@ def _read_text(path: str) -> str:
 def _load_document(path: str, expected_kind: str, text: str | None = None,
                    decode=None) -> dict:
     """The problem file at path (or its text, when given), decoded by
-    decode (json.loads by default), with its kind checked."""
+    decode (_loads by default), with its kind checked."""
     if text is None:
         text = _read_text(path)
     try:
-        doc = json.loads(text) if decode is None else decode(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        doc = _loads(text) if decode is None else decode(text)
+    except (ValueError, RecursionError) as exc:
+        # json.decoder is imported on this path alone, when decoding failed
+        from json.decoder import JSONDecodeError
+
+        if not isinstance(exc, (JSONDecodeError, RecursionError)):
+            raise
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: problem file must be a JSON object")
@@ -167,7 +235,8 @@ def _write_json(obj, write, indent: str, lead: str = "") -> None:
     sized view with encoded_lists (graph-hs's VertexSets) as the list of
     the lists it gives: one piece per scalar, flat list (also each one in a
     list of flat lists of strings) or vertex set, with the separator and
-    key before it, and one per closing bracket."""
+    key before it, and one per closing bracket.  Any other value raises
+    TypeError, as json.dumps does."""
     if isinstance(obj, str):
         write(lead + encode_basestring_ascii(obj))
     elif isinstance(obj, (list, tuple)):
@@ -213,7 +282,7 @@ def _write_json(obj, write, indent: str, lead: str = "") -> None:
         else:
             write(lead + "[]")
     else:
-        write(lead + json.dumps(obj))
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def render_json(payload: dict, write) -> None:

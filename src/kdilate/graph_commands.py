@@ -9,13 +9,14 @@ one of these subcommands runs, so that the group subcommands never load
 it.  graph-crossed-k, whose handler is in `kdilate.group_commands`,
 imports the graph reader from here when it runs.
 
-Graph files are decoded by `_GraphDecoder`, which reads an adjacency
+Graph files are decoded by `_decode_graph`, which walks the top-level
+object, gives each value to `_json`'s C scanner, and reads an adjacency
 matrix of single digits (the small multiplicities most graphs have)
 straight from its text, row by row, as the bytes of each row's
 multiplicities.  A graph read that way keeps those rows, and builds its
 matrix of ints only if asked for it; any other graph goes through
 `cli._as_matrix`, and any file with a fault in it is read again by
-`json.loads`, so that every diagnostic stays that route's.  `graph-hs`
+`cli._loads`, so that every diagnostic stays json.loads's.  `graph-hs`
 puts its family into the payload as a `VertexSets` view of bitmasks,
 which the JSON writer names set by set from vertex names encoded once.
 graph-lattice and graph-prim share one handler, `_cmd_graph_poset`,
@@ -24,14 +25,20 @@ which differs between them only in the poset builder it is given.
 
 from __future__ import annotations
 
-import json
 import sys
+from _json import encode_basestring_ascii
 from itertools import compress
-from json.decoder import WHITESPACE
-from json.encoder import encode_basestring_ascii
-from json.scanner import py_make_scanner
 
-from .cli import InputError, _as_matrix, _check_fields, _group_json, _load_document, _read_text
+from .cli import (
+    InputError,
+    _as_matrix,
+    _check_fields,
+    _group_json,
+    _load_document,
+    _read_text,
+    _scan_value,
+    _skip_space,
+)
 from .graphalg import (
     Graph,
     bit_selector as _bit_selector,
@@ -44,7 +51,6 @@ from .graphalg import (
 
 _JSON_SPACE = b" \t\n\r"
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
-_skip_space = WHITESPACE.match
 
 
 # ---------------------------------------------------------------------------
@@ -69,11 +75,15 @@ def _digit_row(text: str) -> bytes | None:
 
 
 def _digit_matrix(s: str, pos: int) -> tuple[list[bytes], int] | None:
-    """(rows, end) for the array whose first row opens at s[pos], when each
-    of its rows is a _digit_row: the first ']' after a row's '[' closes that
-    row or something in it, so the text is read no further than the array."""
+    """(rows, end) for the array that opens at s[pos], when it has rows and
+    each of them is a _digit_row: the first ']' after a row's '[' closes
+    that row or something in it, so the text is read no further than the
+    array."""
+    if not s.startswith("[", pos):
+        return None
     rows = []
-    while True:
+    pos = _skip_space(s, pos + 1)
+    while s.startswith("[", pos):
         close = s.find("]", pos)
         row = _digit_row(s[pos + 1:close]) if close > 0 else None
         if row is None:
@@ -82,36 +92,51 @@ def _digit_matrix(s: str, pos: int) -> tuple[list[bytes], int] | None:
         if s.startswith(", [", close + 1):  # json.dumps's separator
             pos = close + 3
             continue
-        pos = _skip_space(s, close + 1).end()
+        pos = _skip_space(s, close + 1)
         if s.startswith("]", pos):
             return rows, pos + 1
         if not s.startswith(",", pos):
             return None
-        pos = _skip_space(s, pos + 1).end()
-        if not s.startswith("[", pos):
-            return None
+        pos = _skip_space(s, pos + 1)
+    return None
 
 
-class _GraphDecoder(json.JSONDecoder):
-    """json.loads's decoder, but for one kind of array: a matrix whose rows
-    each hold single ASCII digits and commas, JSON whitespace aside (an
-    adjacency matrix of small multiplicities), becomes a list with the
-    bytes of each row's digit values, read straight from its text.  Any
-    other array goes to the C scanner whole.  No JSON decodes to bytes, so
-    a bytes row is one this decoder checked."""
-
-    def __init__(self):
-        super().__init__()
-        scan_whole = self.scan_once  # the C scanner, where there is one
-
-        def parse_array(s_and_end, scan_once):
-            s, end = s_and_end
-            first = _skip_space(s, end).end()
-            matrix = _digit_matrix(s, first) if s.startswith("[", first) else None
-            return matrix or scan_whole(s, end - 1)
-
-        self.parse_array = parse_array
-        self.scan_once = py_make_scanner(self)
+def _decode_graph(s: str) -> dict:
+    """The JSON object s as cli._loads decodes it, but for one kind of
+    value in it: a matrix whose rows each hold single ASCII digits and
+    commas, JSON whitespace aside (an adjacency matrix of small
+    multiplicities), becomes a list with the bytes of each row's digit
+    values, read straight from its text.  Every other value, and each
+    key, goes to the C scanner.  No JSON decodes to bytes, so a bytes row
+    is one this reader checked.  Raises ValueError when s is not one
+    well-formed JSON object."""
+    pos = _skip_space(s, 0)
+    if not s.startswith("{", pos):
+        raise ValueError("not a JSON object")
+    doc = {}
+    pos = _skip_space(s, pos + 1)
+    closed = s.startswith("}", pos)
+    while not closed:
+        if not s.startswith('"', pos):
+            raise ValueError("expected a key")
+        key, pos = _scan_value(s, pos)
+        pos = _skip_space(s, pos)
+        if not s.startswith(":", pos):
+            raise ValueError("expected ':'")
+        pos = _skip_space(s, pos + 1)
+        try:
+            doc[key], pos = _digit_matrix(s, pos) or _scan_value(s, pos)
+        except StopIteration:  # no value starts at pos
+            raise ValueError("expected a value") from None
+        pos = _skip_space(s, pos)
+        closed = s.startswith("}", pos)
+        if not closed:
+            if not s.startswith(",", pos):
+                raise ValueError("expected ',' or '}'")
+            pos = _skip_space(s, pos + 1)
+    if _skip_space(s, pos + 1) != len(s):
+        raise ValueError("extra data")
+    return doc
 
 
 def _graph_of(doc: dict, path: str) -> Graph:
@@ -135,11 +160,12 @@ def _graph_of(doc: dict, path: str) -> Graph:
 def _load_graph(path: str) -> Graph:
     text = _read_text(path)
     try:
-        return _graph_of(_load_document(path, "graph", text, _GraphDecoder().decode), path)
-    except InputError:
-        # a decoding error comes here as an InputError too.  The document
-        # is read again by json.loads, so that every diagnostic is the one
-        # it has always been, whichever decoder met the fault first
+        return _graph_of(_load_document(path, "graph", text, _decode_graph), path)
+    except (InputError, ValueError):
+        # a decoding error comes here as an InputError or a ValueError.
+        # The document is read again by cli._loads, so that every
+        # diagnostic is json.loads's and the checks', whichever reader met
+        # the fault first
         return _graph_of(_load_document(path, "graph", text), path)
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -990,6 +991,26 @@ class TestMatrixDiagnostics:
         assert run(capsys, "graph-k", "--input", path, "a") == (
             2, "", f"error: {path}: adjacency[0][0]: {digits!r} is not a decimal integer\n")
 
+    def test_decimal_strings_are_those_of_the_ascii_pattern(self):
+        # a string is read as an integer exactly when, stripped, it
+        # fullmatches -?[0-9]+: at most one '-', then ASCII digits
+        pattern = re.compile(r"-?[0-9]+")
+        alphabet = "0123456789-+_. \t\n\x1c\u2003\u00a0\u0662\uff12\u00b2\u2460e"
+        rng = random.Random(23)
+        strings = ["", "-", "--1", "-+1", "+1", "1_000", "-0", "007", " 12 ", "\u20031\u2003",
+                   "\u0662", "\uff12", "1\u0663", "\u00b2", "-\u0661", "1 2", "\t-5\n", "- 5",
+                   "5-", "0x1", "1.0", "1e3", "\x1c3\x1c"]
+        strings += ["".join(rng.choices(alphabet, k=rng.randint(0, 6))) for _ in range(20000)]
+        matched = 0
+        for text in strings:
+            if pattern.fullmatch(text.strip()):
+                matched += 1
+                assert cli._as_int(text, "x") == int(text.strip()), repr(text)
+            else:
+                with pytest.raises(cli.InputError, match="is not a decimal integer"):
+                    cli._as_int(text, "x")
+        assert matched > 1000, matched
+
 
 class TestJsonCanonicalisation:
     @pytest.mark.parametrize("argv", [
@@ -1058,6 +1079,11 @@ class TestJsonCanonicalisation:
         # before the second is named
         assert next(made for text, made in writes if '"subsets": [' in text) == 1
         assert calls == len(subsets)
+
+    @pytest.mark.parametrize("value", [1.5, b"01", {1, 2}])
+    def test_an_unsupported_value_raises_type_error(self, value):
+        with pytest.raises(TypeError, match=f"type {type(value).__name__} is not JSON"):
+            rendered({"value": value})
 
     def test_renderer_matches_json_dumps_on_seeded_payloads(self):
         rng = random.Random(61)

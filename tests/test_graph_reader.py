@@ -1,12 +1,13 @@
 """The CLI's graph reader against the route it replaced, on seeded documents.
 
 `graph_commands._load_graph` decodes graph files with
-`graph_commands._GraphDecoder`, which reads an adjacency matrix of single
-digits straight from its text, and goes back to `json.loads` for the
-diagnostic when anything is wrong.  For every document here, well formed
-or not, it must return the same graph, or raise an InputError with the
-same text, as `oracles.reference_load_graph`: json.loads and the same
-checks.  The documents come in the three layouts json.dumps
+`graph_commands._decode_graph`, which walks the top-level object, reads an
+adjacency matrix of single digits straight from its text and gives every
+other value to `_json`'s C scanner; when anything is wrong it goes back to
+`cli._loads`, which mirrors json.loads, for the diagnostic.  For every
+document here, well formed or not, it must return the same graph, or
+raise an InputError with the same text, as `oracles.reference_load_graph`:
+json.loads and the same checks.  The documents come in the three layouts json.dumps
 writes (default, compact, indented), with and without a comment, with
 entries of every JSON type an adjacency row may hold, with empty, ragged
 and missing rows, and mutated by one character at seeded places.
@@ -16,9 +17,9 @@ and builds its matrix of ints only when asked for it; the tests after the
 first check that such graphs compute as graphs built from their matrix,
 and that reading one costs no n x n matrix of ints.
 
-The decoder leans on the pure-Python JSON scanner's parse_array hook, whose
-behaviour could change between Python versions, so this file needs no test
-framework and runs under any installed interpreter:
+The reader leans on `_json`'s scanner and on the context it is built
+from, whose behaviour could change between Python versions, so this file
+needs no test framework and runs under any installed interpreter:
 
     PYTHONPATH=src python tests/test_graph_reader.py
 """
@@ -124,8 +125,8 @@ def _write_graph(path: Path, names, rows) -> None:
 
 
 def test_single_digit_rows_arrive_as_bytes_and_build_no_matrix():
-    """A graph of single-digit rows loads without json.loads and keeps each
-    row as the bytes the decoder read.  The poset, family and Condition (K)
+    """A graph of single-digit rows loads without cli._loads (the route of
+    every other document) and keeps each row as the bytes the reader read.  The poset, family and Condition (K)
     computations read those rows, and never build the adjacency matrix;
     the graph still equals the one built from the matrix."""
     rng = random.Random(3)
@@ -133,19 +134,19 @@ def test_single_digit_rows_arrive_as_bytes_and_build_no_matrix():
     names = [f"v{i}" for i in range(n)]
     rows = [[rng.randint(1, 9) if i == j or rng.random() < 0.1 else 0 for j in range(n)]
             for i in range(n)]
-    loads = json.loads
+    loads = cli._loads
 
     def refuse(*args, **kwargs):
-        raise AssertionError("json.loads was called")
+        raise AssertionError("cli._loads was called")
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "graph.json"
         _write_graph(path, names, rows)
-        json.loads = refuse
+        cli._loads = refuse
         try:
             graph = graph_commands._load_graph(str(path))
         finally:
-            json.loads = loads
+            cli._loads = loads
     assert [type(row) for row in graph._rows] == [bytes] * n
     assert len(prim_poset(graph).elements) == 1  # one strongly connected piece
     assert condition_k_failures(graph) == ()
@@ -159,8 +160,8 @@ def test_single_digit_rows_arrive_as_bytes_and_build_no_matrix():
 def test_a_digit_matrix_is_read_as_bytes_in_every_layout():
     """In each layout json.dumps writes, and with extra whitespace around
     the rows and entries, a matrix of single digits loads as bytes rows; one
-    entry of 10 or more anywhere sends the whole matrix the json route, as
-    tuple rows.  Either way the graph is the one built from its matrix."""
+    entry of 10 or more anywhere sends the whole matrix to the C scanner,
+    as tuple rows.  Either way the graph is the one built from its matrix."""
     names = ["a", "b", "c"]
     digits = [[2, 0, 1], [0, 1, 0], [3, 0, 9]]
     wide = [[2, 0, 1], [0, 1, 0], [3, 0, 10]]

@@ -43,7 +43,7 @@ import contextlib, io, json, sys
 def loaded():
     return sorted(name for name in sys.modules if name.split('.')[0] == 'kdilate')
 def readers():
-    return [name for name in loaded() if hasattr(sys.modules[name], '_GraphDecoder')]
+    return [name for name in loaded() if hasattr(sys.modules[name], '_decode_graph')]
 import kdilate.cli
 report = [[None, loaded(), readers()]]
 for argv in json.loads(sys.argv[1]):

@@ -290,3 +290,46 @@ def test_well_formed_call_loads_no_argparse(monkeypatch):
     assert ("exit", *help_text) == parse_outcome(reference, ["--help"])
     assert usage[0] == 2 and usage[1] == "" and "required: --input" in usage[2]
     assert help_text[0] == 0 and help_text[1].startswith("usage: kdilate")
+
+
+# malformed documents, one for each step of the reader that can fail
+MALFORMED = ["", "  \n", "\ufeff{}", '{"kind": "graph"} {}', '{"kind": "gra\x01ph"}',
+             '{"kind": "graph", "vertices": ["a" "b"]}', '{"kind: 1}', '{"kind": "graph",}',
+             '{"kind": "graph", "adjacency": [[1, 2], [3 x]]}', '{"adjacency": }',
+             "[" * 100_000]
+
+
+def test_well_formed_call_loads_no_json_or_re(tmp_path):
+    # A well-formed colim or graph-hs call reads and writes JSON through
+    # _json's C functions, and checks decimal strings with str methods.
+    # json.decoder (and re with it) loads only to raise a JSONDecodeError,
+    # so a malformed document's diagnostic is still json.loads's, for the
+    # group and the graph readers alike.  Each child reads one malformed
+    # document, first in its process, and imports json only after it has
+    # recorded the modules the well-formed calls loaded.
+    code = ("import contextlib, io, sys; from kdilate.cli import main\n"
+            "def call(argv):\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "        code = main(argv)\n"
+            "    return [code, out.getvalue(), err.getvalue()]\n"
+            "codes = [call(['colim', '--input', 'fixtures/z_times_3.json'])[0],\n"
+            "         call(['graph-hs', '--input', 'fixtures/E.json', '--format', 'json'])[0]]\n"
+            "loaded = sorted(name for name in sys.modules\n"
+            "                if name.split('.')[0] in ('json', 're', '_json'))\n"
+            "error = call([sys.argv[1], '--input', sys.argv[2]])\n"
+            "import json\n"
+            "print(json.dumps([codes, loaded, error]))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for i, text in enumerate(MALFORMED):
+        path = tmp_path / f"malformed{i}.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises((json.JSONDecodeError, RecursionError)) as expected:
+            json.loads(text)
+        for command in ("colim", "graph-hs"):
+            out = subprocess.run([sys.executable, "-S", "-c", code, command, str(path)],
+                                 env=env, cwd=ROOT, check=True, capture_output=True,
+                                 text=True).stdout
+            codes, loaded, error = json.loads(out)
+            assert codes == [0, 0] and loaded == ["_json"]
+            assert error == [2, "", f"error: malformed JSON in {path}: {expected.value}\n"]
