@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
 Problem files are JSON documents with a top-level "kind" drawn from
-{"group_endo", "k_data", "cuntz", "graph"}; every integer is either a JSON
+{"group_endo", "k_data", "cuntz", "graph"}, which no object nested in
+it holds; every integer is either a JSON
 number within +-2^53 or a decimal string of ASCII digits (arbitrary
 precision).  Results render as text, canonical JSON (sorted keys,
 two-space indent, no floats), or DOT for the two poset subcommands.
@@ -12,14 +13,14 @@ matrices, the JSON writer and `main`, and imports no layer of kdilate:
 written through `_json`, the C extension under the `json` package:
 `_loads` takes json.loads's steps around its scanner, and `json.decoder`
 is imported only to raise a JSONDecodeError, so a well-formed call loads
-neither `json` nor `re`.  Each row of the
-grammar names the module of its handler, which `main` imports when that
-subcommand runs.  `kdilate.graph_commands` holds graph-hs, graph-lattice,
-graph-prim and graph-k and the graph reader, and loads `kdilate.graphalg`
-and its record base; on a graph file of single-digit multiplicities the
-first three load nothing more.  `kdilate.group_commands` holds snf,
-colim, kercoker, pv, cuntz and graph-crossed-k, and loads the group,
-colimit, six-term and graph layers at its top.
+neither `json` nor `re`.  Each row of the grammar names the module of
+its handler, which `main` imports when that subcommand runs.
+`kdilate.graph_commands` holds graph-hs, graph-lattice, graph-prim and
+graph-k and the graph reader, and loads `kdilate.graphalg` and its
+record base; the first three load nothing more.
+`kdilate.group_commands` holds snf, colim, kercoker, pv, cuntz and
+graph-crossed-k, and loads the group, colimit, six-term and graph layers
+at its top.
 
 Exit codes: 0 success, 2 input/schema errors (diagnostic on stderr; this
 includes files that are not UTF-8 and JSON nested too deeply to decode),
@@ -81,28 +82,25 @@ def _as_count(value, where: str) -> int:
     return n
 
 
-def _as_row(row: list | bytes, where: str) -> list | bytes:
-    # a row of ints (the type set is checked first, so no bools) within the
-    # JSON range needs no per-entry check; a bytes row from the graph
-    # reader's decoder reads as one
-    if set(map(type, row)) == _INT and -_MAX_JSON_INT <= min(row) and max(row) <= _MAX_JSON_INT:
-        return row
-    return [_as_int(x, f"{where}[{j}]") for j, x in enumerate(row)]
-
-
-def _as_matrix(value, where: str, cols: int | None = None,
-               rows: int | None = None) -> IntMatrix:
-    """The matrix of a decoded JSON list of rows.  Each row is replaced in
-    value by its tuple as it is read, so the decoded lists do not stay
-    alive beside the matrix."""
-    from .matrix import IntMatrix
-
+def _as_rows(value, where: str, cols: int | None = None,
+             rows: int | None = None) -> tuple[int, tuple]:
+    """(width, rows) of a decoded JSON list of rows.  Each row is replaced
+    in value by its checked tuple as it is read, so the decoded lists do
+    not stay alive beside it; a bytes row, which only the graph reader
+    makes from digits it checked, passes as it is."""
     if not isinstance(value, list) or any(not isinstance(r, (list, bytes)) for r in value):
         raise InputError(f"{where}: expected a list of rows")
     # every entry is checked before the shape, so a bad entry anywhere is
     # reported before a ragged row, a wrong width or a wrong row count
     for i, row in enumerate(value):
-        value[i] = tuple(_as_row(row, f"{where}[{i}]"))
+        if type(row) is bytes:
+            continue
+        # a row of ints (the type set is checked first, so no bools) within
+        # the JSON range needs no per-entry check
+        if not (set(map(type, row)) == _INT
+                and -_MAX_JSON_INT <= min(row) and max(row) <= _MAX_JSON_INT):
+            row = [_as_int(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)]
+        value[i] = tuple(row)
     widths = {len(r) for r in value}
     if len(widths) > 1:
         raise InputError(f"{where}: ragged rows")
@@ -113,7 +111,15 @@ def _as_matrix(value, where: str, cols: int | None = None,
         raise InputError(f"{where}: expected {cols} columns, found {width}")
     if rows is not None and len(value) != rows:
         raise InputError(f"{where}: expected {rows} rows, found {len(value)}")
-    return IntMatrix._of_checked_rows(width, tuple(value))
+    return width, tuple(value)
+
+
+def _as_matrix(value, where: str, cols: int | None = None,
+               rows: int | None = None) -> IntMatrix:
+    """The matrix of a decoded JSON list of rows, checked by _as_rows."""
+    from .matrix import IntMatrix
+
+    return IntMatrix._of_checked_rows(*_as_rows(value, where, cols, rows))
 
 
 def _skip_space(s: str, pos: int) -> int:
@@ -179,7 +185,8 @@ def _read_text(path: str) -> str:
 def _load_document(path: str, expected_kind: str, text: str | None = None,
                    decode=None) -> dict:
     """The problem file at path (or its text, when given), decoded by
-    decode (_loads by default), with its kind checked."""
+    decode (_loads by default), with its kind checked and taken out, so
+    that _check_fields finds a kind in no object."""
     if text is None:
         text = _read_text(path)
     try:
@@ -193,7 +200,7 @@ def _load_document(path: str, expected_kind: str, text: str | None = None,
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: problem file must be a JSON object")
-    kind = doc.get("kind")
+    kind = doc.pop("kind", None)
     if kind not in _KINDS:
         raise InputError(f"{path}: kind must be one of {list(_KINDS)}, got {kind!r}")
     if kind != expected_kind:
@@ -203,7 +210,7 @@ def _load_document(path: str, expected_kind: str, text: str | None = None,
 
 
 def _check_fields(doc: dict, where: str, required: set, optional: set = frozenset()):
-    allowed = required | optional | {"kind", "comment"}
+    allowed = required | optional | {"comment"}
     for key in doc:
         if key not in allowed:
             raise InputError(f"{where}: unexpected field {key!r}")

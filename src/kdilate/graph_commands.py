@@ -2,20 +2,19 @@
 graph-prim and graph-k, and the reader of graph files.
 
 These subcommands run on `kdilate.graphalg` and its record base alone;
-graph-k adds the group layer when it runs, and so does the generic
-matrix reader, with `kdilate.matrix`, for a graph file with a
-multiplicity of 10 or more.  `kdilate.cli` imports this module only when
-one of these subcommands runs, so that the group subcommands never load
-it.  graph-crossed-k, whose handler is in `kdilate.group_commands`,
-imports the graph reader from here when it runs.
+graph-k adds the group layer when it runs.  `kdilate.cli` imports this
+module only when one of these subcommands runs, so that the group
+subcommands never load it.  graph-crossed-k, whose handler is in
+`kdilate.group_commands`, imports the graph reader from here when it
+runs.
 
 Graph files are decoded by `_decode_graph`, which walks the top-level
 object, gives each value to `_json`'s C scanner, and reads an adjacency
 matrix of single digits (the small multiplicities most graphs have)
 straight from its text, row by row, as the bytes of each row's
-multiplicities.  A graph read that way keeps those rows, and builds its
-matrix of ints only if asked for it; any other graph goes through
-`cli._as_matrix`, and any file with a fault in it is read again by
+multiplicities.  Every graph is then built by one route: `cli._as_rows`
+checks the rows, passing those bytes rows as they are, and `Graph` takes
+the names and the rows.  Any file with a fault in it is read again by
 `cli._loads`, so that every diagnostic stays json.loads's.  `graph-hs`
 puts its family into the payload as a `VertexSets` view of bitmasks,
 which the JSON writer names set by set from vertex names encoded once.
@@ -31,7 +30,7 @@ from itertools import compress
 
 from .cli import (
     InputError,
-    _as_matrix,
+    _as_rows,
     _check_fields,
     _group_json,
     _load_document,
@@ -145,14 +144,10 @@ def _graph_of(doc: dict, path: str) -> Graph:
     if (not isinstance(vertices, list)
             or any(not isinstance(v, str) or not v for v in vertices)):
         raise InputError(f"{path}: vertices must be a list of nonempty strings")
-    n, rows = len(vertices), doc["adjacency"]
-    if (type(rows) is list and len(rows) == n
-            and all(type(row) is bytes and len(row) == n for row in rows)):
-        make, rows = Graph._of_digit_rows, tuple(rows)
-    else:
-        make, rows = Graph, _as_matrix(rows, f"{path}: adjacency", cols=n, rows=n)
+    n = len(vertices)
+    rows = _as_rows(doc["adjacency"], f"{path}: adjacency", cols=n, rows=n)[1]
     try:
-        return make(tuple(vertices), rows)
+        return Graph(vertices, rows)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 

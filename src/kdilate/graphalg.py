@@ -39,12 +39,11 @@ of a set a are the joins j of a with one vertex closure that every vertex
 of j outside a gives (see `ideal_lattice_hasse`), n joins per set.  A set
 stays a bitmask until it is labelled or printed.
 
-The module loads only the record base, `kdilate.record`.  A graph
-builds its `IntMatrix` only when a caller asks for its adjacency matrix
-or builds it from one, `subquotient_k` imports the group layer, and
-`crossed_subquotient_k` the six-term layer, each when first called, so
-that the ideal combinatorics on a graph read as single-digit rows load
-neither `kdilate.matrix` nor a group layer.
+The module loads only the record base, `kdilate.record`.  A graph is
+its vertex names and its rows, so `subquotient_k` imports the group layer,
+with `IntMatrix`, only to hand its presentation over, and
+`crossed_subquotient_k` the six-term layer, each when first called: the
+ideal combinatorics load neither `kdilate.matrix` nor a group layer.
 """
 
 from __future__ import annotations
@@ -60,6 +59,21 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 _NONZERO_BITS = b"0" + b"1" * 255  # maps each byte to whether it is nonzero
 
 
+def _stored_row(row: bytes | Iterable[int]) -> bytes | tuple[int, ...]:
+    """A row as a graph stores it: bytes when every entry lies in 0..255,
+    a tuple of ints otherwise, checked as IntMatrix checks its entries."""
+    if type(row) is bytes:
+        return row
+    row = tuple(row)
+    if set(map(type, row)) - {int} and any(
+            not isinstance(x, int) or isinstance(x, bool) for x in row):
+        raise TypeError("matrix entries must be integers")
+    try:
+        return bytes(row)
+    except ValueError:  # an entry outside 0..255
+        return row
+
+
 def bit_selector(mask: int) -> bytes:
     """The bits of mask read from bit 0, as bytes 0 and 1: for
     itertools.compress, the selector of the vertex set over anything listed
@@ -68,71 +82,40 @@ def bit_selector(mask: int) -> bytes:
 
 
 class Graph(_Record):
-    """Directed multigraph: adjacency[v][w] counts the edges from v to w.
+    """Directed multigraph on named vertices: rows[v][w] counts the edges
+    from v to w.
 
-    A graph keeps its adjacency rows as they came: the IntMatrix's tuples,
-    or one bytes row of multiplicities per vertex from `_of_digit_rows`.
-    The algorithms read the rows and the out-neighbour bitmasks made from
-    them; the adjacency matrix of a bytes-row graph is built on first
-    access (by equality, hash and repr too) and then kept.
+    The rows may come as any iterable, each row as bytes or as an iterable
+    of ints.  A row is stored as bytes when its entries lie in 0..255 (a
+    bytes row as it is) and as a tuple of ints otherwise, so that graphs
+    of equal multiplicities have equal rows however they were given.
     """
 
-    _fields = ("vertices", "adjacency")
+    _fields = ("vertices", "rows")
 
-    def __init__(self, vertices: tuple[str, ...], adjacency: IntMatrix):
+    def __init__(self, vertices: Iterable[str], rows: Iterable[bytes | Iterable[int]]):
         vertices = tuple(str(v) for v in vertices)
-        super().__init__(vertices, adjacency)
-        self._keep_rows(adjacency.entries, adjacency.cols)
-
-    @classmethod
-    def _of_digit_rows(cls, vertices: tuple[str, ...], rows: tuple[bytes, ...]) -> "Graph":
-        """The graph of str vertex names and one bytes row per vertex, each
-        holding len(vertices) multiplicities in 0..9, as the CLI's reader
-        decodes them: only the names, the number of rows and the sinks are
-        checked.  The other field, adjacency, is left to its
-        cached_property."""
-        graph = object.__new__(cls)
-        graph.__dict__["vertices"] = vertices
-        graph._keep_rows(rows, len(vertices))
-        return graph
-
-    def _keep_rows(self, rows, width: int) -> None:
-        """Store the rows, each of width entries, and the out-neighbour
-        bitmask of each vertex, refusing duplicate names, a shape that does
-        not match the names, negative multiplicities and sinks."""
-        n = len(self.vertices)
-        if len(set(self.vertices)) != n:
+        rows = tuple(map(_stored_row, rows))
+        super().__init__(vertices, rows)
+        n = len(vertices)
+        if len(set(vertices)) != n:
             raise ValueError("duplicate vertex names")
-        if (len(rows), width) != (n, n):
+        if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError("adjacency matrix shape does not match the vertex list")
         out = []
-        for name, row in zip(self.vertices, rows):
-            # the nonzero multiplicities are the edges: with every entry in
-            # 0..255, the row's bytes give them as a bit string (bit 0 last)
-            try:
-                mask = int(bytes(row).translate(_NONZERO_BITS)[::-1], 2)
-            except ValueError:
-                if min(row) < 0:
-                    raise ValueError(f"negative edge multiplicity at vertex {name}") from None
+        for name, row in zip(vertices, rows):
+            if type(row) is bytes:
+                # the nonzero multiplicities are the edges: the row's bytes
+                # give them as a bit string (bit 0 last)
+                mask = int(row.translate(_NONZERO_BITS)[::-1], 2)
+            elif min(row) < 0:
+                raise ValueError(f"negative edge multiplicity at vertex {name}")
+            else:
                 mask = sum(1 << j for j, x in enumerate(row) if x)
             if not mask:
                 raise ValueError(f"vertex {name} emits no edges (sinks are not supported)")
             out.append(mask)
-        self.__dict__.update(_rows=rows, _out_masks=tuple(out))
-
-    @cached_property
-    def adjacency(self) -> IntMatrix:
-        # only a graph of bytes rows gets here: __init__ stores its matrix
-        from .matrix import IntMatrix
-
-        return IntMatrix._of_checked_rows(len(self._rows), tuple(map(tuple, self._rows)))
-
-    @classmethod
-    def from_adjacency(cls, vertices: Iterable[str], rows) -> "Graph":
-        from .matrix import IntMatrix
-
-        vertices = tuple(vertices)
-        return cls(vertices, IntMatrix.from_rows(rows, cols=len(vertices)))
+        self.__dict__["_out_masks"] = tuple(out)
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -164,7 +147,7 @@ class Graph(_Record):
         """Names of the vertices in a mask (bit i for vertex i), in vertex
         order.
 
-        >>> graph = Graph.from_adjacency(["a", "b", "c"], [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+        >>> graph = Graph(["a", "b", "c"], [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
         >>> graph.names_of(0b101)
         ['a', 'c']
         >>> graph.names_of(0)
@@ -295,7 +278,7 @@ def hereditary_saturated_masks(graph: Graph) -> list[int]:
     vertex i), sorted by size then vertex order: of two sets of one size,
     the one holding the lowest vertex where they differ comes first.
 
-    >>> isolated = Graph.from_adjacency(["a", "b", "c"], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    >>> isolated = Graph(["a", "b", "c"], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     >>> [isolated.format_mask(m) for m in hereditary_saturated_masks(isolated)]
     ['{}', '{a}', '{b}', '{c}', '{a,b}', '{a,c}', '{b,c}', '{a,b,c}']
     """
@@ -495,7 +478,7 @@ def condition_k_failures(graph: Graph) -> tuple[str, ...]:
     edge, of multiplicity one, and a single return path, where (K) asks
     for two.
     """
-    failures, rows = [], graph._rows
+    failures, rows = [], graph.rows
     for members in sorted(graph._components):
         inside_mask = _component_mask(members)
         for v in members:
@@ -540,7 +523,7 @@ def subquotient_k(graph: Graph, zset: Iterable[str],
     from .abelian import FGAbelianGroup, IntMatrix, group_from_presentation
 
     indices = _checked_nested_pair(graph, zset, yset)
-    size, rows = len(indices), graph._rows
+    size, rows = len(indices), graph.rows
     # rows of (A_X^T - I)^T, read from the X x X block of the rows
     relations = IntMatrix._of_checked_rows(size, tuple(
         tuple(rows[i][j] - (i == j) for j in indices) for i in indices))

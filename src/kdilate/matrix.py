@@ -3,10 +3,9 @@
 `IntMatrix` is an immutable integer matrix with an explicit shape, on
 Python's native arbitrary-precision integers, built on the record base of
 `kdilate.record`.  The group layers build on this module.  The graph layer
-loads it only to build a matrix (a graph's adjacency matrix, on request,
-or the relations of `subquotient_k`), and the command line only to read a
-matrix from a problem file, so that the graph subcommands on a file of
-single-digit multiplicities never load it.
+loads it only where `subquotient_k` hands its relations to the group
+layer, and the command line only to read a group's matrix, so that
+graph-hs, graph-lattice and graph-prim never load it.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ def fixtures_dir() -> Path:
 def graph_e() -> Graph:
     """Four vertices with loop multiplicities 8, 3, 4, 6 and the edges
     v1->v2, v1->v3, v2->v4, v3->v4."""
-    return Graph.from_adjacency(
+    return Graph(
         ["v1", "v2", "v3", "v4"],
         [[8, 1, 1, 0],
          [0, 3, 0, 1],

@@ -215,7 +215,7 @@ def brute_one_minus_ker_coker(orders, action_rows) -> tuple[tuple[int, ...], tup
 
 def _out_masks_by_scan(graph: Graph) -> list[int]:
     n = len(graph.vertices)
-    return [sum(1 << j for j in range(n) if graph.adjacency[i, j] > 0) for i in range(n)]
+    return [sum(1 << j for j in range(n) if graph.rows[i][j] > 0) for i in range(n)]
 
 
 def _is_hereditary_saturated_by_definition(outs: list[int], mask: int) -> bool:
@@ -245,7 +245,7 @@ def random_graph_beside_a_path(rng, path_length: int) -> tuple[Graph, set[int]]:
     rows = [[0] * n for _ in range(n)]
     for i in range(h):
         for j in range(h):
-            rows[i][j] = small.adjacency[i, j]
+            rows[i][j] = small.rows[i][j]
         for j in range(h, n):
             rows[i][j] = int(rng.random() < 0.05)
     for i in range(h, n):
@@ -254,7 +254,7 @@ def random_graph_beside_a_path(rng, path_length: int) -> tuple[Graph, set[int]]:
             rows[i][i + 1] = 1
     perm = list(range(n))  # vertex i of the graph is vertex perm[i] above
     rng.shuffle(perm)
-    graph = Graph.from_adjacency([f"x{i}" for i in range(n)],
+    graph = Graph([f"x{i}" for i in range(n)],
                                  [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
     bit = [0] * n  # the bit of each vertex above in the graph
     for new, old in enumerate(perm):
@@ -280,7 +280,7 @@ def reachable_sets(graph: Graph) -> list[set[int]]:
         while stack:
             v = stack.pop()
             for w in range(n):
-                if graph.adjacency[v, w] > 0 and w not in seen:
+                if graph.rows[v][w] > 0 and w not in seen:
                     seen.add(w)
                     stack.append(w)
         out.append(seen)
@@ -387,7 +387,7 @@ def condition_k_failing_components(graph: Graph) -> list[frozenset]:
     components = {frozenset({v} | {w for w in reach[v] if v in reach[w]}) for v in range(n)}
     return [c for c in components
             if (len(c) > 1 or min(c) in reach[min(c)])
-            and sum(graph.adjacency[v, w] for v in c for w in c) == len(c)]
+            and sum(graph.rows[v][w] for v in c for w in c) == len(c)]
 
 
 def json_safe(obj):
@@ -417,7 +417,7 @@ def reference_load_graph(path: str) -> Graph:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: problem file must be a JSON object")
-    kind = doc.get("kind")
+    kind = doc.pop("kind", None)
     kinds = ["group_endo", "k_data", "cuntz", "graph"]
     if kind not in kinds:
         raise InputError(f"{path}: kind must be one of {kinds}, got {kind!r}")
@@ -431,7 +431,7 @@ def reference_load_graph(path: str) -> Graph:
     adjacency = _as_matrix(doc["adjacency"], f"{path}: adjacency",
                            cols=len(vertices), rows=len(vertices))
     try:
-        return Graph(tuple(vertices), adjacency)
+        return Graph(tuple(vertices), adjacency.entries)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -634,7 +634,7 @@ def random_graph(rng, max_vertices=8, loops_everywhere=False) -> Graph:
     for i in range(n):
         if sum(rows[i]) == 0:
             rows[i][rng.randrange(n)] = 1
-    return Graph.from_adjacency(names, rows)
+    return Graph(names, rows)
 
 
 def random_sparse_graph(rng, max_vertices=10, p=0.1) -> Graph:
@@ -652,7 +652,7 @@ def random_sparse_graph(rng, max_vertices=10, p=0.1) -> Graph:
                 rows[i][j] = 1
         else:
             rows[i][i] = 1
-    return Graph.from_adjacency([f"w{i}" for i in range(n)], rows)
+    return Graph([f"w{i}" for i in range(n)], rows)
 
 
 def random_looped_graph(rng, n: int, p: float) -> Graph:
@@ -671,7 +671,7 @@ def random_looped_graph(rng, n: int, p: float) -> Graph:
             rows[rng.choice(lower)][i] = 1
     perm = list(range(n))
     rng.shuffle(perm)
-    return Graph.from_adjacency([f"v{i}" for i in range(n)],
+    return Graph([f"v{i}" for i in range(n)],
                                 [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
 
 

@@ -572,16 +572,16 @@ class TestGraphCommands:
         graphs = []
         while len(graphs) < 40:
             graph = random_graph(rng, max_vertices=8)
-            if any(graph.adjacency[v, v] == 0 for v in range(len(graph.vertices))):
+            if any(graph.rows[v][v] == 0 for v in range(len(graph.vertices))):
                 graphs.append(graph)
         for n in range(2, 6):  # bare cycles
-            graphs.append(Graph.from_adjacency(
+            graphs.append(Graph(
                 [f"c{i}" for i in range(n)],
                 [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]))
         path = tmp_path / "graph.json"
         for graph in graphs:
             path.write_text(json.dumps({"kind": "graph", "vertices": list(graph.vertices),
-                                        "adjacency": graph.adjacency.to_lists()}))
+                                        "adjacency": [list(r) for r in graph.rows]}))
             index = {v: i for i, v in enumerate(graph.vertices)}
             family = sorted(brute_hereditary_saturated(graph),
                             key=lambda s: (len(s), sorted(index[v] for v in s)))
@@ -708,6 +708,20 @@ class TestInputHandling:
                                    "relations": [], "bogus": 1}))
         code, _, err = run(capsys, "snf", "--input", str(doc))
         assert code == 2 and "unexpected field" in err
+
+    def test_kind_is_a_field_of_the_top_level_only(self, capsys, tmp_path):
+        # a presentation nested in a k_data file holds no kind, whatever
+        # its value; the top-level kind and comment pass as before
+        doc = {"kind": "k_data", "comment": "nested", "k0": {"generators": 1, "relations": []},
+               "k1": {"generators": 0, "relations": []}, "map0": [[3]], "map1": []}
+        path = tmp_path / "kdata.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "pv", "--input", str(path))[0] == 0
+        for key, kind in (("k0", "graph"), ("k1", 7), ("k0", "k_data")):
+            nested = {**doc, key: {"kind": kind, **doc[key]}}
+            path.write_text(json.dumps(nested))
+            assert run(capsys, "pv", "--input", str(path)) == (
+                2, "", f"error: {path}: {key}: unexpected field 'kind'\n")
 
     def test_numbers_beyond_2_53_must_be_strings(self, capsys, tmp_path):
         doc = tmp_path / "big.json"
@@ -965,15 +979,15 @@ class TestMatrixDiagnostics:
             path = self.graph(tmp_path, [[1, 0, 0], [0, 256, -1], [0, bad, 1]])
             assert run(capsys, "graph-hs", "--input", path) == (
                 2, "", f"error: {path}: adjacency[2][1]: {message}\n")
-        graph = Graph.from_adjacency(["a", "b", "c"], [[256, 0, 2**60], [0, 1, 0], [0, 0, 1]])
+        graph = Graph(["a", "b", "c"], [[256, 0, 2**60], [0, 1, 0], [0, 0, 1]])
         assert graph._out_masks == (0b101, 0b010, 0b100)
         with pytest.raises(ValueError, match="negative edge multiplicity at vertex a"):
-            Graph.from_adjacency(["a", "b"], [[256, -1], [0, 1]])
+            Graph(["a", "b"], [[256, -1], [0, 1]])
 
     @pytest.mark.parametrize("bad", [True, 2.5])
     def test_library_matrices_reject_bools_and_floats(self, bad):
         with pytest.raises(TypeError):
-            Graph.from_adjacency(["a", "b"], [[1, 0], [bad, 1]])
+            Graph(["a", "b"], [[1, 0], [bad, 1]])
         with pytest.raises(TypeError):
             IntMatrix.from_rows([[2, bad]])
 
@@ -1053,7 +1067,7 @@ class TestJsonCanonicalisation:
         assert len(subsets) >= 2000
         path = tmp_path / "graph.json"
         path.write_text(json.dumps({"kind": "graph", "vertices": list(graph.vertices),
-                                    "adjacency": graph.adjacency.to_lists()}))
+                                    "adjacency": [list(r) for r in graph.rows]}))
         calls = 0
         selector = graph_commands._bit_selector
 

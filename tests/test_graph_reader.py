@@ -12,9 +12,9 @@ writes (default, compact, indented), with and without a comment, with
 entries of every JSON type an adjacency row may hold, with empty, ragged
 and missing rows, and mutated by one character at seeded places.
 
-A graph whose matrix took the single-digit path keeps its rows as bytes
-and builds its matrix of ints only when asked for it; the tests after the
-first check that such graphs compute as graphs built from their matrix,
+A graph whose matrix took the single-digit path keeps the bytes rows the
+reader made; the tests after the first check which files take that path,
+that graphs read either way compute as graphs built from lists of rows,
 and that reading one costs no n x n matrix of ints.
 
 The reader leans on `_json`'s scanner and on the context it is built
@@ -124,44 +124,75 @@ def _write_graph(path: Path, names, rows) -> None:
     path.write_text(json.dumps({"kind": "graph", "vertices": names, "adjacency": rows}))
 
 
+@contextlib.contextmanager
+def _digit_route_only():
+    """Refuse the route of every matrix but a single-digit one: cli._loads,
+    which reads a whole document again, and the C scanner on an array of
+    rows, as _decode_graph calls it.  Either raises AssertionError."""
+    loads, scan = cli._loads, graph_commands._scan_value
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cli._loads was called")
+
+    def scan_no_rows(s, pos):
+        value, end = scan(s, pos)
+        if type(value) is list and value and all(type(row) is list for row in value):
+            raise AssertionError(f"the C scanner read rows at {pos}")
+        return value, end
+
+    cli._loads, graph_commands._scan_value = refuse, scan_no_rows
+    try:
+        yield
+    finally:
+        cli._loads, graph_commands._scan_value = loads, scan
+
+
+def _took_digit_route(path: Path) -> bool:
+    try:
+        with _digit_route_only():
+            graph_commands._load_graph(str(path))
+    except AssertionError:
+        return False
+    return True
+
+
 def test_single_digit_rows_arrive_as_bytes_and_build_no_matrix():
-    """A graph of single-digit rows loads without cli._loads (the route of
-    every other document) and keeps each row as the bytes the reader read.  The poset, family and Condition (K)
-    computations read those rows, and never build the adjacency matrix;
-    the graph still equals the one built from the matrix."""
+    """A graph of single-digit rows loads by the digit route alone, and
+    keeps each row as the bytes the reader read.  The poset, family and
+    Condition (K) computations read those rows, with kdilate.matrix made
+    impossible to import; the graph equals the one built from lists."""
     rng = random.Random(3)
     n = 300
     names = [f"v{i}" for i in range(n)]
     rows = [[rng.randint(1, 9) if i == j or rng.random() < 0.1 else 0 for j in range(n)]
             for i in range(n)]
-    loads = cli._loads
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("cli._loads was called")
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "graph.json"
-        _write_graph(path, names, rows)
-        cli._loads = refuse
-        try:
-            graph = graph_commands._load_graph(str(path))
-        finally:
-            cli._loads = loads
-    assert [type(row) for row in graph._rows] == [bytes] * n
-    assert len(prim_poset(graph).elements) == 1  # one strongly connected piece
-    assert condition_k_failures(graph) == ()
-    assert len(hereditary_saturated_masks(graph)) == 2
-    assert len(ideal_lattice_hasse(graph).covers) == 1
-    assert "adjacency" not in vars(graph)
-    assert graph == Graph.from_adjacency(names, rows)
-    assert graph.adjacency.to_lists() == rows
+    matrix = sys.modules.pop("kdilate.matrix", None)
+    sys.modules["kdilate.matrix"] = None  # any import of it raises ImportError
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "graph.json"
+            _write_graph(path, names, rows)
+            with _digit_route_only():
+                graph = graph_commands._load_graph(str(path))
+        assert [type(row) for row in graph.rows] == [bytes] * n
+        assert len(prim_poset(graph).elements) == 1  # one strongly connected piece
+        assert condition_k_failures(graph) == ()
+        assert len(hereditary_saturated_masks(graph)) == 2
+        assert len(ideal_lattice_hasse(graph).covers) == 1
+    finally:
+        del sys.modules["kdilate.matrix"]
+        if matrix is not None:
+            sys.modules["kdilate.matrix"] = matrix
+    assert graph == Graph(names, rows)
+    assert [list(row) for row in graph.rows] == rows
 
 
 def test_a_digit_matrix_is_read_as_bytes_in_every_layout():
     """In each layout json.dumps writes, and with extra whitespace around
-    the rows and entries, a matrix of single digits loads as bytes rows; one
-    entry of 10 or more anywhere sends the whole matrix to the C scanner,
-    as tuple rows.  Either way the graph is the one built from its matrix."""
+    the rows and entries, a matrix of single digits takes the digit route;
+    one entry of 10 or more anywhere sends the whole matrix to the C
+    scanner.  Either way the graph is the one built from its rows, and
+    every row of multiplicities up to 255 is bytes."""
     names = ["a", "b", "c"]
     digits = [[2, 0, 1], [0, 1, 0], [3, 0, 9]]
     wide = [[2, 0, 1], [0, 1, 0], [3, 0, 10]]
@@ -169,16 +200,17 @@ def test_a_digit_matrix_is_read_as_bytes_in_every_layout():
              ' [ [2,0 ,1]\n, [ 0, 1,0\t]\r\n,[3 , 0,9 ] ]}'
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "graph.json"
-        for rows, row_type in ((digits, bytes), (wide, tuple)):
+        for rows in (digits, wide):
             doc = {"kind": "graph", "vertices": names, "adjacency": rows}
             texts = [json.dumps(doc, **layout) for layout in LAYOUTS]
             if rows is digits:
                 texts.append(spaced)
             for text in texts:
                 path.write_text(text)
+                assert _took_digit_route(path) is (rows is digits), text
                 graph = graph_commands._load_graph(str(path))
-                assert {type(row) for row in graph._rows} == {row_type}, text
-                assert graph == Graph.from_adjacency(names, rows), text
+                assert {type(row) for row in graph.rows} == {bytes}, text
+                assert graph == Graph(names, rows), text
 
 
 def _reader_graph_rows(rng: random.Random, kind: str) -> list[list[int]]:
@@ -223,8 +255,8 @@ def _k_outcome(graph: Graph, zset, yset):
 def test_reader_graphs_compute_as_matrix_graphs():
     """On seeded graphs, a graph read from a file gives the same out-masks,
     components, Condition (K) failures and subquotient K-groups as the
-    graph built from its matrix.  Only the single-digit graphs keep bytes
-    rows, and none of these computations builds their matrix."""
+    graph built from its rows as lists.  Only the single-digit graphs take
+    the digit route."""
     rng = random.Random(41)
     kinds = ("digits", "cycles", "wide")
     failing = 0
@@ -236,9 +268,8 @@ def test_reader_graphs_compute_as_matrix_graphs():
             names = [f"v{i}" for i in range(len(rows))]
             _write_graph(path, names, rows)
             loaded = graph_commands._load_graph(str(path))
-            built = Graph.from_adjacency(names, rows)
-            row_type = tuple if kind == "wide" else bytes
-            assert {type(row) for row in loaded._rows} == {row_type}, rows
+            built = Graph(names, rows)
+            assert _took_digit_route(path) is (kind != "wide"), rows
             assert loaded._out_masks == built._out_masks
             assert loaded._components == built._components
             assert condition_k_failures(loaded) == condition_k_failures(built)
@@ -249,7 +280,6 @@ def test_reader_graphs_compute_as_matrix_graphs():
                 y = rng.choice([m for m in family if m & ~z == 0])
                 zset, yset = built.names_of(z), built.names_of(y)
                 assert _k_outcome(loaded, zset, yset) == _k_outcome(built, zset, yset)
-            assert ("adjacency" in vars(loaded)) is (kind == "wide")
             assert loaded == built
     assert failing >= 80, failing
 
@@ -260,7 +290,7 @@ def test_prim_on_a_480_vertex_file_peaks_under_1_6_mb_traced():
     under 1.6 MB of memory traced by tracemalloc: the file's text and the
     rows' bytes, not a matrix of 230,400 Python ints."""
     n = 480
-    rows = random_looped_graph(random.Random(480), n, 0.015).adjacency.to_lists()
+    rows = [list(r) for r in random_looped_graph(random.Random(480), n, 0.015).rows]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "graph.json"
         _write_graph(path, [f"v{i}" for i in range(n)], rows)

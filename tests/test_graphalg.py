@@ -1,10 +1,11 @@
 import itertools
+import json
 import random
 import time
 
 import pytest
 
-from kdilate import graphalg
+from kdilate import graph_commands, graphalg
 from kdilate.abelian import FGAbelianGroup, IntMatrix, direct_sum
 from kdilate.graphalg import (
     Graph,
@@ -53,20 +54,86 @@ def sum_of_cyclics(parts):
 class TestGraphConstruction:
     def test_rejects_sinks(self):
         with pytest.raises(ValueError, match="emits no edges"):
-            Graph.from_adjacency(["a", "b"], [[0, 1], [0, 0]])
+            Graph(["a", "b"], [[0, 1], [0, 0]])
 
     def test_rejects_negative_multiplicities(self):
         with pytest.raises(ValueError, match="negative edge multiplicity"):
-            Graph.from_adjacency(["a"], [[-1]])
+            Graph(["a"], [[-1]])
 
     def test_rejects_shape_mismatch_and_duplicates(self):
         with pytest.raises(ValueError):
-            Graph.from_adjacency(["a", "b"], [[1, 0]])
+            Graph(["a", "b"], [[1, 0]])
         with pytest.raises(ValueError, match="duplicate"):
-            Graph.from_adjacency(["a", "a"], [[1, 0], [0, 1]])
+            Graph(["a", "a"], [[1, 0], [0, 1]])
+
+    def test_the_four_value_errors_keep_their_text(self):
+        cases = [(["a", "a"], [[1, 0], [0, 1]], "duplicate vertex names"),
+                 (["a", "b"], [[1, 0], [0, 1, 0]],
+                  "adjacency matrix shape does not match the vertex list"),
+                 (["a", "b"], [[1, 0]], "adjacency matrix shape does not match the vertex list"),
+                 (["a", "b"], [[1, 0], [-1, 300]], "negative edge multiplicity at vertex b"),
+                 (["a", "b"], [b"\x01\x00", b"\x00\x00"],
+                  "vertex b emits no edges (sinks are not supported)")]
+        for names, rows, message in cases:
+            with pytest.raises(ValueError) as info:
+                Graph(names, rows)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("bad", [True, False, 2.0, "1", None])
+    def test_entries_are_ints_and_no_bools(self, bad):
+        with pytest.raises(TypeError, match="^matrix entries must be integers$"):
+            Graph(["a", "b"], [[1, 0], [bad, 1]])
+        with pytest.raises(TypeError, match="^matrix entries must be integers$"):
+            IntMatrix.from_rows([[1, 0], [bad, 1]])
+
+    def test_rows_are_equal_however_they_are_given(self):
+        names = ["a", "b", "c"]
+        lists = [[2, 1, 0], [0, 255, 0], [1, 0, 9]]
+        givens = [lists, [tuple(r) for r in lists], (tuple(r) for r in lists),
+                  (iter(r) for r in lists), [bytearray(r) for r in lists],
+                  [bytes(r) for r in lists], tuple(map(bytes, lists))]
+        graphs = [Graph(iter(names), rows) for rows in givens]
+        for graph in graphs:
+            assert graph.vertices == ("a", "b", "c")
+            assert graph.rows == (b"\x02\x01\x00", b"\x00\xff\x00", b"\x01\x00\x09")
+            assert graph == graphs[0] and hash(graph) == hash(graphs[0])
+            assert graph._out_masks == (0b011, 0b010, 0b101)
+        reader_rows = [bytes(r) for r in lists]
+        assert all(a is b for a, b in zip(Graph(names, reader_rows).rows, reader_rows))
+
+    def test_a_row_past_a_byte_stays_an_int_tuple(self):
+        graph = Graph(["a", "b"], [[256, 0], [3, 1]])
+        assert graph.rows == ((256, 0), b"\x03\x01")
+        assert graph == Graph(("a", "b"), ((256, 0), [3, 1]))
+        assert graph != Graph(["a", "b"], [[255, 0], [3, 1]])
+        assert graph._out_masks == (0b01, 0b11)
+        # a loop of 256 at a, and one bare loop at b
+        assert condition_k_failures(graph) == ("b",)
+
+    def test_decimal_string_multiplicities_read_as_their_values(self, tmp_path):
+        path = tmp_path / "graph.json"
+        big = 2**53 + 1
+        path.write_text(json.dumps({"kind": "graph", "vertices": ["a", "b"],
+                                    "adjacency": [["300", "7"], [str(big), " 2"]]}))
+        graph = graph_commands._load_graph(str(path))
+        assert graph.rows == ((300, 7), (big, 2))
+        assert graph == Graph(["a", "b"], [[300, 7], [big, 2]])
+        path.write_text(json.dumps({"kind": "graph", "vertices": ["a", "b"],
+                                    "adjacency": [["7", 0], [1, "12"]]}))
+        assert graph_commands._load_graph(str(path)).rows == (b"\x07\x00", b"\x01\x0c")
+
+    def test_fields_rebuild_an_equal_value(self):
+        for rows in ([[1, 300], [0, 2]], [[1, 1], [0, 2]]):
+            graph = Graph(["a", "b"], rows)
+            for copy in (Graph(graph.vertices, graph.rows),
+                         Graph(vertices=graph.vertices, rows=graph.rows),
+                         Graph(list(graph.vertices), [list(r) for r in graph.rows])):
+                assert copy == graph and hash(copy) == hash(graph)
+                assert copy.rows == graph.rows
+            assert repr(graph) == f"Graph(vertices=('a', 'b'), rows={graph.rows!r})"
 
     def test_unknown_vertex_in_subset(self):
-        g = Graph.from_adjacency(["a"], [[1]])
+        g = Graph(["a"], [[1]])
         with pytest.raises(ValueError, match="unknown vertex"):
             closure(g, {"zz"})
 
@@ -121,11 +188,11 @@ class TestEnumeration:
         assert enumerate_hereditary_saturated(graph_e) == SIX_SETS
 
     def test_single_loop_vertex(self):
-        graph = Graph.from_adjacency(["w"], [[1]])
+        graph = Graph(["w"], [[1]])
         assert enumerate_hereditary_saturated(graph) == [frozenset(), frozenset({"w"})]
 
     def test_two_disconnected_loops_give_all_four_subsets(self):
-        graph = Graph.from_adjacency(["a", "b"], [[1, 0], [0, 1]])
+        graph = Graph(["a", "b"], [[1, 0], [0, 1]])
         assert len(enumerate_hereditary_saturated(graph)) == 4
 
     def test_against_exhaustive_scan(self):
@@ -193,7 +260,7 @@ class TestEnumeration:
                 assert len(calls) == len(graph.vertices)
         calls.clear()
         # b has a loop and a does not: {b} saturates to {a, b}
-        graph = Graph.from_adjacency(["a", "b"], [[0, 1], [0, 1]])
+        graph = Graph(["a", "b"], [[0, 1], [0, 1]])
         assert enumerate_hereditary_saturated(graph) == [frozenset(), frozenset({"a", "b"})]
         assert calls
 
@@ -208,11 +275,11 @@ class TestIdealLattice:
             ("{v2,v3,v4}", "{v1,v2,v3,v4}")}
 
     def test_single_vertex_gives_a_two_point_chain(self):
-        poset = ideal_lattice_hasse(Graph.from_adjacency(["w"], [[2]]))
+        poset = ideal_lattice_hasse(Graph(["w"], [[2]]))
         assert poset.covers == (("{}", "{w}"),)
 
     def test_disconnected_loops_give_a_diamond(self):
-        poset = ideal_lattice_hasse(Graph.from_adjacency(["a", "b"], [[1, 0], [0, 1]]))
+        poset = ideal_lattice_hasse(Graph(["a", "b"], [[1, 0], [0, 1]]))
         assert set(poset.covers) == {("{}", "{a}"), ("{}", "{b}"),
                                      ("{a}", "{a,b}"), ("{b}", "{a,b}")}
 
@@ -342,20 +409,20 @@ class TestPrimPoset:
         assert [e for e in poset.elements if e not in uppers] == ["v4"]
 
     def test_single_loop_is_a_point(self):
-        poset = prim_poset(Graph.from_adjacency(["w"], [[1]]))
+        poset = prim_poset(Graph(["w"], [[1]]))
         assert poset.elements == ("w",) and poset.covers == ()
 
     def test_two_comparable_points(self):
-        poset = prim_poset(Graph.from_adjacency(["a", "b"], [[1, 1], [0, 1]]))
+        poset = prim_poset(Graph(["a", "b"], [[1, 1], [0, 1]]))
         assert poset.covers == (("b", "a"),)  # a reaches b, so b < a
 
     def test_cycle_condition_is_checked(self):
-        graph = Graph.from_adjacency(["a", "b"], [[0, 1], [0, 1]])
+        graph = Graph(["a", "b"], [[0, 1], [0, 1]])
         with pytest.raises(ValueError, match="requires every vertex on a cycle"):
             prim_poset(graph)
 
     def test_multi_vertex_component_is_one_element(self):
-        graph = Graph.from_adjacency(["a", "b"], [[0, 1], [1, 0]])
+        graph = Graph(["a", "b"], [[0, 1], [1, 0]])
         poset = prim_poset(graph)
         assert poset.elements == ("{a,b}",)
 
@@ -372,7 +439,7 @@ class TestPrimPoset:
                 while stack:
                     v = stack.pop()
                     for w in range(n):
-                        if graph.adjacency[v, w] > 0 and w not in reach[i]:
+                        if graph.rows[v][w] > 0 and w not in reach[i]:
                             reach[i].add(w)
                             stack.append(w)
             classes = {frozenset(j for j in reach[i] if i in reach[j]) for i in range(n)}
@@ -403,7 +470,7 @@ class TestPrimPoset:
             drawn = random_graph(rng, max_vertices=9, loops_everywhere=k % 3 == 0)
             names = list(drawn.vertices)
             rng.shuffle(names)  # so label order and vertex order differ
-            graph = Graph.from_adjacency(names, drawn.adjacency.to_lists())
+            graph = Graph(names, [list(r) for r in drawn.rows])
             reach = reachable_sets(graph)
             if any(v not in reach[v] for v in range(len(names))):
                 errors += 1
@@ -444,7 +511,7 @@ class TestPrimPoset:
         # a depth-first search down this path recurses 3000 deep
         n = 3000
         names = [f"c{i}" for i in range(n)]
-        graph = Graph.from_adjacency(
+        graph = Graph(
             names, ((0,) * ((i + 1) % n) + (1,) + (0,) * (n - 1 - (i + 1) % n)
                     for i in range(n)))
         label = "{" + ",".join(names) + "}"
@@ -462,21 +529,21 @@ class TestPrimPoset:
 
 class TestConditionK:
     def test_bare_cycles_fail(self):
-        assert condition_k_failures(Graph.from_adjacency(["w"], [[1]])) == ("w",)
-        two_cycle = Graph.from_adjacency(["a", "b"], [[0, 1], [1, 0]])
+        assert condition_k_failures(Graph(["w"], [[1]])) == ("w",)
+        two_cycle = Graph(["a", "b"], [[0, 1], [1, 0]])
         assert condition_k_failures(two_cycle) == ("{a,b}",)
         # the loops of the ROADMAP example are bare cycles, a above b
-        graph = Graph.from_adjacency(["a", "b"], [[1, 1], [0, 1]])
+        graph = Graph(["a", "b"], [[1, 1], [0, 1]])
         assert condition_k_failures(graph) == ("a", "b")
 
     def test_second_return_paths_pass(self, graph_e):
         assert condition_k_failures(graph_e) == ()
-        assert condition_k_failures(Graph.from_adjacency(["w"], [[2]])) == ()
-        chord = Graph.from_adjacency(["a", "b"], [[1, 1], [1, 0]])
+        assert condition_k_failures(Graph(["w"], [[2]])) == ()
+        chord = Graph(["a", "b"], [[1, 1], [1, 0]])
         assert condition_k_failures(chord) == ()
 
     def test_acyclic_vertices_are_not_components_that_fail(self):
-        graph = Graph.from_adjacency(["a", "b"], [[0, 1], [0, 2]])
+        graph = Graph(["a", "b"], [[0, 1], [0, 2]])
         assert condition_k_failures(graph) == ()
 
     def test_against_edge_counts_on_random_graphs(self):
@@ -531,7 +598,8 @@ class TestSubquotientK:
                          frozenset({"v2", "v3", "v4"}): 30, FULL: 210}
         for zset, det in expected_dets.items():
             indices = [i for i, v in enumerate(graph_e.vertices) if v in zset]
-            block = graph_e.adjacency.select_rows(indices).select_columns(indices)
+            block = IntMatrix.from_rows([[graph_e.rows[i][j] for j in indices]
+                                         for i in indices])
             matrix = block.transpose() + IntMatrix.identity(len(indices)).scale(-1)
             assert abs(matrix.determinant()) == det
             k0, k1 = subquotient_k(graph_e, zset, set())
@@ -542,10 +610,10 @@ class TestSubquotientK:
         for _ in range(40):
             graph = random_graph(rng, max_vertices=7)
             n = len(graph.vertices)
-            rows = graph.adjacency.to_lists()
+            rows = [list(r) for r in graph.rows]
             for v in rng.sample(range(n), rng.randint(1, n)):
                 rows[v] = [int(w == v) for w in range(n)]  # a single loop
-            graph = Graph.from_adjacency(graph.vertices, rows)
+            graph = Graph(graph.vertices, rows)
             k0, k1 = subquotient_k(graph, graph.vertices, set())
             nullity = n - rank_over_q([[rows[j][i] - (i == j) for j in range(n)]
                                        for i in range(n)])

@@ -3,8 +3,7 @@
 `kdilate.cli` loads no layer.  Each subcommand loads the front-end module
 of its own family and that family's layers: graph-hs, graph-lattice and
 graph-prim load `kdilate.graph_commands`, `kdilate.graphalg` and the
-record base, and `kdilate.matrix` only for a graph file that takes the
-generic matrix reader; graph-k adds the group layer.  The group
+record base on every graph file; graph-k adds the group layer.  The group
 subcommands load the group, colimit, six-term and graph layers together,
 through `kdilate.group_commands`, and none of the graph front end but
 graph-crossed-k, which reads a graph.  The package loads a layer only
@@ -96,16 +95,18 @@ def test_graph_commands_load_no_other_layer(command):
     codes = [code for code, _, _ in report[1:]]
     # graph-hs has no DOT form, and says so before reading its input
     assert codes == ([0, 0, 2] if command == "graph-hs" else [0, 0, 0])
-    # single-digit rows need no IntMatrix, and no group layer
+    # a graph needs no IntMatrix, and no group layer
     assert [loaded for _, loaded, _ in report[1:]] == [GRAPH_SIDE] * 3
     assert report[-1][2] == ["kdilate.graph_commands"]
 
 
 @pytest.mark.parametrize("command", ["graph-hs", "graph-lattice", "graph-prim"])
-def test_a_multiplicity_of_ten_loads_the_matrix_reader(command):
+def test_a_multiplicity_of_ten_loads_only_the_graph_side(command):
+    # multi-digit rows take the general reader, and then the same
+    # constructor as single-digit rows, with no IntMatrix
     [_, (code, loaded, _)] = _loaded_by([command, "--input", MULTIDIGIT])
     assert code == 0
-    assert loaded == sorted(GRAPH_SIDE + ["kdilate.matrix"])
+    assert loaded == GRAPH_SIDE
 
 
 def test_graph_k_adds_only_the_group_layer():

@@ -68,7 +68,6 @@ KEPT = {
     "record._Record.__setattr__": (PROTOCOL, "refuses assignment"),
     "record._Record.__delattr__": (PROTOCOL, "refuses deletion"),
     "record._Record.__init_subclass__": (PROTOCOL, "runs as each value class is defined"),
-    "graphalg.Graph.adjacency": (PROTOCOL, "the field of a digit-row graph, built when read"),
     "graphalg.PosetDiagram.__init__": (PROTOCOL, "the validating constructor from fields"),
     "graphalg._all_str": (CALLER, "graphalg.PosetDiagram.__post_init__"),
     "cli._Subcommand": (PROTOCOL, "the grammar table's rows, built at import"),

@@ -62,8 +62,8 @@ def _build(cls, rng):
         KTheoryData: lambda: KTheoryData(group, Z, endo, GroupHom.multiplication(Z, m)),
         CrossedProductK: lambda: pv_crossed_product(cuntz_k_data(None, m)),
         CuntzClosedForm: lambda: cuntz_closed_form(n, m),
-        Graph: lambda: Graph.from_adjacency(names, adjacency),
-        PosetDiagram: lambda: ideal_lattice_hasse(Graph.from_adjacency(names, adjacency)),
+        Graph: lambda: Graph(names, adjacency),
+        PosetDiagram: lambda: ideal_lattice_hasse(Graph(names, adjacency)),
     }
     return builders[cls]()
 
@@ -195,7 +195,7 @@ class TestValidationMessages:
 
     def test_duplicate_vertex(self):
         with pytest.raises(ValueError, match="^duplicate vertex names$"):
-            Graph.from_adjacency(["a", "a"], [[1, 0], [0, 1]])
+            Graph(["a", "a"], [[1, 0], [0, 1]])
 
     def test_poset_cycle(self):
         with pytest.raises(ValueError, match="^cover relation contains a cycle$"):
@@ -237,20 +237,55 @@ def _record_classes(tree):
                     yield node, ast.literal_eval(stmt.value)
 
 
+def _is_instance_dict(node) -> bool:
+    """Whether node reads an instance's dict: x.__dict__ or vars(x)."""
+    return ((isinstance(node, ast.Attribute) and node.attr == "__dict__")
+            or (isinstance(node, ast.Call) and ast.unparse(node.func) == "vars"))
+
+
+def _field_writes(node, fields) -> list[str]:
+    """The fields that node stores by hand: object.__setattr__(x, "<field>",
+    ...), x.__dict__["<field>"] = ... or x.__dict__.update(<field>=...)."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        if (ast.unparse(func) == "object.__setattr__"
+                and isinstance(node.args[1], ast.Constant)):
+            return [node.args[1].value] if node.args[1].value in fields else []
+        if (isinstance(func, ast.Attribute) and func.attr == "update"
+                and _is_instance_dict(func.value)):
+            return [k.arg for k in node.keywords if k.arg in fields]
+    if isinstance(node, (ast.Assign, ast.AugAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.slice.value for t in targets
+                if isinstance(t, ast.Subscript) and _is_instance_dict(t.value)
+                and isinstance(t.slice, ast.Constant) and t.slice.value in fields]
+    return []
+
+
 def test_fields_are_set_only_by_the_record_constructor():
-    # object.__setattr__(x, "<field>", ...) in a record class would store
-    # one of its fields outside _Record.__init__
+    # a hand-written write of a field in a record class would store it
+    # outside _Record.__init__
     records, found = set(), []
     for path in sorted((SRC / "kdilate").glob("*.py")):
         for cls, fields in _record_classes(ast.parse(path.read_text(), str(path))):
             records.add(cls.name)
-            found += [(path.name, cls.name, call.lineno) for call in ast.walk(cls)
-                      if isinstance(call, ast.Call)
-                      and ast.unparse(call.func) == "object.__setattr__"
-                      and isinstance(call.args[1], ast.Constant)
-                      and call.args[1].value in fields]
+            found += [(path.name, cls.name, node.lineno, field) for node in ast.walk(cls)
+                      for field in _field_writes(node, fields)]
     assert records == {cls.__name__ for cls in RECORDS}
     assert found == []
+
+
+def test_the_field_write_check_sees_each_form():
+    fields = ("vertices", "rows")
+    code = ('object.__setattr__(self, "rows", r)\n'
+            'self.__dict__["vertices"] = v\n'
+            'vars(graph)["rows"] = r\n'
+            'graph.__dict__.update(rows=r, _out_masks=m)\n'
+            'self.__dict__["_out_masks"] = m\n'
+            'object.__setattr__(self, "_index", i)\n')
+    writes = [field for node in ast.walk(ast.parse(code))
+              for field in _field_writes(node, fields)]
+    assert sorted(writes) == ["rows", "rows", "rows", "vertices"]
 
 
 def test_cli_import_loads_no_introspection_modules():
